@@ -108,13 +108,19 @@ def project_functionals(
     support: SupportEstimate | None = None,
     solves: list[FixedPointResult] | None = None,
 ) -> list[ProjectionResult]:
-    """Cauchy-integral projections tr(Pi A) for several matrices A sharing one
-    contour (one resolvent factorization per node)."""
+    """Cauchy-integral projections tr(Pi A) for several real matrices A
+    sharing one contour (one resolvent factorization per node).
+
+    Each node's mirror at conj(z) contributes the conjugate of its term, since
+    tr(A conj(R)) = conj(tr(A R)) for real A, so ``imag_residue`` is zero by
+    construction; complex A is rejected."""
     if support is not None:
         contour.check_margin(support)
     for A in As:
         if np.shape(A) != (model.p, model.p):
             raise ValueError("functional matrix dimension mismatch")
+        if np.iscomplexobj(A):
+            raise ValueError("functional matrix must be real")
     nodes, weights = contour.upper_nodes()
     if solves is None:
         solves = continuation_solve(model, nodes, opts)
@@ -122,12 +128,10 @@ def project_functionals(
     totals = np.zeros(len(As), dtype=np.complex128)
     for z, w, res in zip(nodes, weights, solves):
         R = r_tilde(model, z, res.lam)
-        Rc = np.conj(R)
         for k, A in enumerate(As):
-            up = np.einsum("ij,ji->", A, R)
+            up = np.einsum("ij,ji->", A, R) * w
             # mirror node at conj(z) carries weight -conj(w)
-            down = np.einsum("ij,ji->", A, Rc)
-            totals[k] += up * w - down * np.conj(w)
+            totals[k] += up - np.conj(up)
 
     out = []
     for t in totals:

@@ -59,16 +59,9 @@ class SupportEstimate:
 def r_tilde(
     model: EnsembleModel, z: complex, lam: UpperDiagonal
 ) -> NDArray[np.complex128]:
-    """((1/n) sum_i (z / lambda_i) Sigma_i - z I_p)^{-1}.
-
-    Algebraically equal to -(1/z) * q_tilde(lam)."""
-    z = complex(z)
-    A = z * model.mixture_matrix(1.0 / lam.values)
-    A[np.diag_indices(model.p)] -= z
-    try:
-        return np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular resolvent; inconsistent input") from exc
+    """((1/n) sum_i (z / lambda_i) Sigma_i - z I_p)^{-1}, computed as
+    -(1/z) * q_tilde(lam)."""
+    return -q_tilde(model, lam) / complex(z)
 
 
 def stieltjes_g(model: EnsembleModel, z: complex, lam: UpperDiagonal) -> complex:
@@ -111,13 +104,6 @@ def density_grid(
     return DensityGrid(xs=xs, y=float(y), density=dens, dirac_at_zero=dirac)
 
 
-def _density_at(model: EnsembleModel, x: float, y: float, opts, warm) -> tuple[float, object]:
-    from .fixedpoint import solve_lambda as _solve
-
-    res = _solve(model, complex(x, y), opts, warm=warm)
-    return stieltjes_g(model, complex(x, y), res.lam).imag / np.pi, res.lam
-
-
 def support_scan(
     model: EnsembleModel,
     y: float = 1e-3,
@@ -138,6 +124,14 @@ def support_scan(
     above = grid.density > threshold
     xs = grid.xs
 
+    def refine(inside: float, outside: float) -> float:
+        """One bisection level between a grid point above the threshold and
+        its neighbour below it."""
+        mid = 0.5 * (inside + outside)
+        z = complex(mid, y)
+        d = stieltjes_g(model, z, solve_lambda(model, z, opts).lam).imag / np.pi
+        return mid if d > threshold else 0.5 * (mid + inside)
+
     edges: list[tuple[float, float]] = []
     i = 0
     while i < len(xs):
@@ -145,16 +139,8 @@ def support_scan(
             j = i
             while j + 1 < len(xs) and above[j + 1]:
                 j += 1
-            lo = xs[i]
-            if i > 0:  # refine the left crossing by one bisection level
-                mid = 0.5 * (xs[i - 1] + xs[i])
-                d, _ = _density_at(model, mid, y, opts, None)
-                lo = mid if d > threshold else 0.5 * (mid + xs[i])
-            hi = xs[j]
-            if j + 1 < len(xs):
-                mid = 0.5 * (xs[j] + xs[j + 1])
-                d, _ = _density_at(model, mid, y, opts, None)
-                hi = mid if d > threshold else 0.5 * (xs[j] + mid)
+            lo = refine(xs[i], xs[i - 1]) if i > 0 else xs[i]
+            hi = refine(xs[j], xs[j + 1]) if j + 1 < len(xs) else xs[j]
             edges.append((max(float(lo), 0.0), min(float(hi), x0)))
             i = j + 1
         else:

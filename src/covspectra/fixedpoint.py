@@ -8,18 +8,23 @@ the semi-metric d_s, which gives existence and uniqueness of the fixed point
 and justifies the Picard iteration used here.  Anderson acceleration is
 layered on top with a domain guard, because plain iteration slows down
 drastically near the real axis.
+
+``_contract`` is the one iteration loop of the package: ``solve_lambda`` runs
+it on this map and ``qve.solve_qve`` on the quadratic vector equation, which
+is a d_s contraction of the same kind.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .model import EnsembleModel
-from .semimetric import UpperDiagonal, d_s, in_solver_domain
+from .semimetric import UpperDiagonal, _ds, _in_domain, in_solver_domain
 
 __all__ = [
     "SolverOptions",
@@ -41,7 +46,8 @@ class DomainError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Picard iteration exhausted max_iter without reaching tolerance."""
+    """Picard iteration exhausted max_iter without reaching tolerance, or
+    produced a non-finite residual."""
 
     def __init__(self, iterations: int, last_residual: float, index: int | None = None):
         self.iterations = iterations
@@ -60,15 +66,12 @@ class SolverOptions:
     max_iter: int = 50_000
     acceleration: str = "anderson"  # "anderson" | "none"
     anderson_window: int = 5
-    damping: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.tol_ds > 0.0:
             raise ValueError("tol_ds must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.acceleration not in ("anderson", "none"):
             raise ValueError("acceleration must be 'anderson' or 'none'")
 
@@ -127,12 +130,55 @@ def contraction_factor(
     return float(np.sqrt(max(1.0 - pL, 0.0) * max(1.0 - pLp, 0.0)))
 
 
-def _in_domain_raw(values: NDArray, z: complex) -> bool:
-    return bool(np.all(values.imag > 0.0) and np.all((values / z).imag > 0.0))
+def _contract(
+    step: Callable[[NDArray], NDArray],
+    x0: NDArray,
+    opts: SolverOptions,
+    in_domain: Callable[[NDArray], bool],
+) -> tuple[NDArray, int, float, float]:
+    """Iterate x <- step(x) from x0 until consecutive iterates are closer than
+    opts.tol_ds in d_s, with Anderson acceleration (Walker & Ni 2011) unless
+    opts.acceleration is "none".  Returns (x, iterations, residual, ratio of
+    the last two residuals); raises NonConvergenceError after max_iter steps,
+    or at once on a non-finite residual."""
+    use_aa = opts.acceleration == "anderson"
+    window = opts.anderson_window
+    g_hist: list[NDArray] = []
+    f_hist: list[NDArray] = []
 
+    x = x0
+    residual = np.inf
+    prev_residual = np.inf
+    contraction = 1.0
+    for k in range(1, opts.max_iter + 1):
+        gx = step(x)
+        f = gx - x
+        prev_residual, residual = residual, _ds(gx, x)
+        contraction = residual / prev_residual if np.isfinite(prev_residual) else 1.0
+        if residual < opts.tol_ds:
+            return gx, k, residual, contraction
+        if not math.isfinite(residual):
+            raise NonConvergenceError(k, residual)
 
-def _ds_raw(a: NDArray, b: NDArray) -> float:
-    return float(np.max(np.abs(a - b) / (np.sqrt(a.imag) * np.sqrt(b.imag))))
+        x_next = gx
+        if use_aa:
+            g_hist.append(gx)
+            f_hist.append(f)
+            if len(f_hist) > window + 1:
+                g_hist.pop(0)
+                f_hist.pop(0)
+            m = len(f_hist) - 1
+            if m >= 1:
+                dF = np.stack([f_hist[j + 1] - f_hist[j] for j in range(m)], axis=1)
+                dG = np.stack([g_hist[j + 1] - g_hist[j] for j in range(m)], axis=1)
+                gamma, *_ = np.linalg.lstsq(dF, f, rcond=None)
+                candidate = gx - dG @ gamma
+                # any accelerated step leaving the domain falls back to Picard
+                if in_domain(candidate):
+                    x_next = candidate
+        x = x_next
+
+    raise NonConvergenceError(opts.max_iter, residual)
 
 
 def solve_lambda(
@@ -156,56 +202,21 @@ def solve_lambda(
         if len(warm) != model.n:
             raise DomainError("warm start has wrong length")
         x = warm.values.copy()
-        if not _in_domain_raw(x, z):
+        if not _in_domain(x, z):
             raise DomainError("warm start outside the solver domain")
     else:
         x = _raw_iz(model, z, np.full(model.n, z, dtype=np.complex128))
 
-    damping = opts.damping
-    use_aa = opts.acceleration == "anderson"
-    window = opts.anderson_window
-    g_hist: list[NDArray] = []
-    f_hist: list[NDArray] = []
-
-    residual = np.inf
-    prev_residual = np.inf
-    contraction = 1.0
-    for k in range(1, opts.max_iter + 1):
-        gx = _raw_iz(model, z, x)
-        if damping < 1.0:
-            gx = (1.0 - damping) * x + damping * gx
-        f = gx - x
-        prev_residual, residual = residual, _ds_raw(gx, x)
-        contraction = residual / prev_residual if np.isfinite(prev_residual) else 1.0
-        if residual < opts.tol_ds:
-            x = gx
-            return FixedPointResult(
-                lam=UpperDiagonal(x),
-                iterations=k,
-                residual_ds=residual,
-                contraction_estimate=min(contraction, 1.0 - 1e-16),
-                phi=z.imag / float(x.imag.max()),
-            )
-
-        x_next = gx
-        if use_aa:
-            g_hist.append(gx)
-            f_hist.append(f)
-            if len(f_hist) > window + 1:
-                g_hist.pop(0)
-                f_hist.pop(0)
-            m = len(f_hist) - 1
-            if m >= 1:
-                dF = np.stack([f_hist[j + 1] - f_hist[j] for j in range(m)], axis=1)
-                dG = np.stack([g_hist[j + 1] - g_hist[j] for j in range(m)], axis=1)
-                gamma, *_ = np.linalg.lstsq(dF, f, rcond=None)
-                candidate = gx - dG @ gamma
-                # any accelerated step leaving the domain falls back to Picard
-                if _in_domain_raw(candidate, z):
-                    x_next = candidate
-        x = x_next
-
-    raise NonConvergenceError(opts.max_iter, residual)
+    x, k, residual, contraction = _contract(
+        lambda v: _raw_iz(model, z, v), x, opts, lambda v: _in_domain(v, z)
+    )
+    return FixedPointResult(
+        lam=UpperDiagonal(x),
+        iterations=k,
+        residual_ds=residual,
+        contraction_estimate=min(contraction, 1.0 - 1e-16),
+        phi=z.imag / float(x.imag.max()),
+    )
 
 
 def continuation_solve(
@@ -226,7 +237,7 @@ def continuation_solve(
             v = warm.values.copy()
             lift = z.imag - v.imag
             v[lift > 0] += 1j * lift[lift > 0]
-            warm = UpperDiagonal(v) if _in_domain_raw(v, z) else None
+            warm = UpperDiagonal(v) if _in_domain(v, z) else None
         try:
             res = solve_lambda(model, z, opts, warm=warm)
         except NonConvergenceError as exc:
@@ -245,8 +256,6 @@ def psi_matrix(
     This is the transfer matrix of the fixed-point map: at a solved point,
     d(lambda)/dz = (I - Psi)^{-1} ones and ||Psi|| < 1."""
     n = model.n
-    if len(D) != n or len(Dp) != n:
-        raise DomainError("diagonal length mismatch")
     Q = q_tilde(model, D)
     Qp = q_tilde(model, Dp)
     psi = np.empty((n, n), dtype=np.complex128)

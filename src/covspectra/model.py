@@ -281,6 +281,8 @@ class EnsembleModel:
         self._vec_col = np.asarray(vec_col, dtype=np.intp)
         self._means = means
         self._extra_means = extra_means
+        if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._V, self._means)):
+            raise ModelError("covariances and means must be finite")
         self._check_assumptions(mean_norm_bound, min_eig_floor)
 
     # -- validation ------------------------------------------------------
@@ -337,22 +339,6 @@ class EnsembleModel:
         if self._vec_col.size:
             quad = np.einsum("ji,jk,ki->i", self._V, M, self._V)
             np.add.at(t, self._vec_col, quad)
-        return t
-
-    def trace_against(self, i: int, M: NDArray[np.complex128]) -> complex:
-        """tr(Sigma_i M), computed from the column's structure."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"column index {i} out of range [0, {self.n})")
-        M = np.asarray(M)
-        if M.shape != (self.p, self.p):
-            raise ModelError("matrix dimension mismatch")
-        t = complex(self._diag[i] @ np.diagonal(M))
-        col = self.columns[i].cov
-        if isinstance(col, Dense) or (isinstance(col, RotatedFamily) and col.rotations):
-            t += complex(np.einsum("jk,kj->", col.realize(self.p), M))
-        for v in (self._means[i], self._extra_means[i]):
-            if np.any(v):
-                t += complex(v @ M @ v)
         return t
 
     # -- sampling support --------------------------------------------------

@@ -4,7 +4,10 @@ half-plane, for real a and entrywise-nonnegative S.
 
 Solved through the auxiliary iteration x <- z*ones + a - S (1/x), which is a
 d_s contraction with factor at most 1 - Im(z)/kappa where
-kappa = max((Im(z) I + S/Im(z)) ones); the solution is m = -1/x.
+kappa = max((Im(z) I + S/Im(z)) ones); the solution is m = -1/x.  The
+iteration runs in the loop that also solves the deterministic-equivalent
+fixed point (``fixedpoint._contract``), Anderson acceleration included; its
+domain guard keeps Im x > 0.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .fixedpoint import NonConvergenceError, SolverOptions
+from .fixedpoint import SolverOptions, _contract
+from .semimetric import _in_upper
 
 __all__ = ["QveProblem", "solve_qve", "qve_residual"]
 
@@ -30,8 +34,10 @@ class QveProblem:
         S = np.asarray(self.S, dtype=np.float64)
         if S.shape != (a.size, a.size):
             raise ValueError("S must be square with side len(a)")
-        if S.min() < 0.0:
-            raise ValueError("S entries must be nonnegative")
+        if not S.min() >= 0.0:
+            raise ValueError("S entries must be nonnegative numbers")
+        if not np.isfinite(a).all():
+            raise ValueError("a entries must be finite")
         if not complex(self.z).imag > 0.0:
             raise ValueError("z must lie in the upper half-plane")
         object.__setattr__(self, "a", a)
@@ -46,16 +52,9 @@ def qve_residual(prob: QveProblem, m: NDArray[np.complex128]) -> float:
 
 def solve_qve(prob: QveProblem, opts: SolverOptions | None = None) -> NDArray[np.complex128]:
     """Unique solution m with Im(m_i) > 0 for all i."""
-    opts = opts or SolverOptions()
     z, a, S = prob.z, prob.a, prob.S
-    x = z + a + 0j  # always in the upper half-plane since a is real
-    residual = np.inf
-    for _ in range(opts.max_iter):
-        x_new = z + a - S @ (1.0 / x)
-        residual = float(
-            np.max(np.abs(x_new - x) / np.sqrt(x_new.imag * x.imag))
-        )
-        x = x_new
-        if residual < opts.tol_ds:
-            return -1.0 / x
-    raise NonConvergenceError(opts.max_iter, residual)
+    # z + a is in the upper half-plane since a is real
+    x, *_ = _contract(
+        lambda x: z + a - S @ (1.0 / x), z + a + 0j, opts or SolverOptions(), _in_upper
+    )
+    return -1.0 / x

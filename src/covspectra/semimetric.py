@@ -36,7 +36,7 @@ class UpperDiagonal:
         v = np.atleast_1d(np.asarray(self.values, dtype=np.complex128))
         if v.ndim != 1 or v.size == 0:
             raise ValueError("UpperDiagonal needs a nonempty 1-d array")
-        if not np.all(v.imag > 0.0):
+        if not _in_upper(v):
             raise ValueError("UpperDiagonal entries must have Im > 0")
         object.__setattr__(self, "values", v)
 
@@ -44,24 +44,37 @@ class UpperDiagonal:
         return self.values.size
 
 
-def d_s(D: UpperDiagonal, Dp: UpperDiagonal) -> float:
-    """Semi-metric between two diagonals of equal length.
+def _ds(a, b) -> float:
+    """d_s on unchecked arrays or scalars.
 
-    Evaluated as |D - D'| / (sqrt(Im D) * sqrt(Im D')) so the product of tiny
+    Evaluated as |a - b| / (sqrt(Im a) * sqrt(Im b)) so the product of tiny
     imaginary parts cannot underflow.
     """
+    return float(np.max(np.abs(a - b) / (np.sqrt(a.imag) * np.sqrt(b.imag))))
+
+
+def _in_upper(values) -> bool:
+    return bool(np.all(values.imag > 0.0))
+
+
+def _in_domain(values, z: complex) -> bool:
+    """The solver domain on unchecked arrays: Im(v_i) > 0 and Im(v_i/z) > 0."""
+    return _in_upper(values) and _in_upper(values / z)
+
+
+def d_s(D: UpperDiagonal, Dp: UpperDiagonal) -> float:
+    """Semi-metric between two diagonals of equal length."""
     a, b = D.values, Dp.values
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return float(np.max(np.abs(a - b) / (np.sqrt(a.imag) * np.sqrt(b.imag))))
+    return _ds(a, b)
 
 
 def in_solver_domain(D: UpperDiagonal, z: complex) -> bool:
     """True iff every entry satisfies Im(D_i) > 0 and Im(D_i / z) > 0."""
     if not z.imag > 0.0:
         raise ValueError("z must lie in the upper half-plane")
-    v = D.values
-    return bool(np.all(v.imag > 0.0) and np.all((v / z).imag > 0.0))
+    return _in_domain(D.values, z)
 
 
 def _discrete_stieltjes(locs: NDArray, masses: NDArray, w: complex) -> complex:
@@ -88,6 +101,5 @@ def stieltjes_lipschitz_check(
         raise ValueError("z and z' must lie in the upper half-plane")
     g, gp = _discrete_stieltjes(locs, masses, z), _discrete_stieltjes(locs, masses, zp)
     lhs = abs(g - gp)
-    ds_zz = abs(z - zp) / (np.sqrt(z.imag) * np.sqrt(zp.imag))
-    rhs = float(np.sqrt(g.imag * gp.imag) * ds_zz)
+    rhs = float(np.sqrt(g.imag * gp.imag) * _ds(z, zp))
     return lhs, rhs

@@ -114,6 +114,12 @@ def test_dimension_mismatch_rejected():
         project_functional(m, np.eye(5), ContourSpec(0.0, 1.0, 0.5))
 
 
+def test_complex_functional_rejected():
+    m = mp_model(10, 20)
+    with pytest.raises(ValueError):
+        project_functional(m, 1j * np.eye(10), ContourSpec(0.01, 4.0, 0.5, 32))
+
+
 def test_margin_enforced_when_support_given():
     p, n = 20, 40
     m = mp_model(p, n)

@@ -8,6 +8,7 @@ from covspectra import (
     DomainError,
     EnsembleModel,
     NonConvergenceError,
+    QveProblem,
     ScaledIdentity,
     SolverOptions,
     UpperDiagonal,
@@ -18,6 +19,7 @@ from covspectra import (
     psi_matrix,
     q_tilde,
     solve_lambda,
+    solve_qve,
     stieltjes_g,
 )
 
@@ -92,12 +94,19 @@ def test_solution_independent_of_start(rng):
         assert np.max(np.abs(res.lam.values - base.lam.values)) < 1e-9
 
 
-def test_picard_matches_anderson(rng):
-    m = random_model(5, 8, rng)
+@pytest.mark.parametrize("solver", ["solve_lambda", "solve_qve"])
+def test_picard_matches_anderson(rng, solver):
     z = 0.5 + 0.8j
-    a = solve_lambda(m, z, SolverOptions(tol_ds=1e-13, acceleration="anderson"))
-    p = solve_lambda(m, z, SolverOptions(tol_ds=1e-13, acceleration="none"))
-    assert np.max(np.abs(a.lam.values - p.lam.values)) < 1e-10
+    if solver == "solve_lambda":
+        m = random_model(5, 8, rng)
+        solve = lambda opts: solve_lambda(m, z, opts).lam.values
+    else:
+        S = rng.uniform(0.0, 2.0, (8, 8))
+        prob = QveProblem(z=z, a=rng.uniform(-1.0, 1.0, 8), S=(S + S.T) / 2.0)
+        solve = lambda opts: solve_qve(prob, opts)
+    a = solve(SolverOptions(tol_ds=1e-13, acceleration="anderson"))
+    p = solve(SolverOptions(tol_ds=1e-13, acceleration="none"))
+    assert np.max(np.abs(a - p)) < 1e-10
 
 
 def test_rejects_lower_halfplane():

@@ -10,6 +10,7 @@ from covspectra import (
     EnsembleModel,
     LowRankPlusIdentity,
     ModelError,
+    QveProblem,
     RotatedFamily,
     ScaledIdentity,
     load_model,
@@ -74,27 +75,19 @@ def test_mixture_linear_in_weights(rng):
 
 def test_trace_against_trivial_cases():
     m = EnsembleModel(3, 1, [Column(ScaledIdentity(1.0))])
-    assert m.trace_against(0, np.eye(3)) == pytest.approx(3.0)
+    assert m.traces_against_all(np.eye(3))[0] == pytest.approx(3.0)
     m2 = EnsembleModel(2, 1, [Column(Diagonal(np.array([1.0, 8.0])))])
-    assert m2.trace_against(0, 1j * np.eye(2)) == pytest.approx(9j)
+    assert m2.traces_against_all(1j * np.eye(2))[0] == pytest.approx(9j)
 
 
 def test_trace_against_matches_dense_oracle(rng):
     m = random_model(5, 6, rng)
     for _ in range(100):
         M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        got = m.traces_against_all(M)
         for i in range(6):
-            got = m.trace_against(i, M)
             want = np.trace(m.realize_sigma(i) @ M)
-            assert abs(got - want) <= 1e-13 * max(abs(want), 1.0)
-
-
-def test_traces_against_all_consistent(rng):
-    m = random_model(4, 5, rng)
-    M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    all_t = m.traces_against_all(M)
-    for i in range(5):
-        assert all_t[i] == pytest.approx(m.trace_against(i, M), abs=1e-12)
+            assert abs(got[i] - want) <= 1e-13 * max(abs(want), 1.0)
 
 
 def test_rotated_family_k0_equals_base():
@@ -203,3 +196,31 @@ def test_config_repeat_count_mismatch():
     cfg = {"p": 1, "n": 3, "columns": [{"cov": {"kind": "scaled_identity", "sigma2": 1.0}}]}
     with pytest.raises(ModelError):
         model_from_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: EnsembleModel(2, 1, [Column(Diagonal(np.array([1.0, np.nan])))]), ModelError),
+        (lambda: EnsembleModel(2, 1, [Column(ScaledIdentity(np.inf))]), ModelError),
+        (
+            lambda: EnsembleModel(
+                2, 1, [Column(RotatedFamily(np.array([1.0, np.nan]), np.eye(2)))]
+            ),
+            ModelError,
+        ),
+        (
+            lambda: EnsembleModel(
+                2, 1, [Column(ScaledIdentity(1.0), mean=np.array([0.0, np.nan]))]
+            ),
+            ModelError,
+        ),
+        (lambda: QveProblem(1j, np.zeros(2), np.array([[1.0, np.nan], [0.0, 1.0]])), ValueError),
+        (lambda: QveProblem(1j, np.array([0.0, np.nan]), np.eye(2)), ValueError),
+    ],
+    ids=["diagonal-nan", "scaled-identity-inf", "rotated-base-nan", "mean-nan",
+         "qve-S-nan", "qve-a-nan"],
+)
+def test_non_finite_inputs_rejected(build, error):
+    with pytest.raises(error):
+        build()

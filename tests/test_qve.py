@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covspectra import QveProblem, qve_residual, solve_qve
+from covspectra import NonConvergenceError, QveProblem, qve_residual, solve_qve
 
 
 def test_problem_validation():
@@ -52,3 +52,10 @@ def test_residual_of_wrong_vector_is_large():
     prob = QveProblem(z=1j, a=np.zeros(2), S=np.eye(2))
     bad = np.array([1.0 + 1.0j, 1.0 + 1.0j])
     assert qve_residual(prob, bad) > 0.1
+
+
+def test_non_finite_iterate_stops_at_once():
+    prob = QveProblem(z=1j, a=np.zeros(2), S=np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with np.errstate(invalid="ignore"), pytest.raises(NonConvergenceError) as exc:
+        solve_qve(prob)
+    assert exc.value.iterations <= 3
