@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -39,6 +40,8 @@ __all__ = [
 ]
 
 RNG_NAME = "philox4x64+numpy-ziggurat"
+
+_T = TypeVar("_T")
 
 
 def _column_rng(seed: int, trial: int, i: int) -> np.random.Generator:
@@ -69,20 +72,21 @@ class SampleBatch:
     eigenvalue_sets: NDArray[np.float64]  # (trials, p), rows nonincreasing
 
 
+def _map_trials(one: Callable[[int], _T], trials: int, jobs: int) -> list[_T]:
+    """one(t) for every trial t, in trial order, so that parallelism cannot
+    change results."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(one, range(trials)))
+    return [one(t) for t in range(trials)]
+
+
 def sample_batch(model: EnsembleModel, trials: int, seed: int, jobs: int = 1) -> SampleBatch:
     """Independent trials; aggregation ordered by trial index so parallelism
     cannot change results."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    def one(t: int) -> NDArray[np.float64]:
-        return spectrum(sample_matrix(model, seed, trial=t))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            sets = list(pool.map(one, range(trials)))
-    else:
-        sets = [one(t) for t in range(trials)]
+    sets = _map_trials(lambda t: spectrum(sample_matrix(model, seed, trial=t)), trials, jobs)
     return SampleBatch(seed=seed, trials=trials, eigenvalue_sets=np.stack(sets))
 
 
@@ -231,8 +235,16 @@ def compare(
 ) -> ComparisonReport:
     """Monte Carlo draws pooled into a histogram, compared bin-by-bin with the
     predicted density, plus Stieltjes sup-error and functional rows."""
-    batch = sample_batch(model, trials, seed, jobs=jobs)
-    pooled = batch.eigenvalue_sets.ravel()
+    specs = functionals or []
+
+    def one(t: int) -> tuple[NDArray[np.float64], list[float]]:
+        # each trial is drawn once, for its spectrum and for every functional
+        X = sample_matrix(model, seed, trial=t)
+        return spectrum(X), [empirical_projection(X, s.matrix, s.interval) for s in specs]
+
+    draws = _map_trials(one, trials, jobs)
+    eigenvalue_sets = np.stack([eigs for eigs, _ in draws])
+    pooled = eigenvalue_sets.ravel()
     x_max = float(pooled.max()) + bin_width
     edges = np.arange(0.0, x_max + bin_width, bin_width)
     counts, _ = np.histogram(pooled, bins=edges)
@@ -248,19 +260,14 @@ def compare(
         g_probes = [complex(x, 0.5) for x in np.linspace(0.2 * span, 1.2 * span, 7)]
     sup_err = 0.0
     for z in g_probes:
-        g_emp = np.mean(
-            [empirical_stieltjes(ev, z) for ev in batch.eigenvalue_sets]
-        )
+        g_emp = np.mean([empirical_stieltjes(ev, z) for ev in eigenvalue_sets])
         g_pred = stieltjes_g(model, z, solve_lambda(model, z, opts).lam)
         sup_err = max(sup_err, abs(g_emp - g_pred))
 
     rows: list[FunctionalRow] = []
-    for spec in functionals or []:
+    for k, spec in enumerate(specs):
         pred = project_functionals(model, [spec.matrix], spec.contour, opts)[0].value
-        vals = [
-            empirical_projection(sample_matrix(model, seed, trial=t), spec.matrix, spec.interval)
-            for t in range(trials)
-        ]
+        vals = [values[k] for _, values in draws]
         rows.append(
             FunctionalRow(
                 name=spec.name,

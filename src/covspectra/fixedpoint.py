@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import EnsembleModel
+from .model import EnsembleModel, _real_times
 from .semimetric import UpperDiagonal, _ds, _in_domain, in_solver_domain
 
 __all__ = [
@@ -74,6 +74,8 @@ class SolverOptions:
             raise ValueError("max_iter must be >= 1")
         if self.acceleration not in ("anderson", "none"):
             raise ValueError("acceleration must be 'anderson' or 'none'")
+        if self.anderson_window < 1:
+            raise ValueError("anderson_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,9 @@ def _raw_iz(model: EnsembleModel, z: complex, values: NDArray) -> NDArray:
 
 
 def _raw_q_tilde(model: EnsembleModel, values: NDArray) -> NDArray:
+    if model.is_diagonal:
+        # the factor is diagonal: invert its diagonal, no LAPACK call
+        return np.diag(1.0 / (1.0 - _real_times(model._diag.T, 1.0 / values) / model.n))
     A = np.eye(model.p, dtype=np.complex128) - model.mixture_matrix(1.0 / values)
     try:
         return np.linalg.inv(A)

@@ -55,6 +55,8 @@ class Dense:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ModelError("dense covariance must be a square matrix")
+        if not np.isfinite(m).all():
+            raise ModelError("dense covariance must be finite")
         if not np.allclose(m, m.T, atol=1e-12):
             raise ModelError("dense covariance must be symmetric")
         if np.linalg.eigvalsh(m).min() < -_PSD_TOL:
@@ -276,11 +278,13 @@ class EnsembleModel:
 
         self._diag = diag
         self._dense_idx = np.asarray(dense_idx, dtype=np.intp)
-        self._dense = np.stack(dense_mats) if dense_mats else np.zeros((0, p, p))
+        # one row per dense class, so each dense kernel is one real GEMV
+        self._dense = np.array(dense_mats, dtype=np.float64).reshape(len(dense_mats), p * p)
         self._V = np.stack(vecs, axis=1) if vecs else np.zeros((p, 0))
         self._vec_col = np.asarray(vec_col, dtype=np.intp)
         self._means = means
         self._extra_means = extra_means
+        self._is_diagonal = not dense_idx and not vecs
         if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._V, self._means)):
             raise ModelError("covariances and means must be finite")
         self._check_assumptions(mean_norm_bound, min_eig_floor)
@@ -304,6 +308,12 @@ class EnsembleModel:
 
     # -- core operations --------------------------------------------------
 
+    @property
+    def is_diagonal(self) -> bool:
+        """True when every Sigma_i is diagonal (no dense class, no nonzero mean
+        or low-rank vector), so the resolvent factor is a diagonal matrix."""
+        return self._is_diagonal
+
     def realize_sigma(self, i: int) -> NDArray[np.float64]:
         """Dense Sigma_i = C_i + mu_i mu_i^T."""
         if not 0 <= i < self.n:
@@ -320,9 +330,9 @@ class EnsembleModel:
         if w.size != self.n:
             raise ModelError(f"weight vector has length {w.size}, expected {self.n}")
         out = np.zeros((self.p, self.p), dtype=np.complex128)
-        np.fill_diagonal(out, w @ self._diag)
+        np.fill_diagonal(out, _real_times(self._diag.T, w))
         if self._dense_idx.size:
-            out += np.einsum("i,ijk->jk", w[self._dense_idx], self._dense)
+            out += _real_times(self._dense.T, w[self._dense_idx]).reshape(self.p, self.p)
         if self._vec_col.size:
             wv = w[self._vec_col]
             out += (self._V * wv) @ self._V.T
@@ -333,11 +343,14 @@ class EnsembleModel:
         """tr(Sigma_i M) for every column at once."""
         if M.shape != (self.p, self.p):
             raise ModelError("matrix dimension mismatch")
-        t = self._diag @ np.diagonal(M).astype(np.complex128)
+        t = _real_times(self._diag, np.diagonal(M))
         if self._dense_idx.size:
-            t[self._dense_idx] += np.einsum("ijk,kj->i", self._dense, M)
+            # tr(D M) = vec(D) . vec(M^T); the transpose matters because dense
+            # realisations are symmetric only up to roundoff
+            t[self._dense_idx] += _real_times(self._dense, M.T.ravel())
         if self._vec_col.size:
-            quad = np.einsum("ji,jk,ki->i", self._V, M, self._V)
+            V = self._V
+            quad = np.sum(V * (M.real @ V), axis=0) + 1j * np.sum(V * (M.imag @ V), axis=0)
             np.add.at(t, self._vec_col, quad)
         return t
 
@@ -362,6 +375,12 @@ class EnsembleModel:
     def max_trace(self) -> float:
         """max_i tr(Sigma_i)."""
         return float(self.traces_against_all(np.eye(self.p)).real.max())
+
+
+def _real_times(A: NDArray[np.float64], x: NDArray) -> NDArray[np.complex128]:
+    """A @ x for real A and complex x as two real BLAS products; numpy would
+    otherwise copy A to complex on every call."""
+    return A @ x.real + 1j * (A @ x.imag)
 
 
 # -- configuration loading --------------------------------------------------

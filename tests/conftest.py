@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from covspectra import Column, Dense, Diagonal, EnsembleModel, ScaledIdentity
+from covspectra import (
+    Column,
+    Dense,
+    Diagonal,
+    EnsembleModel,
+    LowRankPlusIdentity,
+    RotatedFamily,
+    ScaledIdentity,
+    random_orthogonal,
+)
 
 
 @pytest.fixture
@@ -26,6 +35,36 @@ def random_model(p: int, n: int, rng: np.random.Generator) -> EnsembleModel:
         else:
             B = rng.standard_normal((p, p))
             cols.append(Column(Dense(B @ B.T / p + 0.1 * np.eye(p))))
+    return EnsembleModel(p, n, cols)
+
+
+def structured_model(p: int, n: int, rng: np.random.Generator) -> EnsembleModel:
+    """Random model taking every path of the model's kernels: each covariance
+    kind, rotated families with and without rotations, low-rank signals, and
+    columns with a nonzero mean, a zero mean and no mean."""
+    P = random_orthogonal(p, seed=int(rng.integers(1 << 31)))
+    cols = []
+    for i in range(n):
+        kind = i % 6
+        if kind == 0:
+            cov = Diagonal(rng.uniform(0.2, 3.0, p))
+        elif kind == 1:
+            cov = ScaledIdentity(float(rng.uniform(0.5, 2.0)))
+        elif kind == 2:
+            B = rng.standard_normal((p, p))
+            cov = Dense(B @ B.T / p + 0.1 * np.eye(p))
+        elif kind == 3:
+            cov = RotatedFamily(rng.uniform(0.2, 3.0, p), P, int(rng.integers(1, 4)))
+        elif kind == 4:
+            cov = RotatedFamily(rng.uniform(0.2, 3.0, p), P, 0)
+        else:
+            cov = LowRankPlusIdentity(rng.standard_normal(p) / np.sqrt(p), 0.5)
+        mean = None
+        if i % 4 == 1:
+            mean = rng.standard_normal(p) / np.sqrt(p)
+        elif i % 4 == 2:
+            mean = np.zeros(p)
+        cols.append(Column(cov, mean=mean))
     return EnsembleModel(p, n, cols)
 
 

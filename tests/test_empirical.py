@@ -5,6 +5,8 @@ import pytest
 
 from conftest import mp_model, mp_stieltjes, random_model
 
+from covspectra import empirical
+
 from covspectra import (
     Column,
     ContourSpec,
@@ -148,6 +150,39 @@ def test_compare_functional_rows(tmp_path):
     lines = (out / "functionals.csv").read_text().splitlines()
     assert lines[0].startswith("functional,contour_a")
     assert lines[1].split(",")[0] == "identity"
+
+
+def test_compare_draws_each_trial_once(monkeypatch):
+    p, n, trials, seed = 20, 40, 3, 11
+    m = mp_model(p, n)
+    u = np.zeros(p)
+    u[0] = 1.0
+    contour = ContourSpec(0.005, 4.0, 0.5, 16)
+    specs = [
+        FunctionalSpec("identity", np.eye(p), contour, (0.0, 4.0)),
+        FunctionalSpec("e1", np.outer(u, u), contour, (1.0, 4.0)),
+    ]
+    # the values of one draw per trial for the histogram and per functional
+    pooled = sample_batch(m, trials, seed).eigenvalue_sets.ravel()
+    want_vals = [
+        [empirical_projection(sample_matrix(m, seed, trial=t), s.matrix, s.interval)
+         for t in range(trials)]
+        for s in specs
+    ]
+
+    calls = []
+    draw = empirical.sample_matrix
+    monkeypatch.setattr(
+        empirical, "sample_matrix", lambda *a, **k: calls.append(1) or draw(*a, **k)
+    )
+    rep = compare(m, trials=trials, seed=seed, functionals=specs)
+    assert len(calls) == trials
+
+    counts, _ = np.histogram(pooled, bins=rep.bin_edges)
+    np.testing.assert_array_equal(rep.frequencies, counts / pooled.size)
+    for row, vals in zip(rep.functionals, want_vals):
+        assert row.empirical_mean == float(np.mean(vals))
+        assert row.empirical_std == float(np.std(vals, ddof=1))
 
 
 def test_histogram_frequencies_sum_to_one():

@@ -5,6 +5,7 @@ from conftest import mp_model, mp_stieltjes, random_model
 
 from covspectra import (
     Column,
+    Diagonal,
     DomainError,
     EnsembleModel,
     NonConvergenceError,
@@ -126,6 +127,12 @@ def test_apply_iz_rejects_bad_diagonal():
         apply_Iz(m, 1 + 1j, UpperDiagonal(np.full(3, 5.0 + 0.1j)))
 
 
+@pytest.mark.parametrize("window", [0, -2])
+def test_anderson_window_validated(window):
+    with pytest.raises(ValueError, match="anderson_window"):
+        SolverOptions(anderson_window=window)
+
+
 def test_nonconvergence_raises():
     m = mp_model(20, 40)
     with pytest.raises(NonConvergenceError) as exc:
@@ -164,6 +171,18 @@ def test_q_tilde_identity_oracle():
     m = mp_model(3, 4)
     L = UpperDiagonal(np.full(4, 2.0 + 1e-12j))
     np.testing.assert_allclose(q_tilde(m, L), 2.0 * np.eye(3), atol=1e-9)
+
+
+def test_q_tilde_diagonal_model_oracle(rng):
+    cols = [Column(Diagonal(rng.uniform(0.2, 3.0, 5))) for _ in range(4)]
+    cols += [Column(ScaledIdentity(1.5), mean=np.zeros(5))] * 3
+    m = EnsembleModel(5, 7, cols)
+    assert m.is_diagonal
+    for _ in range(10):
+        L = UpperDiagonal(rng.standard_normal(7) + 1j * rng.uniform(0.1, 2.0, 7))
+        factor = np.eye(5) - sum(m.realize_sigma(i) / L.values[i] for i in range(7)) / 7
+        want = np.linalg.inv(factor)
+        np.testing.assert_allclose(q_tilde(m, L), want, rtol=1e-13, atol=1e-13)
 
 
 def test_continuation_matches_cold(rng):

@@ -18,7 +18,7 @@ from covspectra import (
 )
 from covspectra.model import model_from_config
 
-from conftest import random_model
+from conftest import random_model, structured_model
 
 
 def test_realize_identity():
@@ -90,6 +90,48 @@ def test_trace_against_matches_dense_oracle(rng):
             assert abs(got[i] - want) <= 1e-13 * max(abs(want), 1.0)
 
 
+@pytest.mark.parametrize("kind", ["complex", "real-nonsymmetric"])
+def test_traces_against_all_structured_oracle(rng, kind):
+    m = structured_model(6, 12, rng)
+    assert m._dense.shape[0] and m._V.shape[1]  # dense and vector paths are taken
+    for _ in range(20):
+        M = rng.standard_normal((6, 6))
+        if kind == "complex":
+            M = M + 1j * rng.standard_normal((6, 6))
+        got = m.traces_against_all(M)
+        for i in range(12):
+            want = np.trace(m.realize_sigma(i) @ M)
+            assert abs(got[i] - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_mixture_structured_oracle(rng, kind):
+    m = structured_model(6, 12, rng)
+    for _ in range(20):
+        w = rng.standard_normal(12)
+        if kind == "complex":
+            w = w + 1j * rng.standard_normal(12)
+        naive = sum(w[i] * m.realize_sigma(i) for i in range(12)) / 12
+        np.testing.assert_allclose(m.mixture_matrix(w), naive, rtol=1e-13, atol=1e-13)
+
+
+def test_is_diagonal():
+    P = random_orthogonal(2, seed=3)
+    diagonal = [
+        Column(Diagonal(np.array([1.0, 2.0]))),
+        Column(ScaledIdentity(1.0), mean=np.zeros(2)),
+        Column(RotatedFamily(np.array([1.0, 2.0]), P, 0)),
+    ]
+    assert EnsembleModel(2, 3, diagonal).is_diagonal
+    for extra in (
+        Column(ScaledIdentity(1.0), mean=np.array([0.0, 1.0])),
+        Column(LowRankPlusIdentity(np.array([1.0, 0.0]), 1.0)),
+        Column(RotatedFamily(np.array([1.0, 2.0]), P, 1)),
+        Column(Dense(np.eye(2))),
+    ):
+        assert not EnsembleModel(2, 4, diagonal + [extra]).is_diagonal
+
+
 def test_rotated_family_k0_equals_base():
     P = random_orthogonal(3, seed=5)
     spec = RotatedFamily(base=np.array([1.0, 2.0, 3.0]), orthogonal=P, rotations=0)
@@ -118,6 +160,12 @@ def test_negative_diagonal_entry_fatal():
 def test_non_psd_dense_fatal():
     with pytest.raises(ModelError):
         Dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_dense_fatal(bad):
+    with pytest.raises(ModelError, match="must be finite"):
+        Dense(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_sigma2_must_be_positive():
