@@ -93,9 +93,26 @@ def _raw_iz(model: EnsembleModel, z: complex, values: NDArray) -> NDArray:
 
 
 def _raw_q_tilde(model: EnsembleModel, values: NDArray) -> NDArray:
-    if model.is_diagonal:
-        # the factor is diagonal: invert its diagonal, no LAPACK call
-        return np.diag(1.0 / (1.0 - _real_times(model._diag.T, 1.0 / values) / model.n))
+    if model.is_diagonal_plus_low_rank:
+        # the factor is D - V W V^T / n, D diagonal, V the model's r distinct
+        # vectors, W their summed weights.  Woodbury with Y = D^-1 V and
+        # G = V^T Y gives D^-1 + Y W (nI - G W)^-1 Y^T, which needs no W^-1
+        # and only an r x r solve; r = 0 is the diagonal factor itself.
+        inv_d = 1.0 / (1.0 - _real_times(model._diag.T, 1.0 / values) / model.n)
+        V = model._V
+        r = V.shape[1]
+        if not r:
+            return np.diag(inv_d)
+        w = model._vector_weights(1.0 / values)
+        Y = inv_d[:, None] * V
+        K = model.n * np.eye(r) - _real_times(V.T, Y) * w
+        try:
+            X = np.linalg.solve(K, Y.T)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError(f"singular resolvent factor: {exc}") from exc
+        Q = (Y * w) @ X
+        Q.flat[:: model.p + 1] += inv_d
+        return Q
     A = np.eye(model.p, dtype=np.complex128) - model.mixture_matrix(1.0 / values)
     try:
         return np.linalg.inv(A)

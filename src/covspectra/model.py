@@ -4,8 +4,10 @@ Covariance ensemble models: per-column means and structured covariances.
 A model describes ``n`` independent columns of dimension ``p``, column ``i``
 having mean ``mu_i`` and centered covariance ``C_i``, so that the second
 moment is ``Sigma_i = C_i + mu_i mu_i^T``.  Structured covariance kinds keep
-the per-iteration trace costs of the fixed-point solver low (O(p) instead of
-O(p^2) for diagonal families).
+the per-iteration costs of the fixed-point solver low: O(p) traces instead of
+O(p^2) for diagonal families, and a model with no dense class (diagonal
+covariances plus means and low-rank vectors) never has a p x p matrix
+inverted, only an r x r one, r being the number of distinct vectors.
 """
 
 from __future__ import annotations
@@ -217,9 +219,13 @@ class EnsembleModel:
     """Immutable ensemble of n columns in dimension p.
 
     Internally the per-column second moments are decomposed as
-    ``Sigma_i = diag(d_i) + Dense_i + sum_r v v^T`` so that the two hot
+    ``Sigma_i = diag(d_i) + Dense_i + sum_k v_k v_k^T`` so that the two hot
     operations of the solver (weighted mixtures and traces against a fixed
-    matrix) run vectorized over columns.
+    matrix) run vectorized over columns.  Each distinct mean or low-rank
+    vector is stored once, as a column of the p x r matrix ``_V``, with an
+    incidence from columns to vectors.  A diagonal-plus-low-rank model (no
+    dense class) never inverts a p x p matrix: the solver applies the
+    Woodbury identity and solves an r x r system instead.
     """
 
     def __init__(
@@ -245,6 +251,17 @@ class EnsembleModel:
         dense_mats: list[NDArray[np.float64]] = []
         vecs: list[NDArray[np.float64]] = []
         vec_col: list[int] = []
+        vec_idx: list[int] = []
+        # keyed by content: equal vectors passed as separate arrays or views
+        # (a new U[:, j] per column, say) are one stored vector
+        vec_key: dict[bytes, int] = {}
+
+        def add_vector(i: int, v: NDArray[np.float64]) -> None:
+            k = vec_key.setdefault(v.tobytes(), len(vecs))
+            if k == len(vecs):
+                vecs.append(v)
+            vec_col.append(i)
+            vec_idx.append(k)
         means = np.zeros((n, p))
         extra_means = np.zeros((n, p))
 
@@ -258,17 +275,15 @@ class EnsembleModel:
                 if mu.size != p:
                     raise ModelError(f"column {i}: mean has wrong length")
                 means[i] = mu
-                if np.any(mu):
-                    vecs.append(mu)
-                    vec_col.append(i)
+                if mu.any():
+                    add_vector(i, mu)
             if isinstance(spec, Diagonal):
                 diag[i] = spec.entries
             elif isinstance(spec, ScaledIdentity):
                 diag[i] = spec.sigma2
             elif isinstance(spec, LowRankPlusIdentity):
                 diag[i] = spec.sigma2
-                vecs.append(spec.u)
-                vec_col.append(i)
+                add_vector(i, spec.u)
                 extra_means[i] = spec.u
             elif isinstance(spec, RotatedFamily) and spec.rotations == 0:
                 diag[i] = spec.base
@@ -282,9 +297,9 @@ class EnsembleModel:
         self._dense = np.array(dense_mats, dtype=np.float64).reshape(len(dense_mats), p * p)
         self._V = np.stack(vecs, axis=1) if vecs else np.zeros((p, 0))
         self._vec_col = np.asarray(vec_col, dtype=np.intp)
+        self._vec_idx = np.asarray(vec_idx, dtype=np.intp)
         self._means = means
         self._extra_means = extra_means
-        self._is_diagonal = not dense_idx and not vecs
         if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._V, self._means)):
             raise ModelError("covariances and means must be finite")
         self._check_assumptions(mean_norm_bound, min_eig_floor)
@@ -292,9 +307,9 @@ class EnsembleModel:
     # -- validation ------------------------------------------------------
 
     def _check_assumptions(self, mean_norm_bound: float, min_eig_floor: float) -> None:
+        norms = np.linalg.norm(self._means + self._extra_means, axis=1)
         for i, col in enumerate(self.columns):
-            total_mean = self._means[i] + self._extra_means[i]
-            norm = float(np.linalg.norm(total_mean))
+            norm = float(norms[i])
             if norm > mean_norm_bound:
                 self.warnings.append(
                     f"column {i}: mean norm {norm:.3g} exceeds bound "
@@ -309,10 +324,19 @@ class EnsembleModel:
     # -- core operations --------------------------------------------------
 
     @property
-    def is_diagonal(self) -> bool:
-        """True when every Sigma_i is diagonal (no dense class, no nonzero mean
-        or low-rank vector), so the resolvent factor is a diagonal matrix."""
-        return self._is_diagonal
+    def is_diagonal_plus_low_rank(self) -> bool:
+        """True when no column has a dense class, so every Sigma_i is diagonal
+        plus v v^T terms over the r stored vectors and the resolvent factor is
+        a diagonal matrix plus a rank-r correction (r = 0: diagonal)."""
+        return not self._dense_idx.size
+
+    def _vector_weights(self, w: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """For each stored vector, the sum of w_i over the columns whose
+        Sigma_i carries it, counted once per occurrence."""
+        wv = w[self._vec_col]
+        r = self._V.shape[1]
+        return (np.bincount(self._vec_idx, weights=wv.real, minlength=r)
+                + 1j * np.bincount(self._vec_idx, weights=wv.imag, minlength=r))
 
     def realize_sigma(self, i: int) -> NDArray[np.float64]:
         """Dense Sigma_i = C_i + mu_i mu_i^T."""
@@ -334,8 +358,7 @@ class EnsembleModel:
         if self._dense_idx.size:
             out += _real_times(self._dense.T, w[self._dense_idx]).reshape(self.p, self.p)
         if self._vec_col.size:
-            wv = w[self._vec_col]
-            out += (self._V * wv) @ self._V.T
+            out += (self._V * self._vector_weights(w)) @ self._V.T
         out /= self.n
         return out
 
@@ -351,7 +374,7 @@ class EnsembleModel:
         if self._vec_col.size:
             V = self._V
             quad = np.sum(V * (M.real @ V), axis=0) + 1j * np.sum(V * (M.imag @ V), axis=0)
-            np.add.at(t, self._vec_col, quad)
+            np.add.at(t, self._vec_col, quad[self._vec_idx])
         return t
 
     # -- sampling support --------------------------------------------------

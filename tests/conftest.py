@@ -68,6 +68,14 @@ def structured_model(p: int, n: int, rng: np.random.Generator) -> EnsembleModel:
     return EnsembleModel(p, n, cols)
 
 
+def mixture_model(p: int, n: int, k: int, seed: int = 7) -> EnsembleModel:
+    """Figure-2 shape: column i is N(u_{i mod k}, I) for k seeded Gaussian
+    vectors, each column getting its own view U[:, j] as its mean."""
+    U = np.random.Generator(np.random.Philox(key=[seed, 0])).standard_normal((p, k))
+    cols = [Column(ScaledIdentity(1.0), mean=U[:, i % k]) for i in range(n)]
+    return EnsembleModel(p, n, cols, mean_norm_bound=1e9)
+
+
 def mp_stieltjes(z: complex, c: float) -> complex:
     """Closed-form Marchenko-Pastur Stieltjes transform, branch with Im > 0."""
     s = np.sqrt(complex((1 - c - z) ** 2 - 4 * c * z))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import mp_model, mp_stieltjes, random_model
+from conftest import mixture_model, mp_model, mp_stieltjes, random_model
 
 from covspectra import (
     Column,
     Diagonal,
     DomainError,
     EnsembleModel,
+    LowRankPlusIdentity,
     NonConvergenceError,
     QveProblem,
     ScaledIdentity,
@@ -173,16 +174,61 @@ def test_q_tilde_identity_oracle():
     np.testing.assert_allclose(q_tilde(m, L), 2.0 * np.eye(3), atol=1e-9)
 
 
+def explicit_q(m: EnsembleModel, lam: np.ndarray) -> np.ndarray:
+    """Oracle: the inverse of the explicitly summed p x p factor."""
+    factor = np.eye(m.p) - sum(m.realize_sigma(i) / lam[i] for i in range(m.n)) / m.n
+    return np.linalg.inv(factor)
+
+
+def assert_q_tilde_oracle(m: EnsembleModel, rng: np.random.Generator) -> None:
+    for _ in range(10):
+        L = UpperDiagonal(rng.standard_normal(m.n) + 1j * rng.uniform(0.1, 2.0, m.n))
+        want = explicit_q(m, L.values)
+        np.testing.assert_allclose(q_tilde(m, L), want, rtol=1e-13, atol=1e-13)
+
+
 def test_q_tilde_diagonal_model_oracle(rng):
     cols = [Column(Diagonal(rng.uniform(0.2, 3.0, 5))) for _ in range(4)]
     cols += [Column(ScaledIdentity(1.5), mean=np.zeros(5))] * 3
     m = EnsembleModel(5, 7, cols)
-    assert m.is_diagonal
-    for _ in range(10):
-        L = UpperDiagonal(rng.standard_normal(7) + 1j * rng.uniform(0.1, 2.0, 7))
-        factor = np.eye(5) - sum(m.realize_sigma(i) / L.values[i] for i in range(7)) / 7
-        want = np.linalg.inv(factor)
-        np.testing.assert_allclose(q_tilde(m, L), want, rtol=1e-13, atol=1e-13)
+    assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 0
+    assert_q_tilde_oracle(m, rng)
+
+
+def test_q_tilde_woodbury_oracle(rng):
+    p = 6
+    mu, nu, u, u2 = (rng.standard_normal(p) / np.sqrt(p) for _ in range(4))
+    cols = [
+        Column(Diagonal(rng.uniform(0.2, 3.0, p)), mean=mu),
+        Column(ScaledIdentity(1.5), mean=mu.copy()),  # repeated mean
+        Column(ScaledIdentity(0.7), mean=nu),  # distinct mean
+        Column(LowRankPlusIdentity(u, 0.5)),
+        Column(LowRankPlusIdentity(u2, 1.2), mean=mu),  # mean and u
+        Column(Diagonal(rng.uniform(0.2, 3.0, p)), mean=np.zeros(p)),
+        Column(ScaledIdentity(2.0)),
+    ]
+    m = EnsembleModel(p, 7, cols)
+    assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 4
+    assert_q_tilde_oracle(m, rng)
+
+
+def test_solve_lambda_woodbury_fixed_point():
+    # Figure-2 shape: 4 classes over 40 columns; residual of the solution
+    # under the map evaluated with the explicit p x p inverse
+    m = mixture_model(40, 40, 4)
+    for z in (0.5 + 0.05j, 3.0 + 0.01j, 12.0 + 1.0j):
+        lam = solve_lambda(m, z).lam.values
+        Q = explicit_q(m, lam)
+        mapped = z - np.array([np.trace(m.realize_sigma(i) @ Q) for i in range(40)]) / 40
+        assert np.max(np.abs(mapped - lam)) <= 1e-10 * np.max(np.abs(lam))
+
+
+def test_q_tilde_singular_factor_raises():
+    # [DERIVED] Sigma = I + e1 e1^T, L = 2 (Im L underflows in 1/L): the
+    # factor diag(1 - 2/L, 1 - 1/L) is singular, and so is Woodbury's 1x1 system
+    m = EnsembleModel(2, 1, [Column(ScaledIdentity(1.0), mean=np.array([1.0, 0.0]))])
+    with pytest.raises(DomainError, match="singular"):
+        q_tilde(m, UpperDiagonal(np.array([2.0 + 5e-324j])))
 
 
 def test_continuation_matches_cold(rng):

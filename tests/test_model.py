@@ -18,7 +18,7 @@ from covspectra import (
 )
 from covspectra.model import model_from_config
 
-from conftest import random_model, structured_model
+from conftest import mixture_model, random_model, structured_model
 
 
 def test_realize_identity():
@@ -115,21 +115,51 @@ def test_mixture_structured_oracle(rng, kind):
         np.testing.assert_allclose(m.mixture_matrix(w), naive, rtol=1e-13, atol=1e-13)
 
 
-def test_is_diagonal():
+def test_is_diagonal_plus_low_rank():
     P = random_orthogonal(2, seed=3)
     diagonal = [
         Column(Diagonal(np.array([1.0, 2.0]))),
         Column(ScaledIdentity(1.0), mean=np.zeros(2)),
         Column(RotatedFamily(np.array([1.0, 2.0]), P, 0)),
     ]
-    assert EnsembleModel(2, 3, diagonal).is_diagonal
+    m = EnsembleModel(2, 3, diagonal)
+    assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 0  # diagonal
     for extra in (
         Column(ScaledIdentity(1.0), mean=np.array([0.0, 1.0])),
         Column(LowRankPlusIdentity(np.array([1.0, 0.0]), 1.0)),
+    ):
+        m = EnsembleModel(2, 4, diagonal + [extra])
+        assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 1
+    for extra in (
         Column(RotatedFamily(np.array([1.0, 2.0]), P, 1)),
         Column(Dense(np.eye(2))),
     ):
-        assert not EnsembleModel(2, 4, diagonal + [extra]).is_diagonal
+        assert not EnsembleModel(2, 4, diagonal + [extra]).is_diagonal_plus_low_rank
+
+
+def test_vectors_stored_once_by_content(rng):
+    p = 4
+    mu = rng.standard_normal(p)
+    other = rng.standard_normal(p)
+    cols = [
+        Column(ScaledIdentity(1.0), mean=mu),
+        Column(Diagonal(rng.uniform(0.2, 3.0, p)), mean=mu.copy()),
+        Column(ScaledIdentity(2.0), mean=np.stack([other, mu], axis=1)[:, 1]),  # a view
+        Column(LowRankPlusIdentity(mu.copy(), 0.5)),
+        Column(LowRankPlusIdentity(mu.copy(), 0.5), mean=mu.copy()),  # mean and u
+        Column(ScaledIdentity(1.0), mean=other),
+    ]
+    m = EnsembleModel(p, 6, cols)
+    assert m._V.shape == (p, 2)
+    for _ in range(5):
+        w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        naive = sum(w[i] * m.realize_sigma(i) for i in range(6)) / 6
+        np.testing.assert_allclose(m.mixture_matrix(w), naive, rtol=1e-13, atol=1e-13)
+        M = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        want = [np.trace(m.realize_sigma(i) @ M) for i in range(6)]
+        np.testing.assert_allclose(m.traces_against_all(M), want, rtol=1e-13, atol=1e-13)
+    # Figure 2: ten classes over 200 columns, each column a new U[:, j] view
+    assert mixture_model(200, 200, 10)._V.shape == (200, 10)
 
 
 def test_rotated_family_k0_equals_base():
