@@ -137,8 +137,6 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     model = _load_model(args)
-    if args.seed is None:
-        raise UsageError("--seed is required for sampling commands")
     functionals = []
     if args.functional:
         if not (args.contour and args.interval):
@@ -178,7 +176,7 @@ def cmd_qve(args: argparse.Namespace) -> int:
         )
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read QVE problem: {exc}") from exc
-    m = solve_qve(prob, SolverOptions(tol_ds=args.tol, max_iter=args.max_iter))
+    m = solve_qve(prob, _solver_options(args))
     json.dump(
         {"m": [[v.real, v.imag] for v in m], "residual": qve_residual(prob, m)},
         sys.stdout,
@@ -196,49 +194,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, model: bool = True) -> None:
+    def command(name: str, help: str, func, model: bool = True,
+                out: bool = False) -> argparse.ArgumentParser:
+        # only the flags that func reads
+        p = sub.add_parser(name, help=help)
         if model:
             p.add_argument("--model", required=True, help="model config JSON")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        if out:
+            p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--max-iter", type=int, default=50_000)
-        p.add_argument("--jobs", type=int, default=1)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", help="solve the fixed point at one z")
-    common(p)
+    p = command("solve", "solve the fixed point at one z", cmd_solve)
     p.add_argument("--z", required=True, help="RE,IM")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("density", help="spectral density on a grid")
-    common(p)
+    p = command("density", "spectral density on a grid", cmd_density, out=True)
     p.add_argument("--xlo", type=float, required=True)
     p.add_argument("--xhi", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--y", type=float, default=1e-3)
-    p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("project", help="contour projection of a functional")
-    common(p)
+    p = command("project", "contour projection of a functional", cmd_project, out=True)
     p.add_argument("--functional", required=True,
                    help="identity | ones | file:PATH | uuT:PATH")
     p.add_argument("--contour", required=True, help="a,b,h,nodes")
-    p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("validate", help="Monte Carlo comparison report")
-    common(p)
+    p = command("validate", "Monte Carlo comparison report", cmd_validate, out=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--bin-width", type=float, default=0.5)
     p.add_argument("--y", type=float, default=1e-3)
     p.add_argument("--functional", default=None)
     p.add_argument("--contour", default=None)
     p.add_argument("--interval", default=None, help="a,b")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("qve", help="solve a quadratic vector equation")
-    common(p, model=False)
+    p = command("qve", "solve a quadratic vector equation", cmd_qve, model=False)
     p.add_argument("problem", help="JSON file {z:[re,im], a:[...], S:[[...]]}")
-    p.set_defaults(func=cmd_qve)
 
     return parser
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .equivalent import SupportEstimate, r_tilde
+from .equivalent import SupportEstimate, _write_csv, r_tilde
 from .fixedpoint import FixedPointResult, SolverOptions, continuation_solve
 from .model import EnsembleModel
 
@@ -133,17 +133,10 @@ def project_functionals(
             # mirror node at conj(z) carries weight -conj(w)
             totals[k] += up - np.conj(up)
 
-    out = []
-    for t in totals:
-        val = -t / (2j * np.pi)
-        out.append(
-            ProjectionResult(
-                value=float(val.real),
-                imag_residue=float(val.imag),
-                nodes=contour.nodes_per_side,
-            )
-        )
-    return out
+    return [
+        ProjectionResult(float(v.real), float(v.imag), contour.nodes_per_side)
+        for v in -totals / (2j * np.pi)
+    ]
 
 
 def project_functional(
@@ -175,10 +168,10 @@ def write_projection_csv(
     path: str, rows: list[tuple[str, ContourSpec, ProjectionResult]]
 ) -> None:
     """Projection report: functional,contour_a,contour_b,contour_h,nodes,value,imag_residue."""
-    with open(path, "w") as fh:
-        fh.write("functional,contour_a,contour_b,contour_h,nodes,value,imag_residue\n")
-        for name, spec, res in rows:
-            fh.write(
-                f"{name},{spec.a:.17g},{spec.b:.17g},{spec.h:.17g},"
-                f"{res.nodes},{res.value:.17g},{res.imag_residue:.17g}\n"
-            )
+    _write_csv(
+        path,
+        ("functional", "contour_a", "contour_b", "contour_h", "nodes", "value",
+         "imag_residue"),
+        ((name, spec.a, spec.b, spec.h, res.nodes, res.value, res.imag_residue)
+         for name, spec, res in rows),
+    )

@@ -13,6 +13,7 @@ Identical seed and config give bit-identical draws.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .contour import ContourSpec, project_functionals
-from .equivalent import DensityGrid, density_grid, stieltjes_g
+from .equivalent import DensityGrid, _write_csv, density_grid, stieltjes_g
 from .fixedpoint import SolverOptions, solve_lambda
 from .model import EnsembleModel
 
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 RNG_NAME = "philox4x64+numpy-ziggurat"
+_GRID_POINTS_PER_BIN = 8  # of the density grid compare integrates per bin
 
 _T = TypeVar("_T")
 
@@ -58,11 +60,22 @@ def sample_matrix(model: EnsembleModel, seed: int, trial: int = 0) -> NDArray[np
     return X
 
 
+def _gram_eigh(X: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Eigenvalues (ascending) and eigenvectors of (1/n) X X^T: the one
+    eigendecomposition behind spectrum, empirical_projection and compare."""
+    return np.linalg.eigh(X @ X.T / X.shape[1])
+
+
+def _projection(w: NDArray, v: NDArray, A: NDArray, interval: tuple[float, float]) -> float:
+    """tr(Pi A), Pi projecting on the eigenvectors v whose eigenvalue w lies
+    in the interval (zero when none does)."""
+    V = v[:, (w >= interval[0]) & (w <= interval[1])]
+    return float(np.einsum("ij,ik,kj->", V, np.asarray(A), V).real)
+
+
 def spectrum(X: NDArray[np.float64]) -> NDArray[np.float64]:
     """Eigenvalues of (1/n) X X^T, nonincreasing, clamped at zero."""
-    p, n = X.shape
-    eigs = np.linalg.eigvalsh(X @ X.T / n)
-    return np.clip(eigs[::-1], 0.0, None)
+    return np.clip(_gram_eigh(X)[0][::-1], 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -103,14 +116,7 @@ def empirical_projection(
 ) -> float:
     """tr(Pi A) with Pi the projector on eigenvectors of (1/n) X X^T whose
     eigenvalue lies in the interval."""
-    p, n = X.shape
-    w, v = np.linalg.eigh(X @ X.T / n)
-    lo, hi = interval
-    sel = (w >= lo) & (w <= hi)
-    if not np.any(sel):
-        return 0.0
-    V = v[:, sel]
-    return float(np.einsum("ij,ik,kj->", V.conj(), np.asarray(A), V).real)
+    return _projection(*_gram_eigh(X), A, interval)
 
 
 def resolvent_identity_check(X: NDArray[np.float64], z: complex) -> float:
@@ -168,30 +174,24 @@ class ComparisonReport:
     rng_name: str = RNG_NAME
 
     def write(self, out_dir: str) -> None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "histogram.csv"), "w") as fh:
-            fh.write("bin_lo,bin_hi,frequency\n")
-            for lo, hi, f in zip(self.bin_edges[:-1], self.bin_edges[1:], self.frequencies):
-                fh.write(f"{lo:.17g},{hi:.17g},{f:.17g}\n")
-        with open(os.path.join(out_dir, "functionals.csv"), "w") as fh:
-            fh.write(
-                "functional,contour_a,contour_b,contour_h,nodes,value,"
-                "empirical_mean,empirical_std,trials\n"
-            )
-            for row in self.functionals:
-                std = "" if row.empirical_std is None else f"{row.empirical_std:.17g}"
-                c = row.contour
-                cfields = (
-                    f"{c.a:.17g},{c.b:.17g},{c.h:.17g},{c.nodes_per_side}"
-                    if c is not None
-                    else ",,,"
-                )
-                fh.write(
-                    f"{row.name},{cfields},{row.predicted:.17g},"
-                    f"{row.empirical_mean:.17g},{std},{self.trials}\n"
-                )
+        _write_csv(
+            os.path.join(out_dir, "histogram.csv"),
+            ("bin_lo", "bin_hi", "frequency"),
+            zip(self.bin_edges[:-1], self.bin_edges[1:], self.frequencies),
+        )
+        _write_csv(
+            os.path.join(out_dir, "functionals.csv"),
+            ("functional", "contour_a", "contour_b", "contour_h", "nodes", "value",
+             "empirical_mean", "empirical_std", "trials"),
+            (
+                (row.name,
+                 *((c.a, c.b, c.h, c.nodes_per_side) if (c := row.contour) is not None
+                   else (None,) * 4),
+                 row.predicted, row.empirical_mean, row.empirical_std, self.trials)
+                for row in self.functionals
+            ),
+        )
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(
                 {
@@ -229,8 +229,6 @@ def compare(
     functionals: list[FunctionalSpec] | None = None,
     y: float = 1e-3,
     opts: SolverOptions | None = None,
-    grid_points_per_bin: int = 8,
-    g_probes: list[complex] | None = None,
     jobs: int = 1,
 ) -> ComparisonReport:
     """Monte Carlo draws pooled into a histogram, compared bin-by-bin with the
@@ -238,9 +236,11 @@ def compare(
     specs = functionals or []
 
     def one(t: int) -> tuple[NDArray[np.float64], list[float]]:
-        # each trial is drawn once, for its spectrum and for every functional
-        X = sample_matrix(model, seed, trial=t)
-        return spectrum(X), [empirical_projection(X, s.matrix, s.interval) for s in specs]
+        # each trial is drawn and decomposed once, for its spectrum and for
+        # every functional
+        w, v = _gram_eigh(sample_matrix(model, seed, trial=t))
+        values = [_projection(w, v, s.matrix, s.interval) for s in specs]
+        return np.clip(w[::-1], 0.0, None), values
 
     draws = _map_trials(one, trials, jobs)
     eigenvalue_sets = np.stack([eigs for eigs, _ in draws])
@@ -250,16 +250,16 @@ def compare(
     counts, _ = np.histogram(pooled, bins=edges)
     freq = counts / pooled.size
 
-    count = max(int(grid_points_per_bin * (len(edges) - 1)), 2)
+    count = max(int(_GRID_POINTS_PER_BIN * (len(edges) - 1)), 2)
     grid = density_grid(model, 1e-12, float(edges[-1]), count, y, opts)
     predicted = _bin_masses(grid, edges)
     l1 = float(np.abs(freq - predicted).sum())
 
-    if g_probes is None:
-        span = edges[-1]
-        g_probes = [complex(x, 0.5) for x in np.linspace(0.2 * span, 1.2 * span, 7)]
+    # seven Stieltjes probes at Im z = 0.5 across and beyond the histogram
+    span = edges[-1]
     sup_err = 0.0
-    for z in g_probes:
+    for x in np.linspace(0.2 * span, 1.2 * span, 7):
+        z = complex(x, 0.5)
         g_emp = np.mean([empirical_stieltjes(ev, z) for ev in eigenvalue_sets])
         g_pred = stieltjes_g(model, z, solve_lambda(model, z, opts).lam)
         sup_err = max(sup_err, abs(g_emp - g_pred))

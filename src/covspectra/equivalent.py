@@ -9,7 +9,9 @@ recovered as Im g(x + iy)/pi on grids with a small, explicit y offset.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -42,11 +44,17 @@ class DensityGrid:
             raise ValueError("xs and density must have equal length")
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# dirac_at_zero={self.dirac_at_zero:.17g}, y={self.y:.17g}\n")
-            fh.write("x,density\n")
-            for x, d in zip(self.xs, self.density):
-                fh.write(f"{x:.17g},{d:.17g}\n")
+        _write_csv(path, ("x", "density"), zip(self.xs, self.density),
+                   comment=f"dirac_at_zero={self.dirac_at_zero:.17g}, y={self.y:.17g}")
+
+
+def _write_csv(path: str, header: tuple[str, ...], rows: Iterable,
+               comment: str | None = None) -> None:
+    """The package's one CSV writer: an optional '# comment' line, the header,
+    then the rows, floats in their shortest exact form and None as ''."""
+    with open(path, "w", newline="") as fh:
+        fh.write("" if comment is None else f"# {comment}\n")
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ __all__ = [
     "lambda_derivative",
 ]
 
+_ANDERSON_WINDOW = 5  # Anderson mixes this many latest differences of iterates
+
 
 class DomainError(ValueError):
     """Input diagonal outside the solver domain."""
@@ -65,7 +67,6 @@ class SolverOptions:
     tol_ds: float = 1e-12
     max_iter: int = 50_000
     acceleration: str = "anderson"  # "anderson" | "none"
-    anderson_window: int = 5
 
     def __post_init__(self) -> None:
         if not self.tol_ds > 0.0:
@@ -74,8 +75,6 @@ class SolverOptions:
             raise ValueError("max_iter must be >= 1")
         if self.acceleration not in ("anderson", "none"):
             raise ValueError("acceleration must be 'anderson' or 'none'")
-        if self.anderson_window < 1:
-            raise ValueError("anderson_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,6 @@ def _contract(
     the last two residuals); raises NonConvergenceError after max_iter steps,
     or at once on a non-finite residual."""
     use_aa = opts.acceleration == "anderson"
-    window = opts.anderson_window
     g_hist: list[NDArray] = []
     f_hist: list[NDArray] = []
 
@@ -186,7 +184,7 @@ def _contract(
         if use_aa:
             g_hist.append(gx)
             f_hist.append(f)
-            if len(f_hist) > window + 1:
+            if len(f_hist) > _ANDERSON_WINDOW + 1:
                 g_hist.pop(0)
                 f_hist.pop(0)
             m = len(f_hist) - 1

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _PSD_TOL = 1e-10
+_MIN_EIG_FLOOR = 1e-8  # warn below it: lower-bounded-covariance assumption
 
 
 class ModelError(ValueError):
@@ -180,6 +181,8 @@ class LowRankPlusIdentity:
 
     The vector u plays the role of a deterministic signal: sampling draws
     sigma*g and adds u as a mean, which realizes exactly this second moment.
+    A column of this kind therefore takes no nonzero declared mean of its own
+    (``EnsembleModel`` raises ``ModelError``); a zero mean is allowed.
     """
 
     u: NDArray[np.float64]
@@ -219,7 +222,8 @@ class EnsembleModel:
     """Immutable ensemble of n columns in dimension p.
 
     Internally the per-column second moments are decomposed as
-    ``Sigma_i = diag(d_i) + Dense_i + sum_k v_k v_k^T`` so that the two hot
+    ``Sigma_i = diag(d_i) + Dense_i + v_i v_i^T``, with at most one vector v_i
+    (the column's mean or its low-rank signal), so that the two hot
     operations of the solver (weighted mixtures and traces against a fixed
     matrix) run vectorized over columns.  Each distinct mean or low-rank
     vector is stored once, as a column of the p x r matrix ``_V``, with an
@@ -235,7 +239,6 @@ class EnsembleModel:
         columns: Sequence[Column],
         *,
         mean_norm_bound: float = 10.0,
-        min_eig_floor: float = 1e-8,
     ) -> None:
         if p < 1 or n < 1:
             raise ModelError("p and n must be positive")
@@ -256,40 +259,38 @@ class EnsembleModel:
         # (a new U[:, j] per column, say) are one stored vector
         vec_key: dict[bytes, int] = {}
 
-        def add_vector(i: int, v: NDArray[np.float64]) -> None:
-            k = vec_key.setdefault(v.tobytes(), len(vecs))
-            if k == len(vecs):
-                vecs.append(v)
-            vec_col.append(i)
-            vec_idx.append(k)
-        means = np.zeros((n, p))
-        extra_means = np.zeros((n, p))
+        offsets = np.zeros((n, p))  # the declared mean or the low-rank u, never both
 
         for i, col in enumerate(self.columns):
             spec = col.cov
             d = spec.dim()
             if d is not None and d != p:
                 raise ModelError(f"column {i}: covariance dimension {d} != p={p}")
-            if col.mean is not None:
-                mu = np.asarray(col.mean, dtype=np.float64).ravel()
-                if mu.size != p:
-                    raise ModelError(f"column {i}: mean has wrong length")
-                means[i] = mu
-                if mu.any():
-                    add_vector(i, mu)
+            mu = None if col.mean is None else np.asarray(col.mean, dtype=np.float64).ravel()
+            if mu is not None and mu.size != p:
+                raise ModelError(f"column {i}: mean has wrong length")
             if isinstance(spec, Diagonal):
                 diag[i] = spec.entries
             elif isinstance(spec, ScaledIdentity):
                 diag[i] = spec.sigma2
             elif isinstance(spec, LowRankPlusIdentity):
+                if mu is not None and mu.any():
+                    raise ModelError(f"column {i}: a low-rank column takes no nonzero mean")
                 diag[i] = spec.sigma2
-                add_vector(i, spec.u)
-                extra_means[i] = spec.u
+                mu = spec.u
             elif isinstance(spec, RotatedFamily) and spec.rotations == 0:
                 diag[i] = spec.base
             else:
                 dense_idx.append(i)
                 dense_mats.append(spec.realize(p))
+            if mu is not None:
+                offsets[i] = mu
+                if mu.any():
+                    k = vec_key.setdefault(mu.tobytes(), len(vecs))
+                    if k == len(vecs):
+                        vecs.append(mu)
+                    vec_col.append(i)
+                    vec_idx.append(k)
 
         self._diag = diag
         self._dense_idx = np.asarray(dense_idx, dtype=np.intp)
@@ -298,16 +299,15 @@ class EnsembleModel:
         self._V = np.stack(vecs, axis=1) if vecs else np.zeros((p, 0))
         self._vec_col = np.asarray(vec_col, dtype=np.intp)
         self._vec_idx = np.asarray(vec_idx, dtype=np.intp)
-        self._means = means
-        self._extra_means = extra_means
-        if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._V, self._means)):
+        self._offsets = offsets
+        if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._offsets)):
             raise ModelError("covariances and means must be finite")
-        self._check_assumptions(mean_norm_bound, min_eig_floor)
+        self._check_assumptions(mean_norm_bound)
 
     # -- validation ------------------------------------------------------
 
-    def _check_assumptions(self, mean_norm_bound: float, min_eig_floor: float) -> None:
-        norms = np.linalg.norm(self._means + self._extra_means, axis=1)
+    def _check_assumptions(self, mean_norm_bound: float) -> None:
+        norms = np.linalg.norm(self._offsets, axis=1)
         for i, col in enumerate(self.columns):
             norm = float(norms[i])
             if norm > mean_norm_bound:
@@ -315,10 +315,10 @@ class EnsembleModel:
                     f"column {i}: mean norm {norm:.3g} exceeds bound "
                     f"{mean_norm_bound:.3g} (bounded-mean assumption)"
                 )
-            if col.cov.min_eig(self.p) < min_eig_floor:
+            if col.cov.min_eig(self.p) < _MIN_EIG_FLOOR:
                 self.warnings.append(
                     f"column {i}: covariance smallest eigenvalue below floor "
-                    f"{min_eig_floor:.3g} (lower-bounded-covariance assumption)"
+                    f"{_MIN_EIG_FLOOR:.3g} (lower-bounded-covariance assumption)"
                 )
 
     # -- core operations --------------------------------------------------
@@ -343,8 +343,8 @@ class EnsembleModel:
         if not 0 <= i < self.n:
             raise IndexError(f"column index {i} out of range [0, {self.n})")
         sigma = self.columns[i].cov.realize(self.p)
-        mu = self._means[i]
-        if np.any(mu):
+        mu = self.columns[i].mean
+        if mu is not None and np.any(mu):
             sigma = sigma + np.outer(mu, mu)
         return sigma
 
@@ -374,15 +374,16 @@ class EnsembleModel:
         if self._vec_col.size:
             V = self._V
             quad = np.sum(V * (M.real @ V), axis=0) + 1j * np.sum(V * (M.imag @ V), axis=0)
-            np.add.at(t, self._vec_col, quad[self._vec_idx])
+            # a column carries at most one vector, so _vec_col has no repeats
+            t[self._vec_col] += quad[self._vec_idx]
         return t
 
     # -- sampling support --------------------------------------------------
 
     def column_mean(self, i: int) -> NDArray[np.float64]:
-        """Total deterministic offset of column i (declared mean plus any
-        low-rank signal vector)."""
-        return self._means[i] + self._extra_means[i]
+        """Deterministic offset of column i: its declared mean, or the signal
+        vector u of a low-rank column."""
+        return self._offsets[i]
 
     def column_root_matvec(self, i: int, g: NDArray[np.float64]) -> NDArray[np.float64]:
         """C_i^{1/2} g, per the column's structured root."""

@@ -41,7 +41,8 @@ def random_model(p: int, n: int, rng: np.random.Generator) -> EnsembleModel:
 def structured_model(p: int, n: int, rng: np.random.Generator) -> EnsembleModel:
     """Random model taking every path of the model's kernels: each covariance
     kind, rotated families with and without rotations, low-rank signals, and
-    columns with a nonzero mean, a zero mean and no mean."""
+    columns with a nonzero mean, a zero mean and no mean.  Low-rank columns
+    get no nonzero mean, which the model rejects."""
     P = random_orthogonal(p, seed=int(rng.integers(1 << 31)))
     cols = []
     for i in range(n):
@@ -60,7 +61,7 @@ def structured_model(p: int, n: int, rng: np.random.Generator) -> EnsembleModel:
         else:
             cov = LowRankPlusIdentity(rng.standard_normal(p) / np.sqrt(p), 0.5)
         mean = None
-        if i % 4 == 1:
+        if i % 4 == 1 and kind != 5:
             mean = rng.standard_normal(p) / np.sqrt(p)
         elif i % 4 == 2:
             mean = np.zeros(p)

@@ -92,6 +92,28 @@ def test_project_uuT_file(mp_config, tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0, abs=0.01)
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in ("solve", "qve") for f in ("--out", "--seed", "--jobs")]
+    + [(c, f) for c in ("density", "project") for f in ("--seed", "--jobs")],
+)
+def test_unread_flag_rejected(command, flag, mp_config, tmp_path, capsys):
+    # each subcommand accepts only the flags its handler reads
+    prob = tmp_path / "qve.json"
+    prob.write_text(json.dumps({"z": [0.0, 1.0], "a": [0.0], "S": [[1.0]]}))
+    args = {
+        "solve": ["--model", mp_config, "--z", "1.0,0.5"],
+        "density": ["--model", mp_config, "--out", str(tmp_path),
+                    "--xlo", "0.5", "--xhi", "1.5", "--count", "2"],
+        "project": ["--model", mp_config, "--out", str(tmp_path),
+                    "--functional", "identity", "--contour", "0.01,4.0,0.5,8"],
+        "qve": [str(prob)],
+    }[command]
+    value = str(tmp_path / "x") if flag == "--out" else "1"
+    assert main([command, *args]) == 0
+    assert main([command, *args, flag, value]) == 1
+
+
 def test_validate_requires_seed(mp_config, tmp_path, capsys):
     rc = main([
         "validate", "--model", mp_config, "--out", str(tmp_path / "r"),

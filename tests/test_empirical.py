@@ -185,6 +185,25 @@ def test_compare_draws_each_trial_once(monkeypatch):
         assert row.empirical_std == float(np.std(vals, ddof=1))
 
 
+def test_compare_decomposes_each_trial_once(monkeypatch):
+    # one eigendecomposition per trial gives its spectrum and every functional
+    p, n, trials = 20, 40, 3
+    m = mp_model(p, n)
+    contour = ContourSpec(0.005, 4.0, 0.5, 16)
+    specs = [
+        FunctionalSpec("identity", np.eye(p), contour, (0.0, 4.0)),
+        FunctionalSpec("ones", np.ones((p, p)), contour, (1.0, 4.0)),
+    ]
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k)
+        )
+    compare(m, trials=trials, seed=11, functionals=specs)
+    assert len(calls) == trials
+
+
 def test_histogram_frequencies_sum_to_one():
     m = mp_model(30, 60)
     rep = compare(m, trials=2, seed=5)

@@ -146,17 +146,19 @@ def test_vectors_stored_once_by_content(rng):
         Column(Diagonal(rng.uniform(0.2, 3.0, p)), mean=mu.copy()),
         Column(ScaledIdentity(2.0), mean=np.stack([other, mu], axis=1)[:, 1]),  # a view
         Column(LowRankPlusIdentity(mu.copy(), 0.5)),
-        Column(LowRankPlusIdentity(mu.copy(), 0.5), mean=mu.copy()),  # mean and u
         Column(ScaledIdentity(1.0), mean=other),
     ]
-    m = EnsembleModel(p, 6, cols)
+    m = EnsembleModel(p, 5, cols)
     assert m._V.shape == (p, 2)
+    # a low-rank column with a mean of its own would carry two vectors
+    with pytest.raises(ModelError, match="low-rank"):
+        EnsembleModel(p, 1, [Column(LowRankPlusIdentity(mu.copy(), 0.5), mean=mu.copy())])
     for _ in range(5):
-        w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        naive = sum(w[i] * m.realize_sigma(i) for i in range(6)) / 6
+        w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        naive = sum(w[i] * m.realize_sigma(i) for i in range(5)) / 5
         np.testing.assert_allclose(m.mixture_matrix(w), naive, rtol=1e-13, atol=1e-13)
         M = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-        want = [np.trace(m.realize_sigma(i) @ M) for i in range(6)]
+        want = [np.trace(m.realize_sigma(i) @ M) for i in range(5)]
         np.testing.assert_allclose(m.traces_against_all(M), want, rtol=1e-13, atol=1e-13)
     # Figure 2: ten classes over 200 columns, each column a new U[:, j] view
     assert mixture_model(200, 200, 10)._V.shape == (200, 10)
@@ -180,6 +182,24 @@ def test_low_rank_plus_identity_realize():
     u = np.array([1.0, 2.0])
     spec = LowRankPlusIdentity(u=u, sigma2=0.5)
     np.testing.assert_allclose(spec.realize(2), 0.5 * np.eye(2) + np.outer(u, u))
+
+
+def test_low_rank_column_rejects_nonzero_mean():
+    # the sampler draws mu + u + sigma g, whose second moment carries
+    # (mu + u)(mu + u)^T and not the model's u u^T + mu mu^T
+    u = np.array([1.0, 0.0, 0.0])
+    mu = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(ModelError, match="low-rank"):
+        EnsembleModel(3, 1, [Column(LowRankPlusIdentity(u, 1.0), mean=mu)])
+    cov = {"kind": "low_rank_plus_identity", "u": u.tolist(), "sigma2": 1.0}
+    cfg = {"p": 3, "n": 2, "columns": [{"cov": cov, "mean": u.tolist(), "repeat": 2}]}
+    with pytest.raises(ModelError, match="low-rank"):
+        model_from_config(cfg)
+    # a zero mean is allowed: the column's offset is u alone
+    m = EnsembleModel(3, 1, [Column(LowRankPlusIdentity(u, 1.0), mean=np.zeros(3))])
+    np.testing.assert_array_equal(m.column_mean(0), u)
+    np.testing.assert_array_equal(m.realize_sigma(0), np.eye(3) + np.outer(u, u))
+    assert m._V.shape == (3, 1)
 
 
 def test_negative_diagonal_entry_fatal():
