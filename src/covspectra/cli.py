@@ -75,19 +75,19 @@ def _functional_matrix(spec: str, model: EnsembleModel) -> np.ndarray:
         return np.eye(model.p)
     if spec == "ones":
         return np.ones((model.p, model.p))
-    if spec.startswith("file:"):
-        A = np.asarray(json.load(open(spec[5:])), dtype=np.float64)
-        if A.shape != (model.p, model.p):
-            raise UsageError(f"functional matrix must be {model.p}x{model.p}")
-        return A
-    if spec.startswith("uuT:"):
-        U = np.asarray(json.load(open(spec[4:])), dtype=np.float64)
-        if U.ndim == 1:
-            U = U[:, None]
+    kind, colon, path = spec.partition(":")
+    if not colon or kind not in ("file", "uuT"):
+        raise UsageError(f"unknown functional spec {spec!r}")
+    with open(path) as fh:
+        A = np.asarray(json.load(fh), dtype=np.float64)
+    if kind == "uuT":
+        U = A[:, None] if A.ndim == 1 else A
         if U.shape[0] != model.p:
             raise UsageError(f"U must have {model.p} rows")
-        return U @ U.T
-    raise UsageError(f"unknown functional spec {spec!r}")
+        A = U @ U.T
+    if A.shape != (model.p, model.p):
+        raise UsageError(f"functional matrix must be {model.p}x{model.p}")
+    return A
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -246,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ModelError, ValueError) as exc:
+    except (UsageError, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonConvergenceError as exc:

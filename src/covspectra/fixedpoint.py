@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import EnsembleModel, _real_times
+from .model import EnsembleModel
 from .semimetric import UpperDiagonal, _ds, _in_domain, in_solver_domain
 
 __all__ = [
@@ -92,29 +92,8 @@ def _raw_iz(model: EnsembleModel, z: complex, values: NDArray) -> NDArray:
 
 
 def _raw_q_tilde(model: EnsembleModel, values: NDArray) -> NDArray:
-    if model.is_diagonal_plus_low_rank:
-        # the factor is D - V W V^T / n, D diagonal, V the model's r distinct
-        # vectors, W their summed weights.  Woodbury with Y = D^-1 V and
-        # G = V^T Y gives D^-1 + Y W (nI - G W)^-1 Y^T, which needs no W^-1
-        # and only an r x r solve; r = 0 is the diagonal factor itself.
-        inv_d = 1.0 / (1.0 - _real_times(model._diag.T, 1.0 / values) / model.n)
-        V = model._V
-        r = V.shape[1]
-        if not r:
-            return np.diag(inv_d)
-        w = model._vector_weights(1.0 / values)
-        Y = inv_d[:, None] * V
-        K = model.n * np.eye(r) - _real_times(V.T, Y) * w
-        try:
-            X = np.linalg.solve(K, Y.T)
-        except np.linalg.LinAlgError as exc:
-            raise DomainError(f"singular resolvent factor: {exc}") from exc
-        Q = (Y * w) @ X
-        Q.flat[:: model.p + 1] += inv_d
-        return Q
-    A = np.eye(model.p, dtype=np.complex128) - model.mixture_matrix(1.0 / values)
     try:
-        return np.linalg.inv(A)
+        return model.factor_inverse(1.0 / values)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"singular resolvent factor: {exc}") from exc
 
@@ -278,11 +257,11 @@ def psi_matrix(
     n = model.n
     Q = q_tilde(model, D)
     Qp = q_tilde(model, Dp)
-    psi = np.empty((n, n), dtype=np.complex128)
-    for j in range(n):
-        Mj = Q @ model.realize_sigma(j).astype(np.complex128) @ Qp
-        psi[:, j] = model.traces_against_all(Mj) / (n * n * D.values[j] * Dp.values[j])
-    return psi
+    # columns of one class share Sigma_j: one product pair per class
+    _, first = np.unique(model.column_class, return_index=True)
+    traces = np.array([model.traces_against_all(Q @ model.realize_sigma(j) @ Qp)
+                       for j in first])
+    return traces[model.column_class].T / (n * n * D.values * Dp.values)
 
 
 def lambda_derivative(

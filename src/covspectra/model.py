@@ -3,11 +3,12 @@ Covariance ensemble models: per-column means and structured covariances.
 
 A model describes ``n`` independent columns of dimension ``p``, column ``i``
 having mean ``mu_i`` and centered covariance ``C_i``, so that the second
-moment is ``Sigma_i = C_i + mu_i mu_i^T``.  Structured covariance kinds keep
-the per-iteration costs of the fixed-point solver low: O(p) traces instead of
-O(p^2) for diagonal families, and a model with no dense class (diagonal
-covariances plus means and low-rank vectors) never has a p x p matrix
-inverted, only an r x r one, r being the number of distinct vectors.
+moment is ``Sigma_i = C_i + mu_i mu_i^T``.  Columns with the same mean and
+covariance form a class, and the model stores each of its k classes once, so
+the fixed-point solver's costs grow with k, not n.  Structured covariance
+kinds keep them low: O(p) traces instead of O(p^2) for diagonal families, and
+a model with no dense class never has a p x p matrix inverted, only an r x r
+one, r being the number of classes that carry a mean or low-rank vector.
 """
 
 from __future__ import annotations
@@ -221,15 +222,16 @@ class Column:
 class EnsembleModel:
     """Immutable ensemble of n columns in dimension p.
 
-    Internally the per-column second moments are decomposed as
-    ``Sigma_i = diag(d_i) + Dense_i + v_i v_i^T``, with at most one vector v_i
-    (the column's mean or its low-rank signal), so that the two hot
-    operations of the solver (weighted mixtures and traces against a fixed
-    matrix) run vectorized over columns.  Each distinct mean or low-rank
-    vector is stored once, as a column of the p x r matrix ``_V``, with an
-    incidence from columns to vectors.  A diagonal-plus-low-rank model (no
-    dense class) never inverts a p x p matrix: the solver applies the
-    Woodbury identity and solves an r x r system instead.
+    Columns with equal diagonal part and vector and the same dense covariance
+    object are interchangeable in the fixed point, so they form one class,
+    stored once; ``column_class`` maps each column to its class.  A class's
+    second moment is ``Sigma_c = diag(d_c) + Dense_c + v_c v_c^T``, with at
+    most one vector v_c (the mean or the low-rank signal), so that the two
+    hot operations of the solver (weighted mixtures and traces against a
+    fixed matrix) run vectorized over the k classes.  The r class vectors are
+    the columns of the p x r matrix ``_V``.  ``factor_inverse`` inverts the
+    resolvent factor; with no dense class it solves an r x r system instead
+    of a p x p one.
     """
 
     def __init__(
@@ -249,18 +251,12 @@ class EnsembleModel:
         self.columns = tuple(columns)
         self.warnings: list[str] = []
 
-        diag = np.zeros((n, p))
-        dense_idx: list[int] = []
-        dense_mats: list[NDArray[np.float64]] = []
-        vecs: list[NDArray[np.float64]] = []
-        vec_col: list[int] = []
-        vec_idx: list[int] = []
-        # keyed by content: equal vectors passed as separate arrays or views
-        # (a new U[:, j] per column, say) are one stored vector
-        vec_key: dict[bytes, int] = {}
-
-        offsets = np.zeros((n, p))  # the declared mean or the low-rank u, never both
-
+        # keyed by content, but dense specs by identity: hashing their
+        # realised p x p matrices would cost more than it saves
+        classes: dict[tuple, int] = {}
+        parts: list[tuple] = []  # (diagonal part, dense spec, vector) per class
+        min_eigs: list[float] = []
+        self.column_class = np.empty(n, dtype=np.intp)
         for i, col in enumerate(self.columns):
             spec = col.cov
             d = spec.dim()
@@ -269,53 +265,53 @@ class EnsembleModel:
             mu = None if col.mean is None else np.asarray(col.mean, dtype=np.float64).ravel()
             if mu is not None and mu.size != p:
                 raise ModelError(f"column {i}: mean has wrong length")
+            dense = None
             if isinstance(spec, Diagonal):
-                diag[i] = spec.entries
+                diag = spec.entries
             elif isinstance(spec, ScaledIdentity):
-                diag[i] = spec.sigma2
+                diag = spec.sigma2
             elif isinstance(spec, LowRankPlusIdentity):
                 if mu is not None and mu.any():
                     raise ModelError(f"column {i}: a low-rank column takes no nonzero mean")
-                diag[i] = spec.sigma2
-                mu = spec.u
+                diag, mu = spec.sigma2, spec.u
             elif isinstance(spec, RotatedFamily) and spec.rotations == 0:
-                diag[i] = spec.base
+                diag = spec.base
             else:
-                dense_idx.append(i)
-                dense_mats.append(spec.realize(p))
-            if mu is not None:
-                offsets[i] = mu
-                if mu.any():
-                    k = vec_key.setdefault(mu.tobytes(), len(vecs))
-                    if k == len(vecs):
-                        vecs.append(mu)
-                    vec_col.append(i)
-                    vec_idx.append(k)
+                diag, dense = 0.0, spec
+            if mu is not None and not mu.any():
+                mu = None
+            key = (diag.tobytes() if isinstance(diag, np.ndarray) else diag, id(dense),
+                   None if mu is None else mu.tobytes())
+            c = self.column_class[i] = classes.setdefault(key, len(parts))
+            if c == len(parts):
+                parts.append((diag, dense, mu))
+                min_eigs.append(spec.min_eig(p))
 
-        self._diag = diag
-        self._dense_idx = np.asarray(dense_idx, dtype=np.intp)
+        self._diag = np.zeros((len(parts), p))
+        self._offsets = np.zeros((len(parts), p))  # the class's vector, or zero
+        for c, (diag, _, mu) in enumerate(parts):
+            self._diag[c] = diag
+            if mu is not None:
+                self._offsets[c] = mu
+        # the classes with a dense part, and those carrying a vector
+        self._dense_rows = np.flatnonzero([dense is not None for _, dense, _ in parts])
+        self._vec_rows = np.flatnonzero([mu is not None for *_, mu in parts])
         # one row per dense class, so each dense kernel is one real GEMV
-        self._dense = np.array(dense_mats, dtype=np.float64).reshape(len(dense_mats), p * p)
-        self._V = np.stack(vecs, axis=1) if vecs else np.zeros((p, 0))
-        self._vec_col = np.asarray(vec_col, dtype=np.intp)
-        self._vec_idx = np.asarray(vec_idx, dtype=np.intp)
-        self._offsets = offsets
+        self._dense = np.array([parts[c][1].realize(p) for c in self._dense_rows],
+                               dtype=np.float64).reshape(len(self._dense_rows), p * p)
+        self._V = np.ascontiguousarray(self._offsets[self._vec_rows].T)
         if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._offsets)):
             raise ModelError("covariances and means must be finite")
-        self._check_assumptions(mean_norm_bound)
-
-    # -- validation ------------------------------------------------------
-
-    def _check_assumptions(self, mean_norm_bound: float) -> None:
-        norms = np.linalg.norm(self._offsets, axis=1)
-        for i, col in enumerate(self.columns):
-            norm = float(norms[i])
-            if norm > mean_norm_bound:
+        # one warning per column whose class breaks an assumption of the paper
+        norms = np.linalg.norm(self._offsets, axis=1)[self.column_class]
+        low = (np.array(min_eigs) < _MIN_EIG_FLOOR)[self.column_class]
+        for i in np.flatnonzero((norms > mean_norm_bound) | low):
+            if norms[i] > mean_norm_bound:
                 self.warnings.append(
-                    f"column {i}: mean norm {norm:.3g} exceeds bound "
+                    f"column {i}: mean norm {norms[i]:.3g} exceeds bound "
                     f"{mean_norm_bound:.3g} (bounded-mean assumption)"
                 )
-            if col.cov.min_eig(self.p) < _MIN_EIG_FLOOR:
+            if low[i]:
                 self.warnings.append(
                     f"column {i}: covariance smallest eigenvalue below floor "
                     f"{_MIN_EIG_FLOOR:.3g} (lower-bounded-covariance assumption)"
@@ -328,15 +324,14 @@ class EnsembleModel:
         """True when no column has a dense class, so every Sigma_i is diagonal
         plus v v^T terms over the r stored vectors and the resolvent factor is
         a diagonal matrix plus a rank-r correction (r = 0: diagonal)."""
-        return not self._dense_idx.size
+        return not self._dense_rows.size
 
-    def _vector_weights(self, w: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        """For each stored vector, the sum of w_i over the columns whose
-        Sigma_i carries it, counted once per occurrence."""
-        wv = w[self._vec_col]
-        r = self._V.shape[1]
-        return (np.bincount(self._vec_idx, weights=wv.real, minlength=r)
-                + 1j * np.bincount(self._vec_idx, weights=wv.imag, minlength=r))
+    def _class_weights(self, w: NDArray) -> NDArray:
+        """For each class, the sum of w_i over its columns; real weights give
+        real sums, which keeps the BLAS products that take them real."""
+        if np.iscomplexobj(w):
+            return self._class_weights(w.real) + 1j * self._class_weights(w.imag)
+        return np.bincount(self.column_class, w, self._diag.shape[0])
 
     def realize_sigma(self, i: int) -> NDArray[np.float64]:
         """Dense Sigma_i = C_i + mu_i mu_i^T."""
@@ -353,37 +348,57 @@ class EnsembleModel:
         w = np.asarray(w).ravel()
         if w.size != self.n:
             raise ModelError(f"weight vector has length {w.size}, expected {self.n}")
+        wc = self._class_weights(w)
         out = np.zeros((self.p, self.p), dtype=np.complex128)
-        np.fill_diagonal(out, _real_times(self._diag.T, w))
-        if self._dense_idx.size:
-            out += _real_times(self._dense.T, w[self._dense_idx]).reshape(self.p, self.p)
-        if self._vec_col.size:
-            out += (self._V * self._vector_weights(w)) @ self._V.T
+        np.fill_diagonal(out, _real_times(self._diag.T, wc))
+        if self._dense_rows.size:
+            out += _real_times(self._dense.T, wc[self._dense_rows]).reshape(self.p, self.p)
+        if self._vec_rows.size:
+            out += (self._V * wc[self._vec_rows]) @ self._V.T
         out /= self.n
         return out
+
+    def factor_inverse(self, w: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """(I_p - mixture_matrix(w))^{-1}; np.linalg.LinAlgError if singular.
+
+        Without a dense class the factor is D - V W V^T / n, D diagonal and W
+        the class weights of the r vectors.  Woodbury with Y = D^-1 V and
+        G = V^T Y gives D^-1 + Y W (nI - G W)^-1 Y^T, which needs no W^-1 and
+        only an r x r solve; r = 0 is the diagonal factor itself."""
+        if self._dense_rows.size:
+            return np.linalg.inv(np.eye(self.p, dtype=np.complex128) - self.mixture_matrix(w))
+        wc = self._class_weights(w)
+        inv_d = 1.0 / (1.0 - _real_times(self._diag.T, wc) / self.n)
+        if not self._vec_rows.size:
+            return np.diag(inv_d)
+        V, wv = self._V, wc[self._vec_rows]
+        Y = inv_d[:, None] * V
+        K = self.n * np.eye(V.shape[1]) - _real_times(V.T, Y) * wv
+        Q = (Y * wv) @ np.linalg.solve(K, Y.T)
+        Q.flat[:: self.p + 1] += inv_d
+        return Q
 
     def traces_against_all(self, M: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """tr(Sigma_i M) for every column at once."""
         if M.shape != (self.p, self.p):
             raise ModelError("matrix dimension mismatch")
         t = _real_times(self._diag, np.diagonal(M))
-        if self._dense_idx.size:
+        if self._dense_rows.size:
             # tr(D M) = vec(D) . vec(M^T); the transpose matters because dense
             # realisations are symmetric only up to roundoff
-            t[self._dense_idx] += _real_times(self._dense, M.T.ravel())
-        if self._vec_col.size:
+            t[self._dense_rows] += _real_times(self._dense, M.T.ravel())
+        if self._vec_rows.size:
             V = self._V
-            quad = np.sum(V * (M.real @ V), axis=0) + 1j * np.sum(V * (M.imag @ V), axis=0)
-            # a column carries at most one vector, so _vec_col has no repeats
-            t[self._vec_col] += quad[self._vec_idx]
-        return t
+            t[self._vec_rows] += (np.sum(V * (M.real @ V), axis=0)
+                                  + 1j * np.sum(V * (M.imag @ V), axis=0))
+        return t[self.column_class]
 
     # -- sampling support --------------------------------------------------
 
     def column_mean(self, i: int) -> NDArray[np.float64]:
         """Deterministic offset of column i: its declared mean, or the signal
         vector u of a low-rank column."""
-        return self._offsets[i]
+        return self._offsets[self.column_class[i]]
 
     def column_root_matvec(self, i: int, g: NDArray[np.float64]) -> NDArray[np.float64]:
         """C_i^{1/2} g, per the column's structured root."""

@@ -53,6 +53,9 @@ def qve_residual(prob: QveProblem, m: NDArray[np.complex128]) -> float:
 def solve_qve(prob: QveProblem, opts: SolverOptions | None = None) -> NDArray[np.complex128]:
     """Unique solution m with Im(m_i) > 0 for all i."""
     z, a, S = prob.z, prob.a, prob.S
+    # +inf is caught here, where a pass over S is cheap against the solve
+    if not S.max() < np.inf:
+        raise ValueError("S entries must be finite")
     # z + a is in the upper half-plane since a is real
     x, *_ = _contract(
         lambda x: z + a - S @ (1.0 / x), z + a + 0j, opts or SolverOptions(), _in_upper

@@ -92,6 +92,32 @@ def test_project_uuT_file(mp_config, tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0, abs=0.01)
 
 
+def test_project_closes_functional_files(mp_config, tmp_path, capsys):
+    import gc
+    import warnings
+
+    upath, apath = tmp_path / "u.json", tmp_path / "a.json"
+    upath.write_text(json.dumps(np.eye(40)[0].tolist()))
+    apath.write_text(json.dumps(np.eye(40).tolist()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for functional in (f"uuT:{upath}", f"file:{apath}"):
+            assert main([
+                "project", "--model", mp_config, "--out", str(tmp_path),
+                "--functional", functional, "--contour", "0.01,4.0,0.5,8",
+            ]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_project_missing_functional_file(mp_config, tmp_path, capsys):
+    assert main([
+        "project", "--model", mp_config, "--functional", f"file:{tmp_path / 'none.json'}",
+        "--contour", "0.01,4.0,0.5,8",
+    ]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [(c, f) for c in ("solve", "qve") for f in ("--out", "--seed", "--jobs")]
@@ -161,6 +187,14 @@ def test_qve_subcommand(tmp_path, capsys):
         want = (-1j - disc) / 2.0
     assert abs(m - want) < 1e-8
     assert doc["residual"] < 1e-10
+
+
+def test_qve_infinite_s_exits_1(tmp_path, capsys):
+    path = tmp_path / "qve.json"
+    path.write_text(json.dumps({"z": [0.0, 1.0], "a": [0.0, 0.0],
+                                "S": [[float("inf"), 0.0], [0.0, 1.0]]}))
+    assert main(["qve", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_qve_bad_problem_file(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import mixture_model, mp_model, mp_stieltjes, random_model
+from conftest import mixture_model, mp_model, mp_stieltjes, random_model, structured_model
 
 from covspectra import (
     Column,
@@ -194,7 +194,7 @@ def test_q_tilde_woodbury_oracle(rng):
     mu, nu, u, u2 = (rng.standard_normal(p) / np.sqrt(p) for _ in range(4))
     cols = [
         Column(Diagonal(rng.uniform(0.2, 3.0, p)), mean=mu),
-        Column(ScaledIdentity(1.5), mean=mu.copy()),  # repeated mean
+        Column(ScaledIdentity(1.5), mean=mu.copy()),  # repeated mean, own class
         Column(ScaledIdentity(0.7), mean=nu),  # distinct mean
         Column(LowRankPlusIdentity(u, 0.5)),
         Column(LowRankPlusIdentity(u2, 1.2)),
@@ -202,7 +202,8 @@ def test_q_tilde_woodbury_oracle(rng):
         Column(ScaledIdentity(2.0)),
     ]
     m = EnsembleModel(p, 7, cols)
-    assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 4
+    # one vector per class: mu under two covariances is stored twice
+    assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 5
     assert_q_tilde_oracle(m, rng)
 
 
@@ -243,6 +244,36 @@ def test_psi_matrix_scalar_oracle():
     want = (s * Q) ** 2 / D.values[0] ** 2
     got = psi_matrix(m, D, D)[0, 0]
     assert abs(got - want) < 1e-12
+
+
+def test_psi_matrix_class_oracle(rng):
+    # each structured column three times, shuffled: 8 classes over 24 columns
+    base = structured_model(5, 8, rng)
+    order = rng.permutation(np.repeat(np.arange(8), 3))
+    m = EnsembleModel(5, 24, [base.columns[i] for i in order])
+    assert m._diag.shape[0] == 8
+    n = m.n
+    sigmas = [m.realize_sigma(i) for i in range(n)]
+    for _ in range(3):
+        D, Dp = (UpperDiagonal(rng.standard_normal(n) + 1j * rng.uniform(0.5, 2.0, n))
+                 for _ in range(2))
+        Q, Qp = explicit_q(m, D.values), explicit_q(m, Dp.values)
+        want = np.array([[np.trace(sigmas[i] @ Q @ sigmas[j] @ Qp) for j in range(n)]
+                         for i in range(n)]) / (n * n * D.values * Dp.values)
+        np.testing.assert_allclose(psi_matrix(m, D, Dp), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def test_psi_matrix_one_product_pair_per_class(monkeypatch):
+    m = mp_model(6, 12)
+    calls = []
+    realize = EnsembleModel.realize_sigma
+    monkeypatch.setattr(EnsembleModel, "realize_sigma",
+                        lambda self, i: calls.append(i) or realize(self, i))
+    lam = solve_lambda(m, 1.0 + 0.5j).lam
+    psi = psi_matrix(m, lam, lam)
+    assert calls == [0]
+    np.testing.assert_allclose(psi, psi[0, 0], rtol=1e-14)
 
 
 def test_psi_norm_below_one_at_fixed_point(rng):

@@ -149,7 +149,8 @@ def test_vectors_stored_once_by_content(rng):
         Column(ScaledIdentity(1.0), mean=other),
     ]
     m = EnsembleModel(p, 5, cols)
-    assert m._V.shape == (p, 2)
+    # one vector per class: five (covariance, vector) pairs
+    assert m._V.shape == (p, 5)
     # a low-rank column with a mean of its own would carry two vectors
     with pytest.raises(ModelError, match="low-rank"):
         EnsembleModel(p, 1, [Column(LowRankPlusIdentity(mu.copy(), 0.5), mean=mu.copy())])
@@ -162,6 +163,44 @@ def test_vectors_stored_once_by_content(rng):
         np.testing.assert_allclose(m.traces_against_all(M), want, rtol=1e-13, atol=1e-13)
     # Figure 2: ten classes over 200 columns, each column a new U[:, j] view
     assert mixture_model(200, 200, 10)._V.shape == (200, 10)
+
+
+def n_classes(m: EnsembleModel) -> int:
+    k = m._diag.shape[0]
+    assert np.array_equal(np.unique(m.column_class), np.arange(k))
+    return k
+
+
+def test_column_classes(rng):
+    p = 4
+    fig1 = {"p": p, "n": 6, "columns": [
+        {"cov": {"kind": "diagonal", "entries": [1.0, 2.0, 3.0, 4.0]}, "repeat": 6}]}
+    assert n_classes(model_from_config(fig1)) == 1
+    m = mixture_model(200, 200, 10)
+    assert n_classes(m) == 10 and m._V.shape == (200, 10)
+    assert m._V.flags.c_contiguous
+    # copies and views of one mean under equal covariances: one class
+    mu = rng.standard_normal(p)
+    views = [mu, mu.copy(), np.stack([mu, mu], axis=1)[:, 1]]
+    m = EnsembleModel(p, 3, [Column(ScaledIdentity(1.0), mean=v) for v in views])
+    assert n_classes(m) == 1 and m._V.shape == (p, 1)
+    # an equal mean under different covariances: separate classes
+    covs = [ScaledIdentity(1.0), ScaledIdentity(2.0), Diagonal(np.arange(1.0, p + 1.0)),
+            Dense(np.eye(p))]
+    m = EnsembleModel(p, 4, [Column(c, mean=mu) for c in covs])
+    assert n_classes(m) == 4 and m._V.shape == (p, 4)
+    for i in range(4):
+        np.testing.assert_array_equal(m.column_mean(i), mu)
+
+
+def test_dense_class_realised_once(monkeypatch):
+    calls = []
+    realize = Dense.realize
+    monkeypatch.setattr(Dense, "realize", lambda self, p: calls.append(p) or realize(self, p))
+    spec = Dense(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    m = EnsembleModel(2, 5, [Column(spec)] * 5)
+    assert len(calls) == 1 and n_classes(m) == 1 and m._dense.shape == (1, 4)
+    np.testing.assert_allclose(m.mixture_matrix(np.ones(5)), spec.matrix, rtol=1e-15)
 
 
 def test_rotated_family_k0_equals_base():

@@ -55,7 +55,20 @@ def test_residual_of_wrong_vector_is_large():
 
 
 def test_non_finite_iterate_stops_at_once():
-    prob = QveProblem(z=1j, a=np.zeros(2), S=np.array([[np.inf, 0.0], [0.0, 1.0]]))
-    with np.errstate(invalid="ignore"), pytest.raises(NonConvergenceError) as exc:
+    # finite entries whose products overflow
+    prob = QveProblem(z=1j, a=np.zeros(2), S=np.full((2, 2), 1e308))
+    with np.errstate(all="ignore"), pytest.raises(NonConvergenceError) as exc:
         solve_qve(prob)
     assert exc.value.iterations <= 3
+
+
+def test_infinite_s_rejected_before_iterating(monkeypatch):
+    import covspectra.qve as qve
+
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("solve_qve iterated")
+
+    monkeypatch.setattr(qve, "_contract", no_iteration)
+    prob = QveProblem(z=1j, a=np.zeros(2), S=np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="S entries must be finite"):
+        solve_qve(prob)
