@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from .contour import ContourSpec, project_functionals
 from .equivalent import DensityGrid, _write_csv, density_grid, stieltjes_g
-from .fixedpoint import SolverOptions, solve_lambda
+from .fixedpoint import SolverOptions, continuation_solve
 from .model import EnsembleModel
 
 __all__ = [
@@ -256,13 +256,12 @@ def compare(
     l1 = float(np.abs(freq - predicted).sum())
 
     # seven Stieltjes probes at Im z = 0.5 across and beyond the histogram
-    span = edges[-1]
-    sup_err = 0.0
-    for x in np.linspace(0.2 * span, 1.2 * span, 7):
-        z = complex(x, 0.5)
-        g_emp = np.mean([empirical_stieltjes(ev, z) for ev in eigenvalue_sets])
-        g_pred = stieltjes_g(model, z, solve_lambda(model, z, opts).lam)
-        sup_err = max(sup_err, abs(g_emp - g_pred))
+    probes = np.linspace(0.2 * edges[-1], 1.2 * edges[-1], 7) + 0.5j
+    sup_err = max(
+        abs(np.mean([empirical_stieltjes(ev, z) for ev in eigenvalue_sets])
+            - stieltjes_g(model, z, r.lam))
+        for z, r in zip(probes, continuation_solve(model, probes, opts))
+    )
 
     rows: list[FunctionalRow] = []
     for k, spec in enumerate(specs):

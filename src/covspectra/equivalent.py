@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .fixedpoint import SolverOptions, continuation_solve, q_tilde, solve_lambda
+from .fixedpoint import SolverOptions, continuation_solve, q_tilde
 from .model import EnsembleModel
 from .semimetric import UpperDiagonal
 
@@ -129,30 +129,24 @@ def support_scan(
         raise ValueError("threshold must be positive")
     x0 = 1.5 * max(8.0 / model.n * model.max_trace(), 4.0 * model.nu_hat())
     grid = density_grid(model, 1e-12, x0, 201, y, opts)
-    above = grid.density > threshold
     xs = grid.xs
 
-    def refine(inside: float, outside: float) -> float:
-        """One bisection level between a grid point above the threshold and
-        its neighbour below it."""
-        mid = 0.5 * (inside + outside)
-        z = complex(mid, y)
-        d = stieltjes_g(model, z, solve_lambda(model, z, opts).lam).imag / np.pi
-        return mid if d > threshold else 0.5 * (mid + inside)
-
-    edges: list[tuple[float, float]] = []
-    i = 0
-    while i < len(xs):
-        if above[i]:
-            j = i
-            while j + 1 < len(xs) and above[j + 1]:
-                j += 1
-            lo = refine(xs[i], xs[i - 1]) if i > 0 else xs[i]
-            hi = refine(xs[j], xs[j + 1]) if j + 1 < len(xs) else xs[j]
-            edges.append((max(float(lo), 0.0), min(float(hi), x0)))
-            i = j + 1
-        else:
-            i += 1
+    # each maximal run of grid points above the threshold has two ends, as
+    # (inside, outside) grid indices; outside is off the grid at its edges
+    above = np.r_[False, grid.density > threshold, False]
+    starts = np.flatnonzero(above[1:] & ~above[:-1])
+    stops = np.flatnonzero(above[:-1] & ~above[1:]) - 1
+    ends = [end for i, j in zip(starts, stops) for end in ((i, i - 1), (j, j + 1))]
+    # one bisection level at every crossing, all midpoints solved on one path
+    cross = [(xs[a], 0.5 * (xs[a] + xs[b])) for a, b in ends if 0 <= b < len(xs)]
+    solves = continuation_solve(model, [mid + 1j * y for _, mid in cross], opts) if cross else []
+    refined = iter(
+        mid if stieltjes_g(model, complex(mid, y), r.lam).imag / np.pi > threshold
+        else 0.5 * (mid + inside)
+        for (inside, mid), r in zip(cross, solves)
+    )
+    pts = [next(refined) if 0 <= b < len(xs) else xs[a] for a, b in ends]
+    edges = [(max(float(lo), 0.0), min(float(hi), x0)) for lo, hi in zip(pts[::2], pts[1::2])]
     return SupportEstimate(intervals=edges, threshold=threshold, upper_bound_x0=x0)
 
 

@@ -9,9 +9,15 @@ and justifies the Picard iteration used here.  Anderson acceleration is
 layered on top with a domain guard, because plain iteration slows down
 drastically near the real axis.
 
-``_contract`` is the one iteration loop of the package: ``solve_lambda`` runs
-it on this map and ``qve.solve_qve`` on the quadratic vector equation, which
-is a d_s contraction of the same kind.
+``_contract`` is the one iteration loop of the package.  It iterates the rows
+of an (m, d) array, m independent contractions side by side, each with its
+own stop rule, domain guard and Anderson step; a row stops at tol_ds or at
+its roundoff floor, whichever is larger.  ``solve_lambda`` runs it on this map
+with one row of n unknowns, ``qve.solve_qve`` on the quadratic vector
+equation, a d_s contraction of the same kind, and ``continuation_solve`` on
+the nodes of a path, one row per node.  Columns of one class share their
+Lambda_i, so a path's rows hold only the k class values, and one batched
+evaluation (``EnsembleModel.class_traces``) maps them all.
 """
 
 from __future__ import annotations
@@ -41,6 +47,14 @@ __all__ = [
 ]
 
 _ANDERSON_WINDOW = 5  # Anderson mixes this many latest differences of iterates
+# a row stops once its d_s step is below this many ulps of max|x|/Im x, the
+# roundoff floor of d_s, even where that is above tol_ds
+_FLOOR_ULPS = 16
+_EPS = np.finfo(np.float64).eps
+# a batched evaluation of a model with a dense class holds this many complex
+# p x p arrays per node; continuation keeps them within _CHAIN_BYTES
+_NODE_TEMPORARIES = 5
+_CHAIN_BYTES = 4 << 20
 
 
 class DomainError(ValueError):
@@ -130,54 +144,103 @@ def contraction_factor(
     return float(np.sqrt(max(1.0 - pL, 0.0) * max(1.0 - pLp, 0.0)))
 
 
+def _lstsq_rows(A: NDArray, b: NDArray) -> NDArray:
+    """Min-norm least-squares solution of A[r] g = b[r] for every row r, with
+    np.linalg.lstsq's cutoff: singular values below eps * max(A[r].shape) *
+    max(s) count as zero.  One stacked QR of [A b] shrinks every row's problem
+    to at most h + 1 equations in h unknowns, solved through their SVD.  A
+    single row goes to lstsq itself, which is cheaper for one problem."""
+    if A.shape[0] == 1:
+        return np.linalg.lstsq(A[0], b[0], rcond=None)[0][None]
+    h = A.shape[2]
+    R = np.linalg.qr(np.concatenate([A, b[:, :, None]], axis=2), mode="r")
+    u, s, vh = np.linalg.svd(R[:, :, :h], full_matrices=False)
+    keep = s > _EPS * max(A.shape[1:]) * s[:, :1]
+    coef = (u.conj().transpose(0, 2, 1) @ R[:, :, h:])[:, :, 0]
+    coef = np.where(keep, coef / np.where(keep, s, 1.0), 0.0)
+    return (vh.conj().transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0]
+
+
 def _contract(
-    step: Callable[[NDArray], NDArray],
+    step: Callable[[NDArray, NDArray], NDArray],
     x0: NDArray,
     opts: SolverOptions,
-    in_domain: Callable[[NDArray], bool],
-) -> tuple[NDArray, int, float, float]:
-    """Iterate x <- step(x) from x0 until consecutive iterates are closer than
-    opts.tol_ds in d_s, with Anderson acceleration (Walker & Ni 2011) unless
-    opts.acceleration is "none".  Returns (x, iterations, residual, ratio of
-    the last two residuals); raises NonConvergenceError after max_iter steps,
-    or at once on a non-finite residual."""
+    in_domain: Callable[[NDArray, NDArray], NDArray],
+    labels: NDArray | None = None,
+) -> tuple[NDArray, NDArray, NDArray, NDArray]:
+    """Iterate every row of x <- step(x) from the rows of x0 (m, d) until
+    consecutive iterates are closer in d_s than opts.tol_ds or than the row's
+    roundoff floor _FLOOR_ULPS * eps * max|x|/Im x, with a per-row Anderson
+    step (Walker & Ni 2011) unless opts.acceleration is "none".
+
+    step(x, rows) and in_domain(x, rows) get the rows still iterating and
+    their indices into x0; in_domain answers per row, and a row whose
+    accelerated step leaves the domain takes its Picard step.  All rows start
+    together, so they share one history depth; a converged row leaves.
+    Returns per row (x, iterations, residual, ratio of the last two
+    residuals).  Raises NonConvergenceError after max_iter steps, or at once
+    on a non-finite residual, naming the lowest failing row's label."""
     use_aa = opts.acceleration == "anderson"
-    g_hist: list[NDArray] = []
-    f_hist: list[NDArray] = []
+    m = x0.shape[0]
+    out = np.empty_like(x0)
+    iterations = np.empty(m, dtype=np.intp)
+    residuals = np.empty(m)
+    ratios = np.empty(m)
+    active = np.arange(m)
+    # the latest differences of consecutive map values and steps, (rows, d)
+    # each, and the values and steps they were taken from
+    dg_hist: list[NDArray] = []
+    df_hist: list[NDArray] = []
+    g_prev = f_prev = None
+
+    def failure(k: int, rows: NDArray, residual: NDArray) -> NonConvergenceError:
+        index = None if labels is None else int(labels[active[rows[0]]])
+        return NonConvergenceError(k, float(residual[rows[0]]), index)
 
     x = x0
-    residual = np.inf
-    prev_residual = np.inf
-    contraction = 1.0
+    residual = np.full(m, np.inf)
     for k in range(1, opts.max_iter + 1):
-        gx = step(x)
+        gx = step(x, active)
         f = gx - x
-        prev_residual, residual = residual, _ds(gx, x)
-        contraction = residual / prev_residual if np.isfinite(prev_residual) else 1.0
-        if residual < opts.tol_ds:
-            return gx, k, residual, contraction
-        if not math.isfinite(residual):
-            raise NonConvergenceError(k, residual)
+        prev, residual = residual, _ds(gx, x, axis=1)
+        if not np.isfinite(residual).all():
+            raise failure(k, np.flatnonzero(~np.isfinite(residual)), residual)
+        floor = _FLOOR_ULPS * _EPS * (np.abs(gx) / gx.imag).max(axis=1)
+        done = residual < np.maximum(opts.tol_ds, floor)
+        if done.any():
+            rows = active[done]
+            out[rows] = gx[done]
+            iterations[rows] = k
+            residuals[rows] = residual[done]
+            ratios[rows] = residual[done] / prev[done] if k > 1 else 1.0
+            if done.all():
+                return out, iterations, residuals, ratios
+            keep = ~done
+            active, x, gx, f, residual = active[keep], x[keep], gx[keep], f[keep], residual[keep]
+            if g_prev is not None:
+                g_prev, f_prev = g_prev[keep], f_prev[keep]
+                dg_hist = [g[keep] for g in dg_hist]
+                df_hist = [g[keep] for g in df_hist]
 
         x_next = gx
         if use_aa:
-            g_hist.append(gx)
-            f_hist.append(f)
-            if len(f_hist) > _ANDERSON_WINDOW + 1:
-                g_hist.pop(0)
-                f_hist.pop(0)
-            m = len(f_hist) - 1
-            if m >= 1:
-                dF = np.stack([f_hist[j + 1] - f_hist[j] for j in range(m)], axis=1)
-                dG = np.stack([g_hist[j + 1] - g_hist[j] for j in range(m)], axis=1)
-                gamma, *_ = np.linalg.lstsq(dF, f, rcond=None)
-                candidate = gx - dG @ gamma
-                # any accelerated step leaving the domain falls back to Picard
-                if in_domain(candidate):
-                    x_next = candidate
+            if g_prev is not None:
+                dg_hist.append(gx - g_prev)
+                df_hist.append(f - f_prev)
+                if len(df_hist) > _ANDERSON_WINDOW:
+                    dg_hist.pop(0)
+                    df_hist.pop(0)
+                # stacked as (rows, h, d), so each row's d x h matrix is
+                # column-major, as LAPACK takes it
+                dF = np.stack(df_hist, axis=1).transpose(0, 2, 1)
+                gamma = _lstsq_rows(dF, f)
+                candidate = gx - (gamma[:, None, :] @ np.stack(dg_hist, axis=1))[:, 0, :]
+                ok = in_domain(candidate, active)
+                x_next = np.where(ok[:, None], candidate, gx)
+            g_prev, f_prev = gx, f
         x = x_next
 
-    raise NonConvergenceError(opts.max_iter, residual)
+    raise failure(opts.max_iter, np.arange(active.size), residual)
 
 
 def solve_lambda(
@@ -190,7 +253,8 @@ def solve_lambda(
 
     Starts from one application of the map at the boundary point z*ones
     (which lands strictly inside the domain), or from a warm start.  Stops
-    when consecutive iterates are closer than tol_ds in the d_s semi-metric.
+    when consecutive iterates are closer than tol_ds in the d_s semi-metric,
+    or than their roundoff floor.
     """
     if not complex(z).imag > 0.0:
         raise DomainError("z must lie in the upper half-plane")
@@ -206,16 +270,32 @@ def solve_lambda(
     else:
         x = _raw_iz(model, z, np.full(model.n, z, dtype=np.complex128))
 
-    x, k, residual, contraction = _contract(
-        lambda v: _raw_iz(model, z, v), x, opts, lambda v: _in_domain(v, z)
-    )
+    x, k, residual, contraction = (a[0] for a in _contract(
+        lambda v, _: _raw_iz(model, z, v[0])[None], x[None], opts,
+        lambda v, _: _in_domain(v, z, axis=1),
+    ))
+    return _result(z, x, k, residual, contraction)
+
+
+def _result(z: complex, x: NDArray, k: int, residual: float, contraction: float
+            ) -> FixedPointResult:
     return FixedPointResult(
         lam=UpperDiagonal(x),
-        iterations=k,
-        residual_ds=residual,
-        contraction_estimate=min(contraction, 1.0 - 1e-16),
+        iterations=int(k),
+        residual_ds=float(residual),
+        contraction_estimate=min(float(contraction), 1.0 - 1e-16),
         phi=z.imag / float(x.imag.max()),
     )
+
+
+def _chains(model: EnsembleModel, m: int) -> int:
+    """How many segments a path of m nodes is cut into: ceil(sqrt(m)) balances
+    cold starts against stages; with a dense class, one stage's p x p
+    temporaries stay within _CHAIN_BYTES."""
+    b = min(m, math.isqrt(m - 1) + 1)
+    if not model.is_diagonal_plus_low_rank:
+        b = min(b, max(1, _CHAIN_BYTES // (_NODE_TEMPORARIES * 16 * model.p ** 2)))
+    return b
 
 
 def continuation_solve(
@@ -224,26 +304,51 @@ def continuation_solve(
     opts: SolverOptions | None = None,
 ) -> list[FixedPointResult]:
     """Solve along an ordered z-path, warm-starting each point from the
-    previous solution (imaginary part floored at Im(z_next) if needed)."""
-    if len(zs) == 0:
+    previous solution (imaginary part floored at Im(z_next) if needed).
+
+    The path is cut into contiguous segments (``_chains``) walked in
+    lockstep: stage s solves node s of every segment in one batched
+    ``_contract``, each node warm-started from its segment's node s - 1, or
+    from one map application at z*ones for a segment's first node and for a
+    lifted start outside the domain.  The unknowns are the k class values of
+    Lambda (equal within a class), expanded to n only in the results.  A
+    NonConvergenceError's index is the path index of the failing node (the
+    lowest one, if several nodes of a stage fail)."""
+    zs = np.asarray(zs, dtype=np.complex128).ravel()
+    if zs.size == 0:
         raise ValueError("empty z path")
+    if not np.all(zs.imag > 0.0):
+        raise DomainError("z must lie in the upper half-plane")
     opts = opts or SolverOptions()
-    results: list[FixedPointResult] = []
-    warm: UpperDiagonal | None = None
-    for idx, z in enumerate(zs):
-        z = complex(z)
-        if warm is not None:
-            v = warm.values.copy()
-            lift = z.imag - v.imag
-            v[lift > 0] += 1j * lift[lift > 0]
-            warm = UpperDiagonal(v) if _in_domain(v, z) else None
+    n, k = model.n, model.column_class.max() + 1
+
+    def class_map(z: NDArray, x: NDArray) -> NDArray:
         try:
-            res = solve_lambda(model, z, opts, warm=warm)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(exc.iterations, exc.last_residual, index=idx) from exc
-        results.append(res)
-        warm = res.lam
-    return results
+            return z - model.class_traces(1.0 / x) / n
+        except np.linalg.LinAlgError as exc:
+            raise DomainError(f"singular resolvent factor: {exc}") from exc
+
+    segments = np.array_split(np.arange(zs.size), _chains(model, zs.size))
+    lam = np.empty((zs.size, k), dtype=np.complex128)
+    stats = np.empty((zs.size, 3))  # iterations, residual, ratio
+    for s in range(segments[0].size):
+        idx = np.array([seg[s] for seg in segments if seg.size > s])
+        z = zs[idx, None]
+        if s:
+            prev = lam[idx - 1]
+            x = prev.real + 1j * np.maximum(prev.imag, z.imag)
+            cold = ~_in_domain(x, z, axis=1)
+        else:
+            x, cold = np.empty((idx.size, k), dtype=np.complex128), np.ones(idx.size, bool)
+        if cold.any():
+            x[cold] = class_map(z[cold], np.repeat(z[cold], k, axis=1))
+        lam[idx], *info = _contract(
+            lambda v, r: class_map(z[r], v), x, opts,
+            lambda v, r: _in_domain(v, z[r], axis=1), labels=idx,
+        )
+        stats[idx] = np.column_stack(info)
+    return [_result(z, row[model.column_class], *st)
+            for z, row, st in zip(zs, lam, stats)]
 
 
 def psi_matrix(

@@ -9,6 +9,10 @@ the fixed-point solver's costs grow with k, not n.  Structured covariance
 kinds keep them low: O(p) traces instead of O(p^2) for diagonal families, and
 a model with no dense class never has a p x p matrix inverted, only an r x r
 one, r being the number of classes that carry a mean vector.
+``EnsembleModel.class_traces`` evaluates the map's traces for many weight
+rows at once (the nodes of a grid or a contour): diagonal classes cost two
+real GEMMs, the Woodbury path stacked r x r solves with no p x p matrix, and
+dense classes one GEMM each way against their stack plus a stacked LU.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ def random_orthogonal(p: int, seed: int) -> NDArray[np.float64]:
     return q * np.sign(np.diag(r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dense:
     """Arbitrary real symmetric PSD covariance.  A nearly symmetric matrix is
     stored as its symmetric part, decomposed once for the PSD check, the
@@ -85,7 +89,7 @@ class Dense:
         return v @ (np.sqrt(np.clip(w, 0.0, None)) * (v.T @ g))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diagonal:
     """Diagonal covariance with nonnegative entries."""
 
@@ -123,7 +127,7 @@ class ScaledIdentity:
         return self.sigma2 * np.eye(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotatedFamily:
     """(P^k)^T diag(d) P^k for a base diagonal d and an orthogonal P."""
 
@@ -169,9 +173,12 @@ class RotatedFamily:
 CovarianceSpec = Dense | Diagonal | ScaledIdentity | RotatedFamily
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Column:
-    """One column of the ensemble: optional mean and centered covariance."""
+    """One column of the ensemble: optional mean and centered covariance.
+
+    Columns and the covariance kinds with array fields compare and hash by
+    identity, as their arrays have no single truth value."""
 
     cov: CovarianceSpec
     mean: NDArray[np.float64] | None = None
@@ -254,6 +261,7 @@ class EnsembleModel:
         self._dense = np.array([self._class_dense[c].realize(p) for c in self._dense_rows],
                                dtype=np.float64).reshape(len(self._dense_rows), p * p)
         self._V = np.ascontiguousarray(self._offsets[self._vec_rows].T)
+        self._class_size = np.bincount(self.column_class).astype(np.float64)
         if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._offsets)):
             raise ModelError("covariances and means must be finite")
         # one warning per column whose class breaks an assumption of the paper
@@ -307,9 +315,9 @@ class EnsembleModel:
             raise ModelError(f"weight vector has length {w.size}, expected {self.n}")
         wc = self._class_weights(w)
         out = np.zeros((self.p, self.p), dtype=np.complex128)
-        np.fill_diagonal(out, _real_times(self._diag.T, wc))
+        np.fill_diagonal(out, _times_real(wc, self._diag))
         if self._dense_rows.size:
-            out += _real_times(self._dense.T, wc[self._dense_rows]).reshape(self.p, self.p)
+            out += _times_real(wc[self._dense_rows], self._dense).reshape(self.p, self.p)
         if self._vec_rows.size:
             out += (self._V * wc[self._vec_rows]) @ self._V.T
         out /= self.n
@@ -325,12 +333,12 @@ class EnsembleModel:
         if self._dense_rows.size:
             return np.linalg.inv(np.eye(self.p, dtype=np.complex128) - self.mixture_matrix(w))
         wc = self._class_weights(w)
-        inv_d = 1.0 / (1.0 - _real_times(self._diag.T, wc) / self.n)
+        inv_d = 1.0 / (1.0 - _times_real(wc, self._diag) / self.n)
         if not self._vec_rows.size:
             return np.diag(inv_d)
         V, wv = self._V, wc[self._vec_rows]
         Y = inv_d[:, None] * V
-        K = self.n * np.eye(V.shape[1]) - _real_times(V.T, Y) * wv
+        K = self.n * np.eye(V.shape[1]) - _times_real(Y.T, V).T * wv
         Q = (Y * wv) @ np.linalg.solve(K, Y.T)
         Q.flat[:: self.p + 1] += inv_d
         return Q
@@ -339,16 +347,54 @@ class EnsembleModel:
         """tr(Sigma_i M) for every column at once."""
         if M.shape != (self.p, self.p):
             raise ModelError("matrix dimension mismatch")
-        t = _real_times(self._diag, np.diagonal(M))
+        t = _times_real(np.diagonal(M), self._diag.T)
         if self._dense_rows.size:
             # tr(D M) = vec(D) . vec(M^T); the transpose matters because dense
             # realisations are symmetric only up to roundoff
-            t[self._dense_rows] += _real_times(self._dense, M.T.ravel())
+            t[self._dense_rows] += _times_real(M.T.ravel(), self._dense.T)
         if self._vec_rows.size:
             V = self._V
             t[self._vec_rows] += (np.sum(V * (M.real @ V), axis=0)
                                   + 1j * np.sum(V * (M.imag @ V), axis=0))
         return t[self.column_class]
+
+    def class_traces(self, W: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """tr(Sigma_c Q) for every class c and every row of W (m, k) at once,
+        Q being factor_inverse of the weights that give each column of class
+        c the weight W[row, c].  No p x p matrix is formed without a dense
+        class: the diagonal factor D is inverted entrywise and Woodbury's r x r
+        systems K = nI - G W_v, G = V^T D^-1 V, are solved stacked for the
+        diagonal of Q and for v_c^T Q v_c = n (K^-1 G)_cc.  With a dense class
+        the m factors are assembled and their traces taken by one GEMM each
+        against the dense stack, and inverted by one stacked LU."""
+        p, n = self.p, self.n
+        Wc = W * self._class_size  # the class sums that _class_weights gives
+        d = 1.0 - _times_real(Wc, self._diag) / n  # diagonal of each factor
+        V, wv = self._V, Wc[:, self._vec_rows]
+        if self._dense_rows.size:
+            F = _times_real(Wc[:, self._dense_rows], self._dense).reshape(-1, p, p)
+            if self._vec_rows.size:
+                F += (V * wv[:, None, :]) @ V.T
+            F /= -n
+            F.reshape(-1, p * p)[:, :: p + 1] += d
+            Q = np.linalg.inv(F)
+            t = _times_real(np.diagonal(Q, axis1=1, axis2=2), self._diag.T)
+            # tr(D Q) = vec(D) . vec(Q^T), as in traces_against_all
+            t[:, self._dense_rows] += _times_real(
+                Q.transpose(0, 2, 1).reshape(-1, p * p), self._dense.T)
+            if self._vec_rows.size:
+                t[:, self._vec_rows] += np.sum(V * _times_real(Q, V), axis=1)
+            return t
+        diag_q = 1.0 / d
+        if self._vec_rows.size:
+            Yt = diag_q[:, None, :] * V.T  # (D^-1 V)^T per row
+            K = n * np.eye(V.shape[1]) - _times_real(Yt, V) * wv[:, None, :]
+            S = np.linalg.solve(K, Yt)
+            diag_q = diag_q + np.sum(Yt * wv[:, :, None] * S, axis=1)
+        t = _times_real(diag_q, self._diag.T)
+        if self._vec_rows.size:
+            t[:, self._vec_rows] += n * np.sum(S * V.T, axis=2)
+        return t
 
     # -- sampling support --------------------------------------------------
 
@@ -375,10 +421,10 @@ class EnsembleModel:
         return float(self.traces_against_all(np.eye(self.p)).real.max())
 
 
-def _real_times(A: NDArray[np.float64], x: NDArray) -> NDArray[np.complex128]:
-    """A @ x for real A and complex x as two real BLAS products; numpy would
+def _times_real(x: NDArray, A: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """x @ A for complex x and real A as two real BLAS products; numpy would
     otherwise copy A to complex on every call."""
-    return A @ x.real + 1j * (A @ x.imag)
+    return x.real @ A + 1j * (x.imag @ A)
 
 
 # -- configuration loading --------------------------------------------------

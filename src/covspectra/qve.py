@@ -58,6 +58,7 @@ def solve_qve(prob: QveProblem, opts: SolverOptions | None = None) -> NDArray[np
         raise ValueError("S entries must be finite")
     # z + a is in the upper half-plane since a is real
     x, *_ = _contract(
-        lambda x: z + a - S @ (1.0 / x), z + a + 0j, opts or SolverOptions(), _in_upper
+        lambda x, _: (z + a - S @ (1.0 / x[0]))[None], (z + a + 0j)[None],
+        opts or SolverOptions(), lambda x, _: _in_upper(x, axis=1),
     )
-    return -1.0 / x
+    return -1.0 / x[0]

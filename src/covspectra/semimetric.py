@@ -44,22 +44,23 @@ class UpperDiagonal:
         return self.values.size
 
 
-def _ds(a, b) -> float:
-    """d_s on unchecked arrays or scalars.
+def _ds(a, b, axis=None):
+    """d_s on unchecked arrays or scalars; with an axis, one value per row.
 
     Evaluated as |a - b| / (sqrt(Im a) * sqrt(Im b)) so the product of tiny
     imaginary parts cannot underflow.
     """
-    return float(np.max(np.abs(a - b) / (np.sqrt(a.imag) * np.sqrt(b.imag))))
+    return (np.abs(a - b) / (np.sqrt(a.imag) * np.sqrt(b.imag))).max(axis=axis)
 
 
-def _in_upper(values) -> bool:
-    return bool(np.all(values.imag > 0.0))
+def _in_upper(values, axis=None):
+    return (values.imag > 0.0).all(axis=axis)
 
 
-def _in_domain(values, z: complex) -> bool:
-    """The solver domain on unchecked arrays: Im(v_i) > 0 and Im(v_i/z) > 0."""
-    return _in_upper(values) and _in_upper(values / z)
+def _in_domain(values, z, axis=None):
+    """The solver domain on unchecked arrays: Im(v_i) > 0 and Im(v_i/z) > 0;
+    with an axis, one answer per row (z then broadcasts against the rows)."""
+    return _in_upper(values, axis) & _in_upper(values / z, axis)
 
 
 def d_s(D: UpperDiagonal, Dp: UpperDiagonal) -> float:
@@ -67,14 +68,14 @@ def d_s(D: UpperDiagonal, Dp: UpperDiagonal) -> float:
     a, b = D.values, Dp.values
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return _ds(a, b)
+    return float(_ds(a, b))
 
 
 def in_solver_domain(D: UpperDiagonal, z: complex) -> bool:
     """True iff every entry satisfies Im(D_i) > 0 and Im(D_i / z) > 0."""
     if not z.imag > 0.0:
         raise ValueError("z must lie in the upper half-plane")
-    return _in_domain(D.values, z)
+    return bool(_in_domain(D.values, z))
 
 
 def _discrete_stieltjes(locs: NDArray, masses: NDArray, w: complex) -> complex:

@@ -3,15 +3,19 @@ import pytest
 
 from conftest import mp_model, mp_stieltjes, random_model
 
+import covspectra.model
+
 from covspectra import (
     Column,
     Diagonal,
     EnsembleModel,
+    RotatedFamily,
     ScaledIdentity,
     density_grid,
     linear_functional,
     per_column_stieltjes,
     r_tilde,
+    random_orthogonal,
     solve_lambda,
     stieltjes_g,
     support_scan,
@@ -151,6 +155,31 @@ def test_support_scan_detects_two_bulks():
     assert b1 < 2.6
     assert 3.5 < a2 < 4.2
     assert 13.0 < b2 < 15.0
+
+
+def test_support_scan_figure1_right_finishes(monkeypatch):
+    # the paper's Figure-1-right model: at default options some grid nodes
+    # stall at the roundoff floor of d_s, just above tol_ds = 1e-12, and
+    # used to run 50,000 iterations before failing; the scan takes about
+    # 1,500 node evaluations
+    evals = []
+    class_traces = EnsembleModel.class_traces
+
+    def counted(self, W):
+        evals.append(len(W))
+        return class_traces(self, W)
+
+    monkeypatch.setattr(covspectra.model.EnsembleModel, "class_traces", counted)
+    base = np.r_[[8.0] * 20, [1.0] * 60]
+    P = random_orthogonal(80, seed=314)
+    m = EnsembleModel(80, 160, [Column(RotatedFamily(base, P, i)) for i in range(160)])
+    est = support_scan(m)
+    assert sum(evals) < 5_000
+    # one bulk; the edges of the density at y = 1e-3 on a 2001-point grid
+    # solved at tol_ds = 1e-11, within the scan's stride plus that grid's
+    (lo, hi), = est.intervals
+    tol = 0.5 * est.upper_bound_x0 / 200 + 0.011
+    assert abs(lo - 0.1512) < tol and abs(hi - 8.2567) < tol
 
 
 def test_linear_functional_identity(rng):

@@ -5,6 +5,7 @@ from conftest import mixture_model, mp_model, mp_stieltjes, random_model, struct
 
 from covspectra import (
     Column,
+    Dense,
     Diagonal,
     DomainError,
     EnsembleModel,
@@ -23,6 +24,7 @@ from covspectra import (
     solve_qve,
     stieltjes_g,
 )
+from covspectra.fixedpoint import _chains, _contract
 
 
 def scalar_fixed_point(z: complex, sigma2: float = 1.0) -> complex:
@@ -232,6 +234,64 @@ def test_continuation_matches_cold(rng):
     for z, r in zip(zs, chained):
         cold = solve_lambda(m, complex(z))
         assert np.max(np.abs(r.lam.values - cold.lam.values)) < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["woodbury", "dense"])
+def test_lockstep_continuation_matches_cold(rng, kind):
+    # 23 nodes: 5 segments of 5, 5, 5, 4, 4 nodes, walked in 5 stages
+    m = structured_model(6, 18, rng)
+    if kind == "woodbury":
+        cols = [c for c in m.columns if isinstance(c.cov, (Diagonal, ScaledIdentity))]
+        m = EnsembleModel(6, len(cols), cols)
+    assert m.is_diagonal_plus_low_rank == (kind == "woodbury")
+    zs = np.linspace(-0.5, 4.0, 23) + 0.05j
+    assert _chains(m, zs.size) == 5
+    chained = continuation_solve(m, zs)
+    for z, r in zip(zs, chained):
+        cold = solve_lambda(m, complex(z))
+        assert len(r.lam) == m.n
+        assert np.max(np.abs(r.lam.values - cold.lam.values)) < 1e-8
+
+
+def test_chains_capped_by_dense_temporaries():
+    # ceil(sqrt(120)) = 11 chains; a dense p = 80 class caps them at
+    # 4 MiB / (5 complex 80 x 80 arrays) = 8
+    diag = EnsembleModel(80, 1, [Column(Diagonal(np.ones(80)))])
+    dense = EnsembleModel(80, 1, [Column(Dense(np.eye(80)))])
+    assert (_chains(diag, 120), _chains(dense, 120)) == (11, 8)
+    assert (_chains(diag, 1), _chains(diag, 4), _chains(diag, 5)) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("hard", [0, 4, 7, 9])
+def test_continuation_error_names_path_index(hard):
+    # 10 nodes in segments [0-2], [3-5], [6, 7], [8, 9]; Picard at 1 + 1e-7i,
+    # inside the Marchenko-Pastur bulk, needs far more than 200 steps, and
+    # every other node fewer than 30
+    zs = np.linspace(0.5, 3.0, 10) + 1.0j
+    zs[hard] = 1.0 + 1e-7j
+    with pytest.raises(NonConvergenceError) as exc:
+        continuation_solve(mp_model(20, 40), zs, SolverOptions(max_iter=200, acceleration="none"))
+    assert exc.value.index == hard
+    assert exc.value.iterations == 200
+
+
+def test_contract_stops_at_roundoff_floor():
+    # iterates that jitter by 4 ulps around c = 1e3 + 1e-3i never get closer
+    # than 4 eps |c| / Im c = 8.9e-10 in d_s, far above tol_ds = 1e-12 but
+    # below the floor 16 eps |c| / Im c = 3.6e-9; a second row converges
+    # exactly, so the rows stop apart
+    c = np.array([1e3 + 1e-3j, 2.0 + 1.0j])
+    eps = np.finfo(float).eps
+    jitter = iter(np.tile([2 * eps, -2 * eps], 50))
+
+    def step(x, rows):
+        return np.array([c[0] * (1 + next(jitter)), c[1]])[rows, None]
+
+    x, its, res, _ = _contract(step, c[:, None] * 1.5, SolverOptions(max_iter=100),
+                               lambda x, rows: np.ones(len(rows), bool))
+    assert list(its) == [2, 2]
+    assert 1e-12 < res[0] < 16 * eps * abs(c[0]) / c[0].imag
+    np.testing.assert_allclose(x[:, 0], c, rtol=1e-14)
 
 
 def test_psi_matrix_scalar_oracle():

@@ -392,3 +392,48 @@ def test_config_repeat_count_mismatch():
 def test_non_finite_inputs_rejected(build, error):
     with pytest.raises(error):
         build()
+
+
+def _class_traces_model(kind: str, rng) -> EnsembleModel:
+    """structured_model, or only its columns with no dense class
+    ("woodbury"), or only those with no dense class and no mean
+    ("diagonal")."""
+    m = structured_model(7, 36, rng)
+    if kind == "dense":
+        return m
+    cols = [c for c in m.columns
+            if isinstance(c.cov, (Diagonal, ScaledIdentity))
+            or (isinstance(c.cov, RotatedFamily) and c.cov.rotations == 0)]
+    if kind == "diagonal":
+        cols = [c for c in cols if c.mean is None or not np.any(c.mean)]
+    return EnsembleModel(7, len(cols), cols)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "woodbury", "dense"])
+def test_class_traces_oracle(rng, kind):
+    m = _class_traces_model(kind, rng)
+    assert m.is_diagonal_plus_low_rank == (kind != "dense")
+    assert (m._V.shape[1] == 0) == (kind == "diagonal")
+    k = m.column_class.max() + 1
+    W = rng.uniform(0.05, 0.6, (5, k)) * np.exp(1j * rng.uniform(-2.5, -0.1, (5, k)))
+    T = m.class_traces(W)
+    assert T.shape == (5, k)
+    for row, t in zip(W, T):
+        want = m.traces_against_all(m.factor_inverse(row[m.column_class]))
+        np.testing.assert_allclose(t[m.column_class], want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
+
+
+def test_specs_compare_by_identity():
+    # array fields: == and hash by identity instead of numpy's ambiguous truth
+    # value and TypeError
+    specs = [Dense(np.eye(2)), Diagonal(np.ones(2)),
+             RotatedFamily(np.ones(2), np.eye(2), 1),
+             Column(ScaledIdentity(1.0), mean=np.zeros(2))]
+    twins = [Dense(np.eye(2)), Diagonal(np.ones(2)),
+             RotatedFamily(np.ones(2), np.eye(2), 1),
+             Column(ScaledIdentity(1.0), mean=np.zeros(2))]
+    for a, b in zip(specs, twins):
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+    assert len(set(specs + twins)) == 8
