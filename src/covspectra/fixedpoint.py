@@ -51,8 +51,10 @@ _ANDERSON_WINDOW = 5  # Anderson mixes this many latest differences of iterates
 # roundoff floor of d_s, even where that is above tol_ds
 _FLOOR_ULPS = 16
 _EPS = np.finfo(np.float64).eps
-# a batched evaluation of a model with a dense class holds this many complex
-# p x p arrays per node; continuation keeps them within _CHAIN_BYTES
+# complex p x p arrays per node that continuation keeps within _CHAIN_BYTES
+# for a model with a dense class.  A batched evaluation peaks at about 3.1
+# per node (the factor, its inverse and the half-size packed products and
+# folds; tracemalloc, p = 80); 5 is the count the chain numbers were tuned at
 _NODE_TEMPORARIES = 5
 _CHAIN_BYTES = 4 << 20
 

@@ -13,6 +13,10 @@ one, r being the number of classes that carry a mean vector.
 rows at once (the nodes of a grid or a contour): diagonal classes cost two
 real GEMMs, the Woodbury path stacked r x r solves with no p x p matrix, and
 dense classes one GEMM each way against their stack plus a stacked LU.
+Each dense class is stored once, as the packed upper triangle of its
+symmetric part (p(p+1)/2 entries), and every product reads that stack once:
+the real and imaginary rows of the complex operand are stacked into one
+real GEMM.
 """
 
 from __future__ import annotations
@@ -144,7 +148,8 @@ class RotatedFamily:
         P = np.asarray(self.orthogonal, dtype=np.float64)
         if P.shape != (d.size, d.size):
             raise ModelError("rotated family orthogonal matrix has wrong shape")
-        if not np.allclose(P @ P.T, np.eye(d.size), atol=1e-10):
+        I = np.eye(d.size)  # allclose(P P^T, I, atol=1e-10) at half its cost
+        if not (np.abs(P @ P.T - I) <= 1e-10 + 1e-5 * I).all():
             raise ModelError("rotated family matrix is not orthogonal")
         if self.rotations < 0:
             raise ModelError("rotation count must be nonnegative")
@@ -194,9 +199,12 @@ class EnsembleModel:
     most one vector v_c (the mean vector), so that the two hot operations of
     the solver (weighted mixtures and traces against a fixed matrix) run
     vectorized over the k classes.  The r class vectors are
-    the columns of the p x r matrix ``_V``.  ``factor_inverse`` inverts the
-    resolvent factor; with no dense class it solves an r x r system instead
-    of a p x p one.
+    the columns of the p x r matrix ``_V``.  The dense parts form the
+    (k_d, p(p+1)/2) stack ``_dense``, one packed upper triangle of a symmetric
+    part per row, read once per product: mixtures unpack it to an exactly
+    symmetric matrix, traces fold their matrix onto it.  ``factor_inverse``
+    inverts the resolvent factor; with no dense class it solves an r x r
+    system instead of a p x p one.
     """
 
     def __init__(
@@ -257,9 +265,15 @@ class EnsembleModel:
         self._class_dense = [dense for _, dense, _ in parts]
         self._dense_rows = np.flatnonzero([dense is not None for dense in self._class_dense])
         self._vec_rows = np.flatnonzero([mu is not None for *_, mu in parts])
-        # one row per dense class, so each dense kernel is one real GEMV
-        self._dense = np.array([self._class_dense[c].realize(p) for c in self._dense_rows],
-                               dtype=np.float64).reshape(len(self._dense_rows), p * p)
+        self._dense = np.empty((0, p * (p + 1) // 2))
+        if self._dense_rows.size:
+            # flat positions of the upper triangle and of its mirror image, and
+            # the packed position of each of the p^2 entries
+            i, j = np.triu_indices(p)
+            self._up, self._lo = i * p + j, j * p + i
+            self._full = np.empty(p * p, dtype=np.intp)
+            self._full[self._up] = self._full[self._lo] = np.arange(i.size)
+            self._dense = self._pack([self._class_dense[c] for c in self._dense_rows])
         self._V = np.ascontiguousarray(self._offsets[self._vec_rows].T)
         self._class_size = np.bincount(self.column_class).astype(np.float64)
         if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._offsets)):
@@ -317,7 +331,7 @@ class EnsembleModel:
         out = np.zeros((self.p, self.p), dtype=np.complex128)
         np.fill_diagonal(out, _times_real(wc, self._diag))
         if self._dense_rows.size:
-            out += _times_real(wc[self._dense_rows], self._dense).reshape(self.p, self.p)
+            out += self._dense_mixtures(wc[None, self._dense_rows]).reshape(self.p, self.p)
         if self._vec_rows.size:
             out += (self._V * wc[self._vec_rows]) @ self._V.T
         out /= self.n
@@ -349,9 +363,7 @@ class EnsembleModel:
             raise ModelError("matrix dimension mismatch")
         t = _times_real(np.diagonal(M), self._diag.T)
         if self._dense_rows.size:
-            # tr(D M) = vec(D) . vec(M^T); the transpose matters because dense
-            # realisations are symmetric only up to roundoff
-            t[self._dense_rows] += _times_real(M.T.ravel(), self._dense.T)
+            t[self._dense_rows] += self._dense_traces(M.reshape(1, -1))[0]
         if self._vec_rows.size:
             V = self._V
             t[self._vec_rows] += (np.sum(V * (M.real @ V), axis=0)
@@ -366,22 +378,20 @@ class EnsembleModel:
         systems K = nI - G W_v, G = V^T D^-1 V, are solved stacked for the
         diagonal of Q and for v_c^T Q v_c = n (K^-1 G)_cc.  With a dense class
         the m factors are assembled and their traces taken by one GEMM each
-        against the dense stack, and inverted by one stacked LU."""
+        against the packed dense stack, and inverted by one stacked LU."""
         p, n = self.p, self.n
         Wc = W * self._class_size  # the class sums that _class_weights gives
         d = 1.0 - _times_real(Wc, self._diag) / n  # diagonal of each factor
         V, wv = self._V, Wc[:, self._vec_rows]
         if self._dense_rows.size:
-            F = _times_real(Wc[:, self._dense_rows], self._dense).reshape(-1, p, p)
+            F = self._dense_mixtures(Wc[:, self._dense_rows]).reshape(-1, p, p)
             if self._vec_rows.size:
                 F += (V * wv[:, None, :]) @ V.T
             F /= -n
             F.reshape(-1, p * p)[:, :: p + 1] += d
             Q = np.linalg.inv(F)
             t = _times_real(np.diagonal(Q, axis1=1, axis2=2), self._diag.T)
-            # tr(D Q) = vec(D) . vec(Q^T), as in traces_against_all
-            t[:, self._dense_rows] += _times_real(
-                Q.transpose(0, 2, 1).reshape(-1, p * p), self._dense.T)
+            t[:, self._dense_rows] += self._dense_traces(Q.reshape(-1, p * p))
             if self._vec_rows.size:
                 t[:, self._vec_rows] += np.sum(V * _times_real(Q, V), axis=1)
             return t
@@ -395,6 +405,43 @@ class EnsembleModel:
         if self._vec_rows.size:
             t[:, self._vec_rows] += n * np.sum(S * V.T, axis=2)
         return t
+
+    # -- the packed dense stack --------------------------------------------
+
+    def _pack(self, specs: list[CovarianceSpec]) -> NDArray[np.float64]:
+        """One row per dense spec: the upper triangle of its symmetric part.
+        Rotated families sharing one orthogonal matrix P step its orbit,
+        R_k = R_j P^(k-j) from the last power realised, and raise P to the
+        k-th power only when k falls below it."""
+        rows = np.empty((len(specs), self._up.size))
+        orbit: dict[int, tuple[int, NDArray]] = {}  # id(P) -> (j, P^j)
+        for row, spec in zip(rows, specs):
+            if isinstance(spec, RotatedFamily):
+                P, k = spec.orthogonal, spec.rotations
+                j, R = orbit.get(id(P), (k + 1, None))  # no power yet: as if k fell
+                R = np.linalg.matrix_power(P, k) if k < j else R @ np.linalg.matrix_power(P, k - j)
+                orbit[id(P)] = k, R
+                S = R.T @ (spec.base[:, None] * R)
+            else:
+                S = spec.realize(self.p)
+            f = S.ravel()
+            np.add(f.take(self._up), f.take(self._lo), out=row)
+        rows /= 2
+        return rows
+
+    def _dense_mixtures(self, X: NDArray) -> NDArray[np.complex128]:
+        """sum_c X[:, c] D_c over the dense parts D_c, as (m, p^2) flat and
+        exactly symmetric matrices, from one pass over the stack."""
+        return _times_packed(X, self._dense).take(self._full, axis=1)
+
+    def _dense_traces(self, M: NDArray) -> NDArray[np.complex128]:
+        """tr(D_c M) over the dense parts D_c for each row of the flat
+        (m, p^2) M, symmetric or not, from one pass over the stack: M's upper
+        triangle plus its lower one, the diagonal counted once, dotted with
+        each packed row."""
+        v = M.take(self._up, axis=1) + M.take(self._lo, axis=1)
+        v[:, self._full[:: self.p + 1]] /= 2
+        return _times_packed(v, self._dense.T)
 
     # -- sampling support --------------------------------------------------
 
@@ -425,6 +472,15 @@ def _times_real(x: NDArray, A: NDArray[np.float64]) -> NDArray[np.complex128]:
     """x @ A for complex x and real A as two real BLAS products; numpy would
     otherwise copy A to complex on every call."""
     return x.real @ A + 1j * (x.imag @ A)
+
+
+def _times_packed(x: NDArray, A: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """x @ A for complex x of shape (m, k) and a large real A, read once: one
+    real GEMM of x's real rows stacked over its imaginary ones.  With few
+    rows the two products of _times_real each cost a pass over A; where A is
+    small they cost less than the stacking."""
+    y = np.concatenate((x.real, x.imag)) @ A
+    return y[: len(x)] + 1j * y[len(x):]
 
 
 # -- configuration loading --------------------------------------------------

@@ -196,7 +196,7 @@ def test_dense_class_realised_once(monkeypatch):
     monkeypatch.setattr(Dense, "realize", lambda self, p: calls.append(p) or realize(self, p))
     spec = Dense(np.array([[2.0, 0.5], [0.5, 1.0]]))
     m = EnsembleModel(2, 5, [Column(spec)] * 5)
-    assert len(calls) == 1 and n_classes(m) == 1 and m._dense.shape == (1, 4)
+    assert len(calls) == 1 and n_classes(m) == 1 and m._dense.shape == (1, 3)
     np.testing.assert_allclose(m.mixture_matrix(np.ones(5)), spec.matrix, rtol=1e-15)
 
 
@@ -212,6 +212,64 @@ def test_rotated_family_realization(rng):
     spec = RotatedFamily(base=d, orthogonal=P, rotations=3)
     R = np.linalg.matrix_power(P, 3)
     np.testing.assert_allclose(spec.realize(4), R.T @ np.diag(d) @ R, atol=1e-12)
+
+
+def test_rotated_family_rejects_bad_inputs():
+    P = random_orthogonal(3, seed=5)
+    sheared = P.copy()
+    sheared[0] += 1e-8 * P[1]  # off the diagonal of P P^T: atol 1e-10 alone
+    for bad in (sheared, P * np.sqrt(1 + 2e-5), np.full((3, 3), np.nan)):
+        with pytest.raises(ModelError, match="not orthogonal"):
+            RotatedFamily(np.ones(3), bad)
+    with pytest.raises(ModelError, match="nonnegative"):
+        RotatedFamily(np.ones(3), P, -1)
+    # allclose's own tolerance: atol 1e-10, plus rtol 1e-5 on the diagonal
+    RotatedFamily(np.ones(3), P * np.sqrt(1 + 5e-6))
+
+
+def pack(S: np.ndarray) -> np.ndarray:
+    """The upper triangle, row by row, of the symmetric part of S."""
+    return ((S + S.T) / 2)[np.triu_indices(len(S))]
+
+
+def test_rotated_stack_rows_match_realize(rng):
+    # shuffled and repeated rotation counts over two orthogonal matrices: the
+    # orbit steps forward, repeats a power and falls back when a count drops
+    p = 5
+    Ps = random_orthogonal(p, seed=1), random_orthogonal(p, seed=2)
+    counts = rng.permutation(np.r_[1:13, 3, 7, 7, 12])
+    cols = [Column(RotatedFamily(rng.uniform(0.2, 3.0, p), Ps[i % 2], int(k)))
+            for i, k in enumerate(counts)]
+    m = EnsembleModel(p, len(cols), cols)
+    assert m._dense.shape == (len(cols), p * (p + 1) // 2)
+    for row, c in zip(m._dense, m._dense_rows):
+        np.testing.assert_allclose(row, pack(m._class_dense[c].realize(p)), rtol=0, atol=1e-13)
+
+
+def test_packed_kernel_matches_realized_oracle(rng):
+    # up to 40 rotations, so each realised Sigma is symmetric only up to roundoff
+    p, n = 6, 24
+    P = random_orthogonal(p, seed=11)
+    cols = [Column(RotatedFamily(rng.uniform(0.2, 3.0, p), P, int(k)),
+                   mean=rng.standard_normal(p) / p if i % 3 == 0 else None)
+            for i, k in enumerate(rng.integers(0, 41, n))]
+    m = EnsembleModel(p, n, cols)
+    k_d = m._dense_rows.size
+    assert k_d and m._dense.shape == (k_d, p * (p + 1) // 2)
+    sigmas = [m.realize_sigma(i) for i in range(n)]
+    k = m.column_class.max() + 1
+    W = rng.uniform(0.05, 0.6, (4, k)) * np.exp(1j * rng.uniform(-2.5, -0.1, (4, k)))
+    T = m.class_traces(W)
+    for row, t in zip(W, T):
+        w = row[m.column_class]
+        mix = sum(wi * s for wi, s in zip(w, sigmas)) / n
+        np.testing.assert_allclose(m.mixture_matrix(w), mix, rtol=0,
+                                   atol=1e-12 * np.abs(mix).max())
+        Q = np.linalg.inv(np.eye(p) - mix)
+        np.testing.assert_allclose(m.factor_inverse(w), Q, rtol=0, atol=1e-12 * np.abs(Q).max())
+        want = np.array([np.trace(s @ Q) for s in sigmas])
+        np.testing.assert_allclose(t[m.column_class], want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 def test_negative_diagonal_entry_fatal():
