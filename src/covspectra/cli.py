@@ -174,7 +174,7 @@ def cmd_qve(args: argparse.Namespace) -> int:
             a=np.asarray(doc["a"], dtype=np.float64),
             S=np.asarray(doc["S"], dtype=np.float64),
         )
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot read QVE problem: {exc}") from exc
     m = solve_qve(prob, _solver_options(args))
     json.dump(

@@ -52,12 +52,17 @@ def _column_rng(seed: int, trial: int, i: int) -> np.random.Generator:
 
 
 def sample_matrix(model: EnsembleModel, seed: int, trial: int = 0) -> NDArray[np.float64]:
-    """One p x n draw: column i is mu_i + C_i^{1/2} g with g standard normal."""
-    X = np.empty((model.p, model.n))
+    """One p x n draw: column i is mu_i + C_i^{1/2} g, g standard normal from
+    column i's own generator.  The roots are applied class by class
+    (``EnsembleModel.columns_from_normals``): diagonal and mean-vector columns
+    equal mu_i + column_root_matvec(i, g) bit for bit.  Dense and rotated
+    ones differ from it in rounding: one product covers a class's columns,
+    and a rotated class uses the stepped rotation R_k of the solver's packed
+    stack, not P raised to the k-th power."""
+    G = np.empty((model.p, model.n))
     for i in range(model.n):
-        g = _column_rng(seed, trial, i).standard_normal(model.p)
-        X[:, i] = model.column_mean(i) + model.column_root_matvec(i, g)
-    return X
+        G[:, i] = _column_rng(seed, trial, i).standard_normal(model.p)
+    return model.columns_from_normals(G)
 
 
 def _gram_eigh(X: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

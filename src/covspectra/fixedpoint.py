@@ -52,9 +52,11 @@ _ANDERSON_WINDOW = 5  # Anderson mixes this many latest differences of iterates
 _FLOOR_ULPS = 16
 _EPS = np.finfo(np.float64).eps
 # complex p x p arrays per node that continuation keeps within _CHAIN_BYTES
-# for a model with a dense class.  A batched evaluation peaks at about 3.1
-# per node (the factor, its inverse and the half-size packed products and
-# folds; tracemalloc, p = 80); 5 is the count the chain numbers were tuned at
+# for a model with a dense class, and per class of a psi_matrix chunk.  A
+# batched evaluation peaks at about 3.1 per node (the factor, its inverse and
+# the half-size packed products and folds; tracemalloc, p = 80), and chunks
+# of 8 classes raise psi_matrix's peak from 15 to 26 of them, below the 33 of
+# a 120-node grid; 5 is the count the chain numbers were tuned at
 _NODE_TEMPORARIES = 5
 _CHAIN_BYTES = 4 << 20
 
@@ -296,8 +298,14 @@ def _chains(model: EnsembleModel, m: int) -> int:
     temporaries stay within _CHAIN_BYTES."""
     b = min(m, math.isqrt(m - 1) + 1)
     if not model.is_diagonal_plus_low_rank:
-        b = min(b, max(1, _CHAIN_BYTES // (_NODE_TEMPORARIES * 16 * model.p ** 2)))
+        b = min(b, _rows_within_chain_bytes(model.p))
     return b
+
+
+def _rows_within_chain_bytes(p: int) -> int:
+    """How many p x p matrices one batched dense evaluation may take at once
+    for its complex temporaries to stay within _CHAIN_BYTES."""
+    return max(1, _CHAIN_BYTES // (_NODE_TEMPORARIES * 16 * p * p))
 
 
 def continuation_solve(
@@ -364,11 +372,15 @@ def psi_matrix(
     n = model.n
     Q = q_tilde(model, D)
     Qp = q_tilde(model, Dp)
-    # columns of one class share Sigma_j: one product pair per class
+    # columns of one class share Sigma_j: one product pair per class, and a
+    # chunk of classes takes its traces in one pass over the packed stack
     _, first = np.unique(model.column_class, return_index=True)
-    traces = np.array([model.traces_against_all(Q @ model.realize_sigma(j) @ Qp)
-                       for j in first])
-    return traces[model.column_class].T / (n * n * D.values * Dp.values)
+    b = _rows_within_chain_bytes(model.p)
+    traces = np.concatenate([
+        model.class_traces_of(Q @ np.array([model.realize_sigma(j) for j in chunk]) @ Qp)
+        for chunk in np.split(first, range(b, first.size, b))])
+    cc = model.column_class
+    return traces[np.ix_(cc, cc)].T / (n * n * D.values * Dp.values)
 
 
 def lambda_derivative(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -89,8 +89,9 @@ class Dense:
         return float(self._eigh[0].min())
 
     def root_matvec(self, g: NDArray[np.float64]) -> NDArray[np.float64]:
+        """C^{1/2} g for a vector g, or for each column of a (p, m) block."""
         w, v = self._eigh
-        return v @ (np.sqrt(np.clip(w, 0.0, None)) * (v.T @ g))
+        return v @ (np.sqrt(np.clip(w, 0.0, None)) * (v.T @ g).T).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +173,8 @@ class RotatedFamily:
         return float(self.base.min())
 
     def root_matvec(self, g: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self._rotation().T @ (np.sqrt(self.base) * g)
+        """C^{1/2} g for a vector g, or for each column of a (p, m) block."""
+        return self._rotation().T @ (np.sqrt(self.base) * g.T).T
 
 
 CovarianceSpec = Dense | Diagonal | ScaledIdentity | RotatedFamily
@@ -389,12 +391,7 @@ class EnsembleModel:
                 F += (V * wv[:, None, :]) @ V.T
             F /= -n
             F.reshape(-1, p * p)[:, :: p + 1] += d
-            Q = np.linalg.inv(F)
-            t = _times_real(np.diagonal(Q, axis1=1, axis2=2), self._diag.T)
-            t[:, self._dense_rows] += self._dense_traces(Q.reshape(-1, p * p))
-            if self._vec_rows.size:
-                t[:, self._vec_rows] += np.sum(V * _times_real(Q, V), axis=1)
-            return t
+            return self.class_traces_of(np.linalg.inv(F))
         diag_q = 1.0 / d
         if self._vec_rows.size:
             Yt = diag_q[:, None, :] * V.T  # (D^-1 V)^T per row
@@ -406,24 +403,25 @@ class EnsembleModel:
             t[:, self._vec_rows] += n * np.sum(S * V.T, axis=2)
         return t
 
+    def class_traces_of(self, M: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """tr(Sigma_c M[row]) for every class c and every matrix of the
+        (m, p, p) stack M at once: the dense parts take one GEMM against the
+        packed stack for all m matrices."""
+        t = _times_real(np.diagonal(M, axis1=1, axis2=2), self._diag.T)
+        if self._dense_rows.size:
+            t[:, self._dense_rows] += self._dense_traces(M.reshape(len(M), -1))
+        if self._vec_rows.size:
+            t[:, self._vec_rows] += np.sum(self._V * _times_real(M, self._V), axis=1)
+        return t
+
     # -- the packed dense stack --------------------------------------------
 
     def _pack(self, specs: list[CovarianceSpec]) -> NDArray[np.float64]:
-        """One row per dense spec: the upper triangle of its symmetric part.
-        Rotated families sharing one orthogonal matrix P step its orbit,
-        R_k = R_j P^(k-j) from the last power realised, and raise P to the
-        k-th power only when k falls below it."""
+        """One row per dense spec: the upper triangle of its symmetric part,
+        rotated families realised from the rotations of _orbit."""
         rows = np.empty((len(specs), self._up.size))
-        orbit: dict[int, tuple[int, NDArray]] = {}  # id(P) -> (j, P^j)
-        for row, spec in zip(rows, specs):
-            if isinstance(spec, RotatedFamily):
-                P, k = spec.orthogonal, spec.rotations
-                j, R = orbit.get(id(P), (k + 1, None))  # no power yet: as if k fell
-                R = np.linalg.matrix_power(P, k) if k < j else R @ np.linalg.matrix_power(P, k - j)
-                orbit[id(P)] = k, R
-                S = R.T @ (spec.base[:, None] * R)
-            else:
-                S = spec.realize(self.p)
+        for row, spec, R in zip(rows, specs, _orbit(specs)):
+            S = spec.realize(self.p) if R is None else R.T @ (spec.base[:, None] * R)
             f = S.ravel()
             np.add(f.take(self._up), f.take(self._lo), out=row)
         rows /= 2
@@ -456,6 +454,25 @@ class EnsembleModel:
         dense = self._class_dense[c]
         return np.sqrt(self._diag[c]) * g if dense is None else dense.root_matvec(g)
 
+    def columns_from_normals(self, G: NDArray[np.float64]) -> NDArray[np.float64]:
+        """mu_i + C_i^{1/2} G[:, i] for every column i of the (p, n) block G,
+        one product per class.  Diagonal classes match column_root_matvec bit
+        for bit.  A dense class takes its root on all its columns at once, a
+        rotated family the stepped rotation R_k of _orbit that the packed stack
+        is built from, where column_root_matvec multiplies one column and
+        raises P to the k-th power: those differ from it in rounding."""
+        X = np.sqrt(self._diag.T)[:, self.column_class] * G
+        if self._dense_rows.size:
+            specs = [self._class_dense[c] for c in self._dense_rows]
+            members = np.split(np.argsort(self.column_class, kind="stable"),
+                               np.cumsum(self._class_size[:-1]).astype(np.intp))
+            for c, spec, R in zip(self._dense_rows, specs, _orbit(specs)):
+                g = G[:, members[c]]
+                X[:, members[c]] = (spec.root_matvec(g) if R is None
+                                    else R.T @ (np.sqrt(spec.base)[:, None] * g))
+        X += self._offsets.T[:, self.column_class]
+        return X
+
     # -- derived scalars ---------------------------------------------------
 
     def nu_hat(self) -> float:
@@ -466,6 +483,23 @@ class EnsembleModel:
     def max_trace(self) -> float:
         """max_i tr(Sigma_i)."""
         return float(self.traces_against_all(np.eye(self.p)).real.max())
+
+
+def _orbit(specs: Sequence[CovarianceSpec]) -> Iterator[NDArray[np.float64] | None]:
+    """P^k for each rotated family among specs, in order, None for any other
+    spec.  Families sharing one orthogonal matrix P step its orbit,
+    R_k = R_j P^(k-j) from the last power realised, and raise P to the k-th
+    power only when k falls below it."""
+    orbit: dict[int, tuple[int, NDArray]] = {}  # id(P) -> (j, P^j)
+    for spec in specs:
+        if not isinstance(spec, RotatedFamily):
+            yield None
+            continue
+        P, k = spec.orthogonal, spec.rotations
+        j, R = orbit.get(id(P), (k + 1, None))  # no power yet: as if k fell
+        R = np.linalg.matrix_power(P, k) if k < j else R @ np.linalg.matrix_power(P, k - j)
+        orbit[id(P)] = k, R
+        yield R
 
 
 def _times_real(x: NDArray, A: NDArray[np.float64]) -> NDArray[np.complex128]:

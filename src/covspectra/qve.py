@@ -4,7 +4,8 @@ half-plane, for real a and entrywise-nonnegative S.
 
 Solved through the auxiliary iteration x <- z*ones + a - S (1/x), which is a
 d_s contraction with factor at most 1 - Im(z)/kappa where
-kappa = max((Im(z) I + S/Im(z)) ones); the solution is m = -1/x.  The
+kappa = max((Im(z) I + S/Im(z)) ones); the solution is m = -1/x.  S is
+converted to complex once per solve, not on every step's product.  The
 iteration runs in the loop that also solves the deterministic-equivalent
 fixed point (``fixedpoint._contract``), Anderson acceleration included; its
 domain guard keeps Im x > 0.
@@ -56,9 +57,11 @@ def solve_qve(prob: QveProblem, opts: SolverOptions | None = None) -> NDArray[np
     # +inf is caught here, where a pass over S is cheap against the solve
     if not S.max() < np.inf:
         raise ValueError("S entries must be finite")
+    # numpy would copy real S to complex for every step's product
+    Sc = S.astype(np.complex128)
     # z + a is in the upper half-plane since a is real
     x, *_ = _contract(
-        lambda x, _: (z + a - S @ (1.0 / x[0]))[None], (z + a + 0j)[None],
+        lambda x, _: (z + a - Sc @ (1.0 / x[0]))[None], (z + a + 0j)[None],
         opts or SolverOptions(), lambda x, _: _in_upper(x, axis=1),
     )
     return -1.0 / x[0]

@@ -216,6 +216,18 @@ def test_qve_bad_problem_file(tmp_path, capsys):
     assert main(["qve", str(path)]) == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"z": 1.0, "a": [0.0], "S": [[1.0]]},
+    [0.0, 1.0],
+    {"z": [1], "a": [0.0], "S": [[1.0]]},
+], ids=["scalar-z", "top-level-list", "short-z"])
+def test_qve_malformed_problem_is_a_usage_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["qve", str(path)]) == 1
+    assert "error: cannot read QVE problem:" in capsys.readouterr().err
+
+
 def test_nonconvergence_exit_code(mp_config, capsys):
     rc = main([
         "solve", "--model", mp_config, "--z", "1.5,0.0001",

@@ -10,12 +10,16 @@ from covspectra import empirical
 from covspectra import (
     Column,
     ContourSpec,
+    Dense,
+    Diagonal,
     EnsembleModel,
     FunctionalSpec,
+    RotatedFamily,
     ScaledIdentity,
     compare,
     empirical_projection,
     empirical_stieltjes,
+    random_orthogonal,
     resolvent_identity_check,
     sample_batch,
     sample_matrix,
@@ -196,3 +200,36 @@ def test_histogram_frequencies_sum_to_one():
     m = mp_model(30, 60)
     rep = compare(m, trials=2, seed=5)
     assert rep.frequencies.sum() == pytest.approx(1.0)
+
+
+def test_sample_matrix_matches_per_column_roots(rng):
+    # the class-by-class roots against mu_i + column_root_matvec(i, g_i):
+    # diagonal and mean-vector columns bit for bit, dense and rotated columns
+    # (rotation counts shuffled and repeated, two orthogonal matrices) to
+    # rounding
+    p = 6
+    P, P2 = random_orthogonal(p, 1), random_orthogonal(p, 2)
+    mean = rng.standard_normal(p) / np.sqrt(p)
+    B = rng.standard_normal((p, p))
+    dense = Dense(B @ B.T / p + 0.1 * np.eye(p))
+    diagonal = Diagonal(rng.uniform(0.2, 3.0, p))
+    exact = [Column(diagonal), Column(diagonal, mean=mean), Column(ScaledIdentity(2.0)),
+             Column(ScaledIdentity(0.5), mean=mean),
+             Column(RotatedFamily(rng.uniform(0.2, 3.0, p), P, 0))]
+    rounded = [Column(dense), Column(dense, mean=mean)]
+    rounded += [Column(RotatedFamily(rng.uniform(0.2, 3.0, p), P, k))
+                for k in (3, 1, 4, 1, 5, 9, 2, 6)]
+    rounded += [Column(RotatedFamily(rng.uniform(0.2, 3.0, p), P2, k), mean=mean)
+                for k in (2, 1)]
+    cols = [c for c in exact + rounded for _ in range(int(rng.integers(1, 4)))]
+    order = rng.permutation(len(cols))
+    m = EnsembleModel(p, len(cols), [cols[i] for i in order])
+    X = sample_matrix(m, seed=5, trial=2)
+    want = np.column_stack([
+        m.column_mean(i)
+        + m.column_root_matvec(i, empirical._column_rng(5, 2, i).standard_normal(p))
+        for i in range(m.n)])
+    is_exact = np.isin(order, [j for j, c in enumerate(cols) if c in exact])
+    np.testing.assert_array_equal(X[:, is_exact], want[:, is_exact])
+    np.testing.assert_allclose(X[:, ~is_exact], want[:, ~is_exact], rtol=0,
+                               atol=1e-12 * np.abs(want).max())

@@ -11,6 +11,7 @@ from covspectra import (
     EnsembleModel,
     NonConvergenceError,
     QveProblem,
+    RotatedFamily,
     ScaledIdentity,
     SolverOptions,
     UpperDiagonal,
@@ -20,11 +21,12 @@ from covspectra import (
     lambda_derivative,
     psi_matrix,
     q_tilde,
+    random_orthogonal,
     solve_lambda,
     solve_qve,
     stieltjes_g,
 )
-from covspectra.fixedpoint import _chains, _contract
+from covspectra.fixedpoint import _chains, _contract, _rows_within_chain_bytes
 
 
 def scalar_fixed_point(z: complex, sigma2: float = 1.0) -> complex:
@@ -321,6 +323,30 @@ def test_psi_matrix_class_oracle(rng):
                          for i in range(n)]) / (n * n * D.values * Dp.values)
         np.testing.assert_allclose(psi_matrix(m, D, Dp), want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
+
+
+def test_psi_matrix_oracle_over_several_chunks(rng):
+    # at p = 80 more dense classes than one chunk of Q Sigma_c Q' products
+    # holds, rotation counts shuffled, next to a diagonal and a mean class
+    p = 80
+    b = _rows_within_chain_bytes(p)
+    P = random_orthogonal(p, 5)
+    base = rng.uniform(0.2, 3.0, p)
+    B = rng.standard_normal((p, p))
+    cols = [Column(RotatedFamily(base, P, int(k))) for k in rng.permutation(b + 3) + 1]
+    cols += [cols[0], Column(Dense(B @ B.T / p + 0.1 * np.eye(p))),
+             Column(Diagonal(base)), Column(ScaledIdentity(0.5), mean=base / p)]
+    m = EnsembleModel(p, len(cols), [cols[i] for i in rng.permutation(len(cols))])
+    assert m._dense_rows.size > b
+    n = m.n
+    sigmas = [m.realize_sigma(i) for i in range(n)]
+    D, Dp = (UpperDiagonal(3 * rng.standard_normal(n) + 1j * rng.uniform(2.0, 4.0, n))
+             for _ in range(2))
+    Q, Qp = explicit_q(m, D.values), explicit_q(m, Dp.values)
+    want = np.array([[np.trace(sigmas[i] @ Q @ sigmas[j] @ Qp) for j in range(n)]
+                     for i in range(n)]) / (n * n * D.values * Dp.values)
+    np.testing.assert_allclose(psi_matrix(m, D, Dp), want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
 
 
 def test_psi_matrix_one_product_pair_per_class(monkeypatch):

@@ -297,6 +297,19 @@ def test_column_root_and_mean_oracle(rng):
         np.testing.assert_array_equal(m.column_mean(i), want)
 
 
+@pytest.mark.parametrize("m", [3, 5], ids=["wide", "square"])
+def test_root_matvec_takes_a_block(rng, m):
+    p = 5
+    B = rng.standard_normal((p, p))
+    specs = [Dense(B @ B.T / p + 0.1 * np.eye(p)),
+             RotatedFamily(rng.uniform(0.2, 3.0, p), random_orthogonal(p, 3), 2)]
+    G = rng.standard_normal((p, m))
+    for spec in specs:
+        want = np.column_stack([spec.root_matvec(g) for g in G.T])
+        np.testing.assert_allclose(spec.root_matvec(G), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+
 def test_dense_decomposed_once(monkeypatch, rng):
     calls = []
     for name in ("eigh", "eigvalsh"):

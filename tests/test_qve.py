@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from covspectra import NonConvergenceError, QveProblem, qve_residual, solve_qve
+from covspectra.fixedpoint import SolverOptions, _contract
+from covspectra.semimetric import _in_upper
 
 
 def test_problem_validation():
@@ -72,3 +74,19 @@ def test_infinite_s_rejected_before_iterating(monkeypatch):
     prob = QveProblem(z=1j, a=np.zeros(2), S=np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="S entries must be finite"):
         solve_qve(prob)
+
+
+@pytest.mark.parametrize("banded", [True, False], ids=["banded", "semicircle"])
+def test_solve_matches_per_step_product_bit_for_bit(banded):
+    # S converted once per solve makes the same complex product each step
+    # that S @ (1/x) made from its own complex copy of S
+    if banded:
+        idx = np.arange(60)
+        S = (np.abs(np.subtract.outer(idx, idx)) <= 10) / 21.0
+        prob = QveProblem(z=0.4 + 1e-2j, a=np.linspace(-0.5, 0.5, 60)[::-1], S=S)
+    else:
+        prob = QveProblem(z=-1.2 + 1e-3j, a=np.zeros(1), S=np.ones((1, 1)))
+    z, a, S = prob.z, prob.a, prob.S
+    x, *_ = _contract(lambda x, _: (z + a - S @ (1.0 / x[0]))[None], (z + a + 0j)[None],
+                      SolverOptions(), lambda x, _: _in_upper(x, axis=1))
+    np.testing.assert_array_equal(solve_qve(prob), -1.0 / x[0])
