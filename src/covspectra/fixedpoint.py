@@ -12,12 +12,14 @@ drastically near the real axis.
 ``_contract`` is the one iteration loop of the package.  It iterates the rows
 of an (m, d) array, m independent contractions side by side, each with its
 own stop rule, domain guard and Anderson step; a row stops at tol_ds or at
-its roundoff floor, whichever is larger.  ``solve_lambda`` runs it on this map
-with one row of n unknowns, ``qve.solve_qve`` on the quadratic vector
-equation, a d_s contraction of the same kind, and ``continuation_solve`` on
-the nodes of a path, one row per node.  Columns of one class share their
-Lambda_i, so a path's rows hold only the k class values, and one batched
-evaluation (``EnsembleModel.class_traces``) maps them all.
+its roundoff floor, whichever is larger.  ``qve.solve_qve`` runs it on the
+quadratic vector equation, a d_s contraction of the same kind.  Column i
+enters the map only through Sigma_i, so its value is constant on column
+classes for any L, and the fixed point is too: ``solve_lambda`` (one row)
+and ``continuation_solve`` (one row per node of a path) iterate the k class
+values through one batched evaluation, ``EnsembleModel.class_traces``.  Every
+map, resolvent and Psi goes through the model's class kernels, which take
+the class sums of the weights 1/L_i.
 """
 
 from __future__ import annotations
@@ -104,37 +106,37 @@ class FixedPointResult:
     phi: float
 
 
-def _raw_iz(model: EnsembleModel, z: complex, values: NDArray) -> NDArray:
-    Q = _raw_q_tilde(model, values)
-    return z - model.traces_against_all(Q) / model.n
+def _class_sums(model: EnsembleModel, L: UpperDiagonal) -> NDArray[np.complex128]:
+    """The class sums of the weights 1/L_i, as one row (1, k)."""
+    if len(L) != model.n:
+        raise DomainError(f"diagonal length {len(L)} != n={model.n}")
+    return model._class_weights(1.0 / L.values)[None]
 
 
-def _raw_q_tilde(model: EnsembleModel, values: NDArray) -> NDArray:
+def _kernel(kernel: Callable[[NDArray], NDArray], Wc: NDArray) -> NDArray:
+    """kernel(Wc), a singular resolvent factor raised as DomainError."""
     try:
-        return model.factor_inverse(1.0 / values)
+        return kernel(Wc)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"singular resolvent factor: {exc}") from exc
 
 
+def _class_map(model: EnsembleModel, z: NDArray | complex, Wc: NDArray) -> NDArray:
+    """The map at the class sums Wc (m, k) of the weights 1/L_i, row by row:
+    z - tr(Sigma_c Q)/n for each class c."""
+    return z - _kernel(model.class_traces, Wc) / model.n
+
+
 def q_tilde(model: EnsembleModel, L: UpperDiagonal) -> NDArray[np.complex128]:
     """(I_p - (1/n) sum_i Sigma_i / L_i)^{-1}."""
-    if len(L) != model.n:
-        raise DomainError(f"diagonal length {len(L)} != n={model.n}")
-    return _raw_q_tilde(model, L.values)
+    return _kernel(model.factor_inverses, _class_sums(model, L))[0]
 
 
 def apply_Iz(model: EnsembleModel, z: complex, L: UpperDiagonal) -> UpperDiagonal:
     """One application of the fixed-point map; stays in the solver domain."""
-    if len(L) != model.n:
-        raise DomainError(f"diagonal length {len(L)} != n={model.n}")
     if not in_solver_domain(L, z):
         raise DomainError("L is outside the solver domain for this z")
-    return UpperDiagonal(_raw_iz(model, z, L.values))
-
-
-def _phi(model: EnsembleModel, z: complex, L: UpperDiagonal) -> float:
-    mapped = _raw_iz(model, z, L.values)
-    return z.imag / float(mapped.imag.max())
+    return UpperDiagonal(_class_map(model, z, _class_sums(model, L))[0, model.column_class])
 
 
 def contraction_factor(
@@ -144,7 +146,8 @@ def contraction_factor(
     for D in (L, Lp):
         if not in_solver_domain(D, z):
             raise DomainError("diagonal outside the solver domain")
-    pL, pLp = _phi(model, z, L), _phi(model, z, Lp)
+    pL, pLp = (z.imag / float(_class_map(model, z, _class_sums(model, D)).imag.max())
+                for D in (L, Lp))
     return float(np.sqrt(max(1.0 - pL, 0.0) * max(1.0 - pLp, 0.0)))
 
 
@@ -268,17 +271,15 @@ def solve_lambda(
     if warm is not None:
         if len(warm) != model.n:
             raise DomainError("warm start has wrong length")
-        x = warm.values.copy()
-        if not _in_domain(x, z):
+        if not _in_domain(warm.values, z):
             raise DomainError("warm start outside the solver domain")
+        # the domain is convex, so each class's average stays in it
+        x = (model._class_weights(warm.values) / model._class_size)[None]
     else:
-        x = _raw_iz(model, z, np.full(model.n, z, dtype=np.complex128))
-
-    x, k, residual, contraction = (a[0] for a in _contract(
-        lambda v, _: _raw_iz(model, z, v[0])[None], x[None], opts,
-        lambda v, _: _in_domain(v, z, axis=1),
-    ))
-    return _result(z, x, k, residual, contraction)
+        x = np.empty((1, model._class_size.size), dtype=np.complex128)
+    x, k, residual, contraction = (a[0] for a in _stage(
+        model, np.array([[z]]), x, np.array([warm is None]), opts))
+    return _result(z, x[model.column_class], k, residual, contraction)
 
 
 def _result(z: complex, x: NDArray, k: int, residual: float, contraction: float
@@ -330,13 +331,7 @@ def continuation_solve(
     if not np.all(zs.imag > 0.0):
         raise DomainError("z must lie in the upper half-plane")
     opts = opts or SolverOptions()
-    n, k = model.n, model.column_class.max() + 1
-
-    def class_map(z: NDArray, x: NDArray) -> NDArray:
-        try:
-            return z - model.class_traces(1.0 / x) / n
-        except np.linalg.LinAlgError as exc:
-            raise DomainError(f"singular resolvent factor: {exc}") from exc
+    k = model._class_size.size
 
     segments = np.array_split(np.arange(zs.size), _chains(model, zs.size))
     lam = np.empty((zs.size, k), dtype=np.complex128)
@@ -350,15 +345,23 @@ def continuation_solve(
             cold = ~_in_domain(x, z, axis=1)
         else:
             x, cold = np.empty((idx.size, k), dtype=np.complex128), np.ones(idx.size, bool)
-        if cold.any():
-            x[cold] = class_map(z[cold], np.repeat(z[cold], k, axis=1))
-        lam[idx], *info = _contract(
-            lambda v, r: class_map(z[r], v), x, opts,
-            lambda v, r: _in_domain(v, z[r], axis=1), labels=idx,
-        )
+        lam[idx], *info = _stage(model, z, x, cold, opts, labels=idx)
         stats[idx] = np.column_stack(info)
     return [_result(z, row[model.column_class], *st)
             for z, row, st in zip(zs, lam, stats)]
+
+
+def _stage(model: EnsembleModel, z: NDArray, x: NDArray, cold: NDArray,
+           opts: SolverOptions, labels: NDArray | None = None) -> tuple[NDArray, ...]:
+    """Solve the map on class values at each z[row] (m, 1) from the starts x
+    (m, k) in one batched _contract; a row marked cold starts instead from
+    one map application at z*ones, which lands strictly inside the domain."""
+    def step(v: NDArray, r: NDArray) -> NDArray:
+        return _class_map(model, z[r], model._class_size / v)
+
+    if cold.any():
+        x[cold] = step(np.repeat(z[cold], x.shape[1], axis=1), cold)
+    return _contract(step, x, opts, lambda v, r: _in_domain(v, z[r], axis=1), labels=labels)
 
 
 def psi_matrix(
@@ -370,15 +373,14 @@ def psi_matrix(
     This is the transfer matrix of the fixed-point map: at a solved point,
     d(lambda)/dz = (I - Psi)^{-1} ones and ||Psi|| < 1."""
     n = model.n
-    Q = q_tilde(model, D)
-    Qp = q_tilde(model, Dp)
-    # columns of one class share Sigma_j: one product pair per class, and a
-    # chunk of classes takes its traces in one pass over the packed stack
-    _, first = np.unique(model.column_class, return_index=True)
+    Q, Qp = q_tilde(model, D), q_tilde(model, Dp)
+    # columns of one class share Sigma_c, which mixtures(n e_c) reads from the
+    # class storage: one product pair per class, and a chunk of classes takes
+    # its traces in one pass over the packed stack
+    E = n * np.eye(model._class_size.size)
     b = _rows_within_chain_bytes(model.p)
-    traces = np.concatenate([
-        model.class_traces_of(Q @ np.array([model.realize_sigma(j) for j in chunk]) @ Qp)
-        for chunk in np.split(first, range(b, first.size, b))])
+    traces = np.concatenate([model.class_traces_of(Q @ model.mixtures(rows) @ Qp)
+                             for rows in np.split(E, range(b, len(E), b))])
     cc = model.column_class
     return traces[np.ix_(cc, cc)].T / (n * n * D.values * Dp.values)
 

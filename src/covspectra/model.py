@@ -9,14 +9,16 @@ the fixed-point solver's costs grow with k, not n.  Structured covariance
 kinds keep them low: O(p) traces instead of O(p^2) for diagonal families, and
 a model with no dense class never has a p x p matrix inverted, only an r x r
 one, r being the number of classes that carry a mean vector.
-``EnsembleModel.class_traces`` evaluates the map's traces for many weight
-rows at once (the nodes of a grid or a contour): diagonal classes cost two
-real GEMMs, the Woodbury path stacked r x r solves with no p x p matrix, and
-dense classes one GEMM each way against their stack plus a stacked LU.
-Each dense class is stored once, as the packed upper triangle of its
-symmetric part (p(p+1)/2 entries), and every product reads that stack once:
-the real and imaginary rows of the complex operand are stacked into one
-real GEMM.
+The fixed-point map has one implementation, three class kernels that take
+the class sums of the weights, one row per node of a grid or a contour:
+``mixtures`` stacks the (1/n) sum_c W_c Sigma_c, ``factor_inverses`` the
+resolvents (I_p - mixture)^-1, and ``class_traces`` the map's traces, where
+diagonal classes cost two real GEMMs, the Woodbury path stacked r x r
+solves with no p x p matrix, and dense classes one GEMM each way against
+their stack plus a stacked LU.  Each dense class is stored once, as the
+packed upper triangle of its symmetric part (p(p+1)/2 entries), and every
+product reads that stack once: the real and imaginary rows of the complex
+operand are stacked into one real GEMM.
 """
 
 from __future__ import annotations
@@ -204,9 +206,12 @@ class EnsembleModel:
     the columns of the p x r matrix ``_V``.  The dense parts form the
     (k_d, p(p+1)/2) stack ``_dense``, one packed upper triangle of a symmetric
     part per row, read once per product: mixtures unpack it to an exactly
-    symmetric matrix, traces fold their matrix onto it.  ``factor_inverse``
-    inverts the resolvent factor; with no dense class it solves an r x r
-    system instead of a p x p one.
+    symmetric matrix, traces fold their matrix onto it.  The kernels
+    ``mixtures``, ``factor_inverses`` and ``class_traces`` take class sums of
+    the weights, shaped (m, k), as ``_class_weights`` gives them for a weight
+    per column; ``mixture_matrix`` and ``traces_against_all`` are their
+    one-node, per-column forms.  With no dense class the resolvent needs an
+    r x r solve instead of a p x p one.
     """
 
     def __init__(
@@ -308,8 +313,11 @@ class EnsembleModel:
         return not self._dense_rows.size
 
     def _class_weights(self, w: NDArray) -> NDArray:
-        """For each class, the sum of w_i over its columns; real weights give
+        """For each class, the sum of w_i over its n columns; real weights give
         real sums, which keeps the BLAS products that take them real."""
+        w = np.asarray(w).ravel()
+        if w.size != self.n:
+            raise ModelError(f"weight vector has length {w.size}, expected {self.n}")
         if np.iscomplexobj(w):
             return self._class_weights(w.real) + 1j * self._class_weights(w.imag)
         return np.bincount(self.column_class, w, self._diag.shape[0])
@@ -325,88 +333,76 @@ class EnsembleModel:
         return sigma
 
     def mixture_matrix(self, w: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        """(1/n) sum_i w_i Sigma_i, exploiting column structure."""
-        w = np.asarray(w).ravel()
-        if w.size != self.n:
-            raise ModelError(f"weight vector has length {w.size}, expected {self.n}")
-        wc = self._class_weights(w)
-        out = np.zeros((self.p, self.p), dtype=np.complex128)
-        np.fill_diagonal(out, _times_real(wc, self._diag))
-        if self._dense_rows.size:
-            out += self._dense_mixtures(wc[None, self._dense_rows]).reshape(self.p, self.p)
-        if self._vec_rows.size:
-            out += (self._V * wc[self._vec_rows]) @ self._V.T
-        out /= self.n
-        return out
-
-    def factor_inverse(self, w: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        """(I_p - mixture_matrix(w))^{-1}; np.linalg.LinAlgError if singular.
-
-        Without a dense class the factor is D - V W V^T / n, D diagonal and W
-        the class weights of the r vectors.  Woodbury with Y = D^-1 V and
-        G = V^T Y gives D^-1 + Y W (nI - G W)^-1 Y^T, which needs no W^-1 and
-        only an r x r solve; r = 0 is the diagonal factor itself."""
-        if self._dense_rows.size:
-            return np.linalg.inv(np.eye(self.p, dtype=np.complex128) - self.mixture_matrix(w))
-        wc = self._class_weights(w)
-        inv_d = 1.0 / (1.0 - _times_real(wc, self._diag) / self.n)
-        if not self._vec_rows.size:
-            return np.diag(inv_d)
-        V, wv = self._V, wc[self._vec_rows]
-        Y = inv_d[:, None] * V
-        K = self.n * np.eye(V.shape[1]) - _times_real(Y.T, V).T * wv
-        Q = (Y * wv) @ np.linalg.solve(K, Y.T)
-        Q.flat[:: self.p + 1] += inv_d
-        return Q
+        """(1/n) sum_i w_i Sigma_i."""
+        return self.mixtures(self._class_weights(w)[None])[0]
 
     def traces_against_all(self, M: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """tr(Sigma_i M) for every column at once."""
-        if M.shape != (self.p, self.p):
-            raise ModelError("matrix dimension mismatch")
-        t = _times_real(np.diagonal(M), self._diag.T)
-        if self._dense_rows.size:
-            t[self._dense_rows] += self._dense_traces(M.reshape(1, -1))[0]
-        if self._vec_rows.size:
-            V = self._V
-            t[self._vec_rows] += (np.sum(V * (M.real @ V), axis=0)
-                                  + 1j * np.sum(V * (M.imag @ V), axis=0))
-        return t[self.column_class]
+        return self.class_traces_of(M[None])[0, self.column_class]
 
-    def class_traces(self, W: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        """tr(Sigma_c Q) for every class c and every row of W (m, k) at once,
-        Q being factor_inverse of the weights that give each column of class
-        c the weight W[row, c].  No p x p matrix is formed without a dense
-        class: the diagonal factor D is inverted entrywise and Woodbury's r x r
-        systems K = nI - G W_v, G = V^T D^-1 V, are solved stacked for the
-        diagonal of Q and for v_c^T Q v_c = n (K^-1 G)_cc.  With a dense class
-        the m factors are assembled and their traces taken by one GEMM each
-        against the packed dense stack, and inverted by one stacked LU."""
+    def mixtures(self, Wc: NDArray) -> NDArray[np.complex128]:
+        """(1/n) sum_c Wc[row, c] Sigma_c for every row of the class sums Wc
+        (m, k), as an (m, p, p) stack: the dense parts from one pass over the
+        packed stack, the diagonal and vector parts added to it."""
         p, n = self.p, self.n
-        Wc = W * self._class_size  # the class sums that _class_weights gives
-        d = 1.0 - _times_real(Wc, self._diag) / n  # diagonal of each factor
-        V, wv = self._V, Wc[:, self._vec_rows]
+        out = (self._dense_mixtures(Wc[:, self._dense_rows]).reshape(-1, p, p)
+               if self._dense_rows.size else np.zeros((len(Wc), p, p), dtype=np.complex128))
+        out.reshape(-1, p * p)[:, :: p + 1] += _times_real(Wc, self._diag)
+        if self._vec_rows.size:
+            out += (self._V * Wc[:, None, self._vec_rows]) @ self._V.T
+        out /= n
+        return out
+
+    def factor_inverses(self, Wc: NDArray) -> NDArray[np.complex128]:
+        """(I_p - mixtures(Wc)[row])^{-1} for every row of the class sums Wc
+        (m, k), by one stacked LU with a dense class and otherwise as
+        D^-1 + Y W K^-1 Y^T from _woodbury (no W^-1, no p x p solve);
+        np.linalg.LinAlgError if a factor is singular."""
+        p = self.p
         if self._dense_rows.size:
-            F = self._dense_mixtures(Wc[:, self._dense_rows]).reshape(-1, p, p)
-            if self._vec_rows.size:
-                F += (V * wv[:, None, :]) @ V.T
-            F /= -n
-            F.reshape(-1, p * p)[:, :: p + 1] += d
-            return self.class_traces_of(np.linalg.inv(F))
-        diag_q = 1.0 / d
-        if self._vec_rows.size:
-            Yt = diag_q[:, None, :] * V.T  # (D^-1 V)^T per row
-            K = n * np.eye(V.shape[1]) - _times_real(Yt, V) * wv[:, None, :]
-            S = np.linalg.solve(K, Yt)
-            diag_q = diag_q + np.sum(Yt * wv[:, :, None] * S, axis=1)
-        t = _times_real(diag_q, self._diag.T)
-        if self._vec_rows.size:
-            t[:, self._vec_rows] += n * np.sum(S * V.T, axis=2)
+            F = self.mixtures(Wc)
+            np.negative(F, out=F)
+            F.reshape(-1, p * p)[:, :: p + 1] += 1.0
+            return np.linalg.inv(F)
+        inv_d, Yt, wv, S = self._woodbury(Wc)
+        Q = (np.zeros((len(Wc), p, p), dtype=np.complex128) if Yt is None
+             else (Yt.transpose(0, 2, 1) * wv[:, None, :]) @ S)
+        Q.reshape(-1, p * p)[:, :: p + 1] += inv_d
+        return Q
+
+    def class_traces(self, Wc: NDArray) -> NDArray[np.complex128]:
+        """tr(Sigma_c Q[row]) for every class c and every row of the class
+        sums Wc (m, k), Q being factor_inverses(Wc).  Without a dense class no
+        p x p matrix is formed: Q's diagonal is D^-1 plus Woodbury's
+        correction, and v_c^T Q v_c = n (K^-1 G)_cc with G = V^T D^-1 V."""
+        if self._dense_rows.size:
+            return self.class_traces_of(self.factor_inverses(Wc))
+        diag_q, Yt, wv, S = self._woodbury(Wc)
+        if Yt is None:
+            return _times_real(diag_q, self._diag.T)
+        t = _times_real(diag_q + np.sum(Yt * wv[:, :, None] * S, axis=1), self._diag.T)
+        t[:, self._vec_rows] += self.n * np.sum(S * self._V.T, axis=2)
         return t
+
+    def _woodbury(self, Wc: NDArray) -> tuple[NDArray | None, ...]:
+        """Without a dense class each factor is D - V W V^T / n, D diagonal and
+        W the class sums of the r vectors.  Per row of Wc: the diagonal of
+        D^-1, and (Y^T, W, K^-1 Y^T) for Y = D^-1 V and K = nI - V^T Y W, or
+        three None if r = 0."""
+        inv_d = 1.0 / (1.0 - _times_real(Wc, self._diag) / self.n)
+        if not self._vec_rows.size:
+            return inv_d, None, None, None
+        V, wv = self._V, Wc[:, self._vec_rows]
+        Yt = inv_d[:, None, :] * V.T
+        K = self.n * np.eye(V.shape[1]) - _times_real(Yt, V) * wv[:, None, :]
+        return inv_d, Yt, wv, np.linalg.solve(K, Yt)
 
     def class_traces_of(self, M: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """tr(Sigma_c M[row]) for every class c and every matrix of the
         (m, p, p) stack M at once: the dense parts take one GEMM against the
         packed stack for all m matrices."""
+        if M.shape[1:] != (self.p, self.p):
+            raise ModelError("matrix dimension mismatch")
         t = _times_real(np.diagonal(M, axis1=1, axis2=2), self._diag.T)
         if self._dense_rows.size:
             t[:, self._dense_rows] += self._dense_traces(M.reshape(len(M), -1))
@@ -477,12 +473,12 @@ class EnsembleModel:
 
     def nu_hat(self) -> float:
         """Deterministic proxy ||(1/n) sum Sigma_i|| (spectral norm)."""
-        avg = self.mixture_matrix(np.ones(self.n)).real
+        avg = self.mixtures(self._class_size[None])[0].real
         return float(np.linalg.eigvalsh((avg + avg.T) / 2).max())
 
     def max_trace(self) -> float:
         """max_i tr(Sigma_i)."""
-        return float(self.traces_against_all(np.eye(self.p)).real.max())
+        return float(self.class_traces_of(np.eye(self.p)[None]).real.max())
 
 
 def _orbit(specs: Sequence[CovarianceSpec]) -> Iterator[NDArray[np.float64] | None]:

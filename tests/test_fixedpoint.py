@@ -148,6 +148,48 @@ def test_contraction_factor_below_one(rng):
     assert 0.0 <= rho < 1.0
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_contraction_factor_rejects_wrong_length(rng, dense):
+    m = random_model(4, 6, rng) if dense else mp_model(4, 6)
+    assert m.is_diagonal_plus_low_rank != dense
+    z = 1.0 + 0.5j
+    L = solve_lambda(m, z).lam
+    short = UpperDiagonal(L.values[:-1])
+    for args in ((L, short), (short, L)):
+        with pytest.raises(DomainError, match="diagonal length 5 != n=6"):
+            contraction_factor(m, z, *args)
+
+
+def repeated_structured_model(rng) -> EnsembleModel:
+    """structured_model's 8 columns three times each, shuffled."""
+    base = structured_model(5, 8, rng)
+    order = rng.permutation(np.repeat(np.arange(8), 3))
+    return EnsembleModel(5, 24, [base.columns[i] for i in order])
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: mp_model(6, 12),
+    lambda rng: mixture_model(20, 40, 4),
+    repeated_structured_model,
+], ids=["mp", "mixture", "structured-repeated"])
+def test_class_sum_kernel_on_l_varying_within_class(rng, build):
+    from covspectra import d_s
+
+    m = build(rng)
+    assert m._class_size.size < m.n
+    opts = SolverOptions()
+    sigmas = [m.realize_sigma(i) for i in range(m.n)]
+    for z in (1.0 + 0.5j, 3.0 + 0.05j):
+        cold = solve_lambda(m, z, opts).lam
+        # a positive scale per column keeps Im L > 0 and Im(L/z) > 0
+        L = UpperDiagonal(cold.values * rng.uniform(0.5, 2.0, m.n))
+        Q = explicit_q(m, L.values)
+        want = z - np.array([np.trace(s @ Q) for s in sigmas]) / m.n
+        np.testing.assert_allclose(apply_Iz(m, z, L).values, want, rtol=1e-13)
+        warm = solve_lambda(m, z, opts, warm=L).lam
+        assert d_s(warm, cold) < 10 * opts.tol_ds
+
+
 def test_map_contracts_in_ds(rng):
     # 200 random (model, z, pair) cases: d_s(I(D), I(D')) <= rho * d_s(D, D')
     from covspectra import d_s
@@ -350,14 +392,18 @@ def test_psi_matrix_oracle_over_several_chunks(rng):
 
 
 def test_psi_matrix_one_product_pair_per_class(monkeypatch):
-    m = mp_model(6, 12)
-    calls = []
-    realize = EnsembleModel.realize_sigma
-    monkeypatch.setattr(EnsembleModel, "realize_sigma",
-                        lambda self, i: calls.append(i) or realize(self, i))
-    lam = solve_lambda(m, 1.0 + 0.5j).lam
-    psi = psi_matrix(m, lam, lam)
-    assert calls == [0]
+    # Psi forms each class's second moment once, as mixtures(n e_c), and no
+    # other mixture: the models below have no dense class for q_tilde to mix
+    rows = []
+    mixtures = EnsembleModel.mixtures
+    monkeypatch.setattr(EnsembleModel, "mixtures",
+                        lambda self, Wc: rows.append(Wc) or mixtures(self, Wc))
+    for m in (mixture_model(6, 12, 3), mp_model(6, 12)):
+        lam = solve_lambda(m, 1.0 + 0.5j).lam
+        rows.clear()
+        psi = psi_matrix(m, lam, lam)
+        np.testing.assert_array_equal(np.concatenate(rows), m.n * np.eye(m._class_size.size))
+    # one class: a constant Psi
     np.testing.assert_allclose(psi, psi[0, 0], rtol=1e-14)
 
 

@@ -266,7 +266,8 @@ def test_packed_kernel_matches_realized_oracle(rng):
         np.testing.assert_allclose(m.mixture_matrix(w), mix, rtol=0,
                                    atol=1e-12 * np.abs(mix).max())
         Q = np.linalg.inv(np.eye(p) - mix)
-        np.testing.assert_allclose(m.factor_inverse(w), Q, rtol=0, atol=1e-12 * np.abs(Q).max())
+        np.testing.assert_allclose(m.factor_inverses(row[None])[0], Q, rtol=0,
+                                   atol=1e-12 * np.abs(Q).max())
         want = np.array([np.trace(s @ Q) for s in sigmas])
         np.testing.assert_allclose(t[m.column_class], want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
@@ -466,17 +467,18 @@ def test_non_finite_inputs_rejected(build, error):
 
 
 def _class_traces_model(kind: str, rng) -> EnsembleModel:
-    """structured_model, or only its columns with no dense class
-    ("woodbury"), or only those with no dense class and no mean
-    ("diagonal")."""
-    m = structured_model(7, 36, rng)
-    if kind == "dense":
-        return m
-    cols = [c for c in m.columns
-            if isinstance(c.cov, (Diagonal, ScaledIdentity))
-            or (isinstance(c.cov, RotatedFamily) and c.cov.rotations == 0)]
+    """structured_model's columns ("dense"), or only those with no dense
+    class ("woodbury"), or only those with no dense class and no mean
+    ("diagonal"); each column twice, shuffled, so that a class sum is not
+    the class's weight."""
+    cols = structured_model(7, 36, rng).columns
+    if kind != "dense":
+        cols = [c for c in cols
+                if isinstance(c.cov, (Diagonal, ScaledIdentity))
+                or (isinstance(c.cov, RotatedFamily) and c.cov.rotations == 0)]
     if kind == "diagonal":
         cols = [c for c in cols if c.mean is None or not np.any(c.mean)]
+    cols = [cols[i] for i in rng.permutation(np.repeat(np.arange(len(cols)), 2))]
     return EnsembleModel(7, len(cols), cols)
 
 
@@ -486,11 +488,16 @@ def test_class_traces_oracle(rng, kind):
     assert m.is_diagonal_plus_low_rank == (kind != "dense")
     assert (m._V.shape[1] == 0) == (kind == "diagonal")
     k = m.column_class.max() + 1
+    assert (m._class_size == 2).all()
+    # one weight per class, so each class's sum is its size times that weight
     W = rng.uniform(0.05, 0.6, (5, k)) * np.exp(1j * rng.uniform(-2.5, -0.1, (5, k)))
-    T = m.class_traces(W)
+    T = m.class_traces(W * m._class_size)
     assert T.shape == (5, k)
+    sigmas = [m.realize_sigma(i) for i in range(m.n)]
     for row, t in zip(W, T):
-        want = m.traces_against_all(m.factor_inverse(row[m.column_class]))
+        w = row[m.column_class]
+        Q = np.linalg.inv(np.eye(m.p) - sum(wi * s for wi, s in zip(w, sigmas)) / m.n)
+        want = np.array([np.trace(s @ Q) for s in sigmas])
         np.testing.assert_allclose(t[m.column_class], want, rtol=1e-13,
                                    atol=1e-13 * np.abs(want).max())
 
