@@ -21,7 +21,7 @@ from typing import Callable, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from .contour import ContourSpec, project_functionals
+from .contour import ContourSpec, contour_solves, project_functionals
 from .equivalent import DensityGrid, _write_csv, density_grid, stieltjes_g
 from .fixedpoint import SolverOptions, continuation_solve
 from .model import EnsembleModel
@@ -214,15 +214,13 @@ class ComparisonReport:
 
 
 def _bin_masses(grid: DensityGrid, edges: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Predicted probability mass per bin: trapezoid integral of the density
-    plus the explicit Dirac mass at zero."""
-    masses = np.zeros(len(edges) - 1)
-    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        sel = (grid.xs >= lo) & (grid.xs <= hi)
-        if sel.sum() >= 2:
-            masses[k] = np.trapezoid(grid.density[sel], grid.xs[sel])
-        if lo <= 0.0 < hi:
-            masses[k] += grid.dirac_at_zero
+    """Predicted probability mass per bin: differences of the grid's
+    cumulative trapezoid integral, interpolated at the bin edges, so the
+    masses add up to the grid's integral; the explicit Dirac mass at zero goes
+    to the bin that holds 0."""
+    steps = np.diff(grid.xs) * (grid.density[1:] + grid.density[:-1]) / 2.0
+    masses = np.diff(np.interp(edges, grid.xs, np.r_[0.0, np.cumsum(steps)]))
+    masses[(edges[:-1] <= 0.0) & (0.0 < edges[1:])] += grid.dirac_at_zero
     return masses
 
 
@@ -268,9 +266,12 @@ def compare(
         for z, r in zip(probes, continuation_solve(model, probes, opts))
     )
 
+    # specs that share a contour share its solves
+    solves = {c: contour_solves(model, c, opts) for c in {s.contour for s in specs}}
     rows: list[FunctionalRow] = []
     for k, spec in enumerate(specs):
-        pred = project_functionals(model, [spec.matrix], spec.contour, opts)[0].value
+        pred = project_functionals(model, [spec.matrix], spec.contour, opts,
+                                   solves=solves[spec.contour])[0].value
         vals = [values[k] for _, values in draws]
         rows.append(
             FunctionalRow(

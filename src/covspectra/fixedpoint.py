@@ -53,14 +53,20 @@ _ANDERSON_WINDOW = 5  # Anderson mixes this many latest differences of iterates
 # roundoff floor of d_s, even where that is above tol_ds
 _FLOOR_ULPS = 16
 _EPS = np.finfo(np.float64).eps
-# complex p x p arrays per node that continuation keeps within _CHAIN_BYTES
-# for a model with a dense class, and per class of a psi_matrix chunk.  A
-# batched evaluation peaks at about 3.1 per node (the factor, its inverse and
-# the half-size packed products and folds; tracemalloc, p = 80), and chunks
-# of 8 classes raise psi_matrix's peak from 15 to 26 of them, below the 33 of
-# a 120-node grid; 5 is the count the chain numbers were tuned at
+# complex p x p arrays budgeted per node within _CHAIN_BYTES, for
+# continuation on a model with a dense class and per class of a psi_matrix
+# chunk.  tracemalloc reads 3.1 per node at the peak of a batched evaluation
+# (the factor, its inverse and the half-size packed products and folds;
+# p = 80), so 5 is a cap, not a count: it keeps B = 8 chains at p = 80, and
+# a sweep of B = 4, 6, 8, 11, 15 there (fig1-rotated, predicted starts) read
+# B = 8 fastest on the support scan and within 6% of the fastest on the
+# 120-node grid.  Chunks of 8 classes raise psi_matrix's peak from 15 to 26
+# arrays, below the 33 of that grid
 _NODE_TEMPORARIES = 5
 _CHAIN_BYTES = 4 << 20
+# a warm node starts from the polynomial in z through this many latest
+# solved nodes of its chain: quadratic, once the chain has three
+_PREDICTOR_POINTS = 3
 
 
 class DomainError(ValueError):
@@ -314,14 +320,20 @@ def continuation_solve(
     zs: Sequence[complex],
     opts: SolverOptions | None = None,
 ) -> list[FixedPointResult]:
-    """Solve along an ordered z-path, warm-starting each point from the
-    previous solution (imaginary part floored at Im(z_next) if needed).
+    """Solve along an ordered z-path, warm-starting each point from a
+    prediction off the solutions before it.
 
     The path is cut into contiguous segments (``_chains``) walked in
     lockstep: stage s solves node s of every segment in one batched
-    ``_contract``, each node warm-started from its segment's node s - 1, or
-    from one map application at z*ones for a segment's first node and for a
-    lifted start outside the domain.  The unknowns are the k class values of
+    ``_contract``.  Node s starts from the Lagrange extrapolation in z through
+    its segment's last min(s, 3) solved nodes (the previous solution at
+    s = 1, the secant at s = 2, the quadratic from then on; weights from the
+    actual z's, which handles corners and uneven steps), its imaginary parts
+    floored at Im z.  Where that start leaves the domain, node s - 1's
+    solution so floored replaces it; where that leaves the domain too, and
+    for a segment's first node, one map application at z*ones.  Only the
+    start changes with the prediction: the fixed point is unique, so the
+    answers agree to the tolerance.  The unknowns are the k class values of
     Lambda (equal within a class), expanded to n only in the results.  A
     NonConvergenceError's index is the path index of the failing node (the
     lowest one, if several nodes of a stage fail)."""
@@ -340,8 +352,10 @@ def continuation_solve(
         idx = np.array([seg[s] for seg in segments if seg.size > s])
         z = zs[idx, None]
         if s:
-            prev = lam[idx - 1]
-            x = prev.real + 1j * np.maximum(prev.imag, z.imag)
+            back = idx[:, None] - np.arange(1, min(s, _PREDICTOR_POINTS) + 1)
+            x = _lift(_extrapolate(zs[back], lam[back], z), z)
+            out = ~_in_domain(x, z, axis=1)
+            x[out] = _lift(lam[idx[out] - 1], z[out])
             cold = ~_in_domain(x, z, axis=1)
         else:
             x, cold = np.empty((idx.size, k), dtype=np.complex128), np.ones(idx.size, bool)
@@ -349,6 +363,22 @@ def continuation_solve(
         stats[idx] = np.column_stack(info)
     return [_result(z, row[model.column_class], *st)
             for z, row, st in zip(zs, lam, stats)]
+
+
+def _lift(x: NDArray, z: NDArray) -> NDArray:
+    """The rows of x (m, k) with imaginary parts floored at Im z (m, 1)."""
+    return x.real + 1j * np.maximum(x.imag, z.imag)
+
+
+def _extrapolate(zp: NDArray, xp: NDArray, z: NDArray) -> NDArray:
+    """Row by row, the Lagrange polynomial through the nodes zp (m, q) with
+    values xp (m, q, k), evaluated at z (m, 1); coincident nodes give NaN,
+    which the domain test rejects."""
+    off = ~np.eye(zp.shape[1], dtype=bool)
+    with np.errstate(all="ignore"):
+        ratio = (z[:, None] - zp[:, None, :]) / (zp[:, :, None] - zp[:, None, :])
+        x = np.einsum("rj,rjk->rk", np.where(off, ratio, 1.0).prod(axis=2), xp)
+    return np.where(np.isfinite(x), x, np.nan)
 
 
 def _stage(model: EnsembleModel, z: NDArray, x: NDArray, cold: NDArray,

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import mp_model, mp_stieltjes, random_model
 
-from covspectra import empirical
+from covspectra import contour, empirical
 
 from covspectra import (
     Column,
@@ -120,6 +120,39 @@ def test_compare_mp_report(tmp_path):
     assert summary["trials"] == 4
     assert summary["rng_name"]
     assert summary["l1_density_error"] == pytest.approx(rep.l1_density_error)
+
+
+def test_compare_bin_masses_add_up_to_grid_integral():
+    # Figure-1 left: the bins tile the grid, so each bin's mass includes the
+    # stretch of grid spacing across its edges
+    base = np.r_[[8.0] * 20, [1.0] * 60]
+    m = EnsembleModel(80, 160, [Column(Diagonal(base))] * 160)
+    rep = compare(m, 10, 0)
+    g = rep.grid
+    total = np.trapezoid(g.density, g.xs) + g.dirac_at_zero
+    assert abs(rep.predicted_mass.sum() - total) < 1e-12
+    assert rep.predicted_mass.min() >= 0.0
+
+
+def test_compare_solves_each_contour_once(monkeypatch):
+    p, n = 20, 40
+    m = mp_model(p, n)
+    calls = []
+
+    def counting(model, zs, opts=None):
+        calls.append(len(zs))
+        return solve(model, zs, opts)
+
+    solve = contour.continuation_solve
+    monkeypatch.setattr(contour, "continuation_solve", counting)
+    spec = ContourSpec(0.005, 4.0, 0.5, 16)
+    first = np.zeros((p, p))
+    first[0, 0] = 1.0
+    specs = [FunctionalSpec(name, A, spec, (0.0, 4.0))
+             for name, A in (("identity", np.eye(p)), ("first", first))]
+    rep = compare(m, trials=2, seed=1, functionals=specs)
+    assert calls == [spec.upper_nodes()[0].size]
+    assert rep.functionals[0].predicted == pytest.approx(p, rel=0.01)
 
 
 def test_compare_functional_rows(tmp_path):

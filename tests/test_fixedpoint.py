@@ -5,6 +5,7 @@ from conftest import mixture_model, mp_model, mp_stieltjes, random_model, struct
 
 from covspectra import (
     Column,
+    ContourSpec,
     Dense,
     Diagonal,
     DomainError,
@@ -26,7 +27,9 @@ from covspectra import (
     solve_qve,
     stieltjes_g,
 )
+from covspectra import fixedpoint
 from covspectra.fixedpoint import _chains, _contract, _rows_within_chain_bytes
+from covspectra.semimetric import _in_domain
 
 
 def scalar_fixed_point(z: complex, sigma2: float = 1.0) -> complex:
@@ -295,6 +298,64 @@ def test_lockstep_continuation_matches_cold(rng, kind):
         cold = solve_lambda(m, complex(z))
         assert len(r.lam) == m.n
         assert np.max(np.abs(r.lam.values - cold.lam.values)) < 1e-8
+
+
+def assert_matches_cold(m: EnsembleModel, zs: np.ndarray) -> None:
+    """continuation_solve along zs agrees with a cold solve_lambda at every
+    node to 1e-11 relative."""
+    for z, r in zip(zs, continuation_solve(m, zs)):
+        cold = solve_lambda(m, complex(z)).lam.values
+        assert np.max(np.abs(r.lam.values - cold)) < 1e-11 * np.max(np.abs(cold))
+
+
+@pytest.mark.parametrize("path", ["rotated-grid", "woodbury-grid", "contour", "repeated"])
+def test_predicted_starts_match_cold(rng, path):
+    # 40, 32 or 30 nodes in 7, 6 or 6 chains, so most nodes start from the
+    # quadratic through three solved nodes; the contour's chains turn its
+    # corners, and a path that repeats its nodes has no interpolant there
+    if path == "rotated-grid":
+        P = random_orthogonal(10, seed=3)
+        base = np.r_[[4.0] * 3, [1.0] * 7]
+        m = EnsembleModel(10, 20, [Column(RotatedFamily(base, P, i)) for i in range(20)])
+        zs = np.linspace(0.01, 8.0, 40) + 1e-2j
+    elif path == "woodbury-grid":
+        cols = [c for c in structured_model(6, 18, rng).columns
+                if isinstance(c.cov, (Diagonal, ScaledIdentity))]
+        m = EnsembleModel(6, len(cols), cols)
+        assert m.is_diagonal_plus_low_rank
+        zs = np.linspace(-0.5, 4.0, 40) + 1e-2j
+    elif path == "contour":
+        m = structured_model(6, 18, rng)
+        zs = ContourSpec(0.05, 5.0, 0.5, 16).upper_nodes()[0]
+    else:
+        m = mp_model(10, 20)
+        zs = np.repeat(np.linspace(0.5, 3.0, 10), 3) + 0.05j
+    assert_matches_cold(m, zs)
+
+
+def test_extrapolated_start_outside_domain_falls_back(monkeypatch):
+    # a zigzag between 0.1 + 0.5i and 1.9 + 1e-3i, inside the Marchenko-Pastur
+    # bulk: the quadratic through three nodes overshoots out of the domain
+    outside = []
+
+    def recording(zp, xp, z):
+        x = extrapolate(zp, xp, z)
+        outside.append(~_in_domain(fixedpoint._lift(x, z), z, axis=1))
+        return x
+
+    extrapolate = fixedpoint._extrapolate
+    monkeypatch.setattr(fixedpoint, "_extrapolate", recording)
+    j = np.arange(30)
+    zs = 1.0 + 0.9 * (-1.0) ** j + 1j * np.where(j % 2, 1e-3, 0.5)
+    assert_matches_cold(mp_model(20, 40), zs)
+    assert np.concatenate(outside).any()
+
+
+def test_predicted_starts_save_iterations():
+    # 60 nodes on 0.01..4 + 1e-3i: 661 iterations in all when every warm node
+    # started from its predecessor, 518 from the three-point extrapolation
+    zs = np.linspace(0.01, 4.0, 60) + 1e-3j
+    assert sum(r.iterations for r in continuation_solve(mp_model(20, 40), zs)) < 590
 
 
 def test_chains_capped_by_dense_temporaries():
