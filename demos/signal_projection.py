@@ -8,7 +8,7 @@ deterministic-equivalent resolvent predicts tr(Pi_E U U^T) — the alignment
 of the isolated eigenspace E with the (unit-normalized) signal directions —
 without ever drawing X.  One Monte Carlo draw checks the prediction.
 
-Run: python demos/signal_projection.py   (takes a few minutes)
+Run: python demos/signal_projection.py   (about a second)
 """
 
 import numpy as np

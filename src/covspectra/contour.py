@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .equivalent import SupportEstimate, _write_csv, r_tilde
-from .fixedpoint import FixedPointResult, SolverOptions, continuation_solve
+from .equivalent import SupportEstimate, _write_csv
+from .fixedpoint import (FixedPointResult, SolverOptions, _class_sums, _kernel,
+                         _rows_within_chain_bytes, continuation_solve)
 from .model import EnsembleModel
 
 __all__ = [
@@ -26,6 +27,10 @@ __all__ = [
     "project_functional",
     "eigenvalue_count",
 ]
+
+# nodes per functional_traces call: the stacked products A Y grow with it,
+# and at 64 nodes at once they raise the Figure-2 projection's peak memory
+_FUNCTIONAL_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,10 @@ def project_functionals(
     solves: list[FixedPointResult] | None = None,
 ) -> list[ProjectionResult]:
     """Cauchy-integral projections tr(Pi A) for several real matrices A
-    sharing one contour (one resolvent factorization per node).
+    sharing one contour.  With tr(A R(z)) = -tr(A Q)/z, every functional at
+    every node comes from the model's ``functional_traces`` on the nodes'
+    class sums, in chunks of at most _FUNCTIONAL_ROWS nodes: with no dense
+    class from r x r blocks, never forming a p x p resolvent.
 
     Each node's mirror at conj(z) contributes the conjugate of its term, since
     tr(A conj(R)) = conj(tr(A R)) for real A, so ``imag_residue`` is zero by
@@ -125,13 +133,15 @@ def project_functionals(
     if solves is None:
         solves = continuation_solve(model, nodes, opts)
 
-    totals = np.zeros(len(As), dtype=np.complex128)
-    for z, w, res in zip(nodes, weights, solves):
-        R = r_tilde(model, z, res.lam)
-        for k, A in enumerate(As):
-            up = np.einsum("ij,ji->", A, R) * w
-            # mirror node at conj(z) carries weight -conj(w)
-            totals[k] += up - np.conj(up)
+    As = np.asarray(As, dtype=np.float64).reshape(len(As), model.p, model.p)
+    Wc = np.concatenate([_class_sums(model, res.lam) for res in solves])
+    b = (_FUNCTIONAL_ROWS if model.is_diagonal_plus_low_rank
+         else min(_FUNCTIONAL_ROWS, _rows_within_chain_bytes(model.p)))
+    traces = np.concatenate([_kernel(lambda W: model.functional_traces(W, As), Wc[i:i + b])
+                             for i in range(0, len(Wc), b)])
+    up = -(weights / nodes) @ traces
+    # mirror node at conj(z) carries weight -conj(w)
+    totals = up - np.conj(up)
 
     return [
         ProjectionResult(float(v.real), float(v.imag), contour.nodes_per_side)

@@ -58,10 +58,20 @@ def sample_matrix(model: EnsembleModel, seed: int, trial: int = 0) -> NDArray[np
     equal mu_i + column_root_matvec(i, g) bit for bit.  Dense and rotated
     ones differ from it in rounding: one product covers a class's columns,
     and a rotated class uses the stepped rotation R_k of the solver's packed
-    stack, not P raised to the k-th power."""
+    stack, not P raised to the k-th power.
+
+    One generator serves the call: before each column its state is reset to
+    the fresh state of column i's generator (key (seed, trial * 2^32 + i),
+    counter 0, empty buffer), which draws what _column_rng(seed, trial, i)
+    draws without building a generator per column.  It stays local, so
+    threads drawing trials at once share nothing."""
+    rng = _column_rng(seed, trial, 0)
+    fresh = rng.bit_generator.state
     G = np.empty((model.p, model.n))
     for i in range(model.n):
-        G[:, i] = _column_rng(seed, trial, i).standard_normal(model.p)
+        fresh["state"]["key"][1] = (trial << 32) + i
+        rng.bit_generator.state = fresh
+        G[:, i] = rng.standard_normal(model.p)
     return model.columns_from_normals(G)
 
 
@@ -266,17 +276,22 @@ def compare(
         for z, r in zip(probes, continuation_solve(model, probes, opts))
     )
 
-    # specs that share a contour share its solves
-    solves = {c: contour_solves(model, c, opts) for c in {s.contour for s in specs}}
+    # one projection per contour, its solves and traces shared by the specs on it
+    on_contour: dict[ContourSpec, list[int]] = {}
+    for k, spec in enumerate(specs):
+        on_contour.setdefault(spec.contour, []).append(k)
+    predicted_values = np.empty(len(specs))
+    for c, ks in on_contour.items():
+        results = project_functionals(model, [specs[k].matrix for k in ks], c,
+                                      solves=contour_solves(model, c, opts))
+        predicted_values[ks] = [r.value for r in results]
     rows: list[FunctionalRow] = []
     for k, spec in enumerate(specs):
-        pred = project_functionals(model, [spec.matrix], spec.contour, opts,
-                                   solves=solves[spec.contour])[0].value
         vals = [values[k] for _, values in draws]
         rows.append(
             FunctionalRow(
                 name=spec.name,
-                predicted=pred,
+                predicted=float(predicted_values[k]),
                 empirical_mean=float(np.mean(vals)),
                 empirical_std=float(np.std(vals, ddof=1)) if trials > 1 else None,
                 contour=spec.contour,

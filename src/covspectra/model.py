@@ -13,12 +13,15 @@ The fixed-point map has one implementation, three class kernels that take
 the class sums of the weights, one row per node of a grid or a contour:
 ``mixtures`` stacks the (1/n) sum_c W_c Sigma_c, ``factor_inverses`` the
 resolvents (I_p - mixture)^-1, and ``class_traces`` the map's traces, where
-diagonal classes cost two real GEMMs, the Woodbury path stacked r x r
-solves with no p x p matrix, and dense classes one GEMM each way against
-their stack plus a stacked LU.  Each dense class is stored once, as the
-packed upper triangle of its symmetric part (p(p+1)/2 entries), and every
-product reads that stack once: the real and imaginary rows of the complex
-operand are stacked into one real GEMM.
+diagonal classes cost two real GEMMs, the Woodbury path one stacked r x r
+inverse with no p x p matrix, and dense classes one GEMM each way against
+their stack plus a stacked LU.  ``functional_traces`` gives tr(A Q) for
+fixed real matrices A, the contour projections' functionals, by the same
+branches: with no dense class from r x r blocks Y^T A Y, never forming Q.
+Each dense class is stored once, as the packed upper triangle of its
+symmetric part (p(p+1)/2 entries), and every product reads that stack once:
+the real and imaginary rows of the complex operand are stacked into one real
+GEMM.
 """
 
 from __future__ import annotations
@@ -207,11 +210,11 @@ class EnsembleModel:
     (k_d, p(p+1)/2) stack ``_dense``, one packed upper triangle of a symmetric
     part per row, read once per product: mixtures unpack it to an exactly
     symmetric matrix, traces fold their matrix onto it.  The kernels
-    ``mixtures``, ``factor_inverses`` and ``class_traces`` take class sums of
-    the weights, shaped (m, k), as ``_class_weights`` gives them for a weight
-    per column; ``mixture_matrix`` and ``traces_against_all`` are their
-    one-node, per-column forms.  With no dense class the resolvent needs an
-    r x r solve instead of a p x p one.
+    ``mixtures``, ``factor_inverses``, ``class_traces`` and
+    ``functional_traces`` take class sums of the weights, shaped (m, k), as
+    ``_class_weights`` gives them for a weight per column; ``mixture_matrix``
+    and ``traces_against_all`` are their one-node, per-column forms.  With no
+    dense class the resolvent needs an r x r inverse instead of a p x p one.
     """
 
     def __init__(
@@ -356,7 +359,7 @@ class EnsembleModel:
     def factor_inverses(self, Wc: NDArray) -> NDArray[np.complex128]:
         """(I_p - mixtures(Wc)[row])^{-1} for every row of the class sums Wc
         (m, k), by one stacked LU with a dense class and otherwise as
-        D^-1 + Y W K^-1 Y^T from _woodbury (no W^-1, no p x p solve);
+        D^-1 + (Y W K^-1) Y^T from _woodbury (no W^-1, no p x p solve);
         np.linalg.LinAlgError if a factor is singular."""
         p = self.p
         if self._dense_rows.size:
@@ -364,9 +367,9 @@ class EnsembleModel:
             np.negative(F, out=F)
             F.reshape(-1, p * p)[:, :: p + 1] += 1.0
             return np.linalg.inv(F)
-        inv_d, Yt, wv, S = self._woodbury(Wc)
-        Q = (np.zeros((len(Wc), p, p), dtype=np.complex128) if Yt is None
-             else (Yt.transpose(0, 2, 1) * wv[:, None, :]) @ S)
+        inv_d, Y, M, _ = self._woodbury(Wc)
+        Q = (np.zeros((len(Wc), p, p), dtype=np.complex128) if Y is None
+             else (Y @ M) @ Y.transpose(0, 2, 1))
         Q.reshape(-1, p * p)[:, :: p + 1] += inv_d
         return Q
 
@@ -374,28 +377,53 @@ class EnsembleModel:
         """tr(Sigma_c Q[row]) for every class c and every row of the class
         sums Wc (m, k), Q being factor_inverses(Wc).  Without a dense class no
         p x p matrix is formed: Q's diagonal is D^-1 plus Woodbury's
-        correction, and v_c^T Q v_c = n (K^-1 G)_cc with G = V^T D^-1 V."""
+        correction sum((Y W K^-1) * Y, -1), and v_c^T Q v_c = n (K^-1 G)_cc
+        with G = V^T D^-1 V."""
         if self._dense_rows.size:
             return self.class_traces_of(self.factor_inverses(Wc))
-        diag_q, Yt, wv, S = self._woodbury(Wc)
-        if Yt is None:
+        diag_q, Y, M, KG = self._woodbury(Wc)
+        if Y is None:
             return _times_real(diag_q, self._diag.T)
-        t = _times_real(diag_q + np.sum(Yt * wv[:, :, None] * S, axis=1), self._diag.T)
-        t[:, self._vec_rows] += self.n * np.sum(S * self._V.T, axis=2)
+        t = _times_real(diag_q + np.sum((Y @ M) * Y, axis=2), self._diag.T)
+        t[:, self._vec_rows] += self.n * np.diagonal(KG, axis1=1, axis2=2)
+        return t
+
+    def functional_traces(self, Wc: NDArray, As: NDArray) -> NDArray[np.complex128]:
+        """tr(A_a Q[row]) for every real matrix A_a of the (a, p, p) stack As
+        and every row of the class sums Wc (m, k), Q being
+        factor_inverses(Wc), as an (m, a) array.  Q is symmetric, so
+        tr(A Q) = sum(A * Q).  With a dense class that is one GEMM of the
+        resolvents against the flattened stack.  Without one no p x p matrix
+        is formed: tr(A D^-1) plus sum((Y^T A Y) * (W K^-1)^T), summed as
+        sum((A Y) * (Y W K^-1)) since W K^-1 = (n W^-1 - G)^-1 is symmetric,
+        with A Y for every matrix and row from one pair of real GEMMs."""
+        a, p, m = len(As), self.p, len(Wc)
+        A = As.reshape(a, p * p)
+        if self._dense_rows.size:
+            return _times_real(self.factor_inverses(Wc).reshape(m, p * p), A.T)
+        inv_d, Y, M, _ = self._woodbury(Wc)
+        t = _times_real(inv_d, A[:, :: p + 1].T)
+        if Y is not None:
+            A = A.reshape(a * p, p)
+            Yb = Y.transpose(1, 0, 2).reshape(p, -1)
+            AY = (A @ Yb.real + 1j * (A @ Yb.imag)).reshape(a, p, m, -1)
+            t += np.einsum("aimb,mib->ma", AY, Y @ M)
         return t
 
     def _woodbury(self, Wc: NDArray) -> tuple[NDArray | None, ...]:
         """Without a dense class each factor is D - V W V^T / n, D diagonal and
-        W the class sums of the r vectors.  Per row of Wc: the diagonal of
-        D^-1, and (Y^T, W, K^-1 Y^T) for Y = D^-1 V and K = nI - V^T Y W, or
-        three None if r = 0."""
+        W the class sums of the r vectors, and its inverse is
+        D^-1 + Y W K^-1 Y^T for Y = D^-1 V, G = V^T Y and K = nI - G W: one
+        stacked r x r inverse.  Per row of Wc: the diagonal of D^-1, and
+        (Y, W K^-1, K^-1 G), or three None if r = 0."""
         inv_d = 1.0 / (1.0 - _times_real(Wc, self._diag) / self.n)
         if not self._vec_rows.size:
             return inv_d, None, None, None
         V, wv = self._V, Wc[:, self._vec_rows]
-        Yt = inv_d[:, None, :] * V.T
-        K = self.n * np.eye(V.shape[1]) - _times_real(Yt, V) * wv[:, None, :]
-        return inv_d, Yt, wv, np.linalg.solve(K, Yt)
+        Y = inv_d[:, :, None] * V
+        G = _times_real(Y.transpose(0, 2, 1), V)
+        Kinv = np.linalg.inv(self.n * np.eye(V.shape[1]) - G * wv[:, None, :])
+        return inv_d, Y, wv[:, :, None] * Kinv, Kinv @ G
 
     def class_traces_of(self, M: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """tr(Sigma_c M[row]) for every class c and every matrix of the

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import mp_model
+from conftest import mixture_model, mp_model, random_model
 
 from covspectra import (
     Column,
@@ -13,6 +13,7 @@ from covspectra import (
     eigenvalue_count,
     project_functional,
     project_functionals,
+    r_tilde,
     write_projection_csv,
 )
 
@@ -141,3 +142,38 @@ def test_projection_csv(tmp_path):
     fields = lines[1].split(",")
     assert fields[0] == "identity"
     assert float(fields[5]) == pytest.approx(res.value)
+
+
+@pytest.mark.parametrize("build", [lambda rng: mixture_model(12, 30, 3),
+                                   lambda rng: random_model(8, 12, rng)],
+                         ids=["woodbury", "dense"])
+def test_projections_match_per_node_resolvent_loop(rng, build):
+    # the chunked class-level traces against a loop forming each node's
+    # resolvent, for a symmetric and a non-symmetric functional
+    m = build(rng)
+    spec = ContourSpec(0.01, 40.0, 0.5, 16)
+    solves = contour_solves(m, spec)
+    B = rng.standard_normal((m.p, m.p))
+    As = [B @ B.T, B]
+    nodes, weights = spec.upper_nodes()
+    totals = np.zeros(len(As), dtype=np.complex128)
+    for z, w, res in zip(nodes, weights, solves):
+        R = r_tilde(m, z, res.lam)
+        up = np.array([np.trace(A @ R) for A in As]) * w
+        totals += up - np.conj(up)
+    want = (-totals / (2j * np.pi)).real
+    got = [r.value for r in project_functionals(m, As, spec, solves=solves)]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_projection_forms_no_resolvent_without_dense_class(monkeypatch):
+    m = mixture_model(12, 30, 3)
+    spec = ContourSpec(0.01, 40.0, 0.5, 16)
+    solves = contour_solves(m, spec)
+    want = project_functionals(m, [np.eye(12)], spec, solves=solves)[0].value
+
+    def no_resolvent(Wc):
+        raise AssertionError("factor_inverses called")
+
+    monkeypatch.setattr(m, "factor_inverses", no_resolvent)
+    assert project_functionals(m, [np.eye(12)], spec, solves=solves)[0].value == want

@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import mp_model, mp_stieltjes, random_model
+from conftest import mixture_model, mp_model, mp_stieltjes, random_model
 
 from covspectra import contour, empirical
 
@@ -19,6 +20,7 @@ from covspectra import (
     compare,
     empirical_projection,
     empirical_stieltjes,
+    project_functional,
     random_orthogonal,
     resolvent_identity_check,
     sample_batch,
@@ -67,6 +69,48 @@ def test_sample_batch_parallel_matches_serial():
     serial = sample_batch(m, trials=4, seed=3, jobs=1)
     parallel = sample_batch(m, trials=4, seed=3, jobs=3)
     np.testing.assert_array_equal(serial.eigenvalue_sets, parallel.eigenvalue_sets)
+
+
+def test_sample_batch_two_threads_bit_identical():
+    # each call draws from its own generator, reset per column: two threads
+    # drawing long trials at once, switched often, give the serial draws bit
+    # for bit
+    m = mixture_model(20, 400, 4)
+    serial = sample_batch(m, trials=6, seed=2, jobs=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = sample_batch(m, trials=6, seed=2, jobs=2)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(threads.eigenvalue_sets, serial.eigenvalue_sets)
+    for t, eigs in enumerate(serial.eigenvalue_sets):
+        np.testing.assert_array_equal(eigs, spectrum(sample_matrix(m, 2, trial=t)))
+
+
+def test_compare_one_projection_per_contour(monkeypatch):
+    # specs sharing a contour take one projection with all their matrices:
+    # the kernel runs once per chunk of nodes per contour, whatever the count
+    # of functionals, and the values are those of separate projections
+    p, n = 20, 40
+    m = mp_model(p, n)
+    u = np.zeros(p)
+    u[0] = 1.0
+    near, far = ContourSpec(0.005, 4.0, 0.5, 16), ContourSpec(0.005, 5.0, 0.5, 32)
+    specs = [FunctionalSpec("identity", np.eye(p), near, (0.0, 4.0)),
+             FunctionalSpec("e1", np.outer(u, u), far, (0.0, 5.0)),
+             FunctionalSpec("ones", np.ones((p, p)), near, (0.0, 4.0))]
+    want = [project_functional(m, s.matrix, s.contour).value for s in specs]
+    calls = []
+    kernel = m.functional_traces
+    monkeypatch.setattr(m, "functional_traces",
+                        lambda Wc, As: calls.append(len(As)) or kernel(Wc, As))
+    rep = compare(m, trials=2, seed=1, functionals=specs)
+    chunks = sum(-(-c.upper_nodes()[0].size // contour._FUNCTIONAL_ROWS) for c in (near, far))
+    assert len(calls) == chunks
+    assert sorted(set(calls)) == [1, 2]
+    np.testing.assert_allclose([row.predicted for row in rep.functionals], want,
+                               rtol=1e-13, atol=1e-13)
 
 
 def test_empirical_stieltjes_oracle():

@@ -15,6 +15,7 @@ from covspectra import (
     load_model,
     random_orthogonal,
     sample_matrix,
+    solve_lambda,
 )
 from covspectra.model import model_from_config
 
@@ -500,6 +501,42 @@ def test_class_traces_oracle(rng, kind):
         want = np.array([np.trace(s @ Q) for s in sigmas])
         np.testing.assert_allclose(t[m.column_class], want, rtol=1e-13,
                                    atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "woodbury", "dense"])
+def test_functional_traces_oracle(rng, kind):
+    # tr(A Q[row]) against the explicit trace of A times each resolvent, for
+    # symmetric and non-symmetric A, with class sums that are not class values
+    m = _class_traces_model(kind, rng)
+    k = m.column_class.max() + 1
+    W = rng.uniform(0.05, 0.6, (5, k)) * np.exp(1j * rng.uniform(-2.5, -0.1, (5, k)))
+    Wc = W * m._class_size
+    B = rng.standard_normal((m.p, m.p))
+    As = np.stack([np.eye(m.p), B @ B.T, B])
+    T = m.functional_traces(Wc, As)
+    assert T.shape == (5, 3)
+    want = np.array([[np.trace(A @ Q) for A in As] for Q in m.factor_inverses(Wc)])
+    np.testing.assert_allclose(T, want, rtol=1e-13)
+
+
+def test_woodbury_kernels_near_the_axis():
+    # the r x r inverse of the Woodbury path against the dense resolvent of
+    # the realised Sigma_i, at Im z = 1e-6 inside the noise bulk of a model
+    # with mean vectors and two noise levels
+    p, n = 30, 60
+    U = np.random.Generator(np.random.Philox(key=[3, 0])).standard_normal((p, 3))
+    cols = [Column(ScaledIdentity(1.0 + (i % 2)), mean=U[:, i % 3]) for i in range(n)]
+    m = EnsembleModel(p, n, cols, mean_norm_bound=1e9)
+    assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 6
+    lam = solve_lambda(m, 1.5 + 1e-6j).lam.values
+    Wc = m._class_weights(1.0 / lam)[None]
+    sigmas = [m.realize_sigma(i) for i in range(n)]
+    Q = np.linalg.inv(np.eye(p) - sum(s / li for s, li in zip(sigmas, lam)) / n)
+    got = m.factor_inverses(Wc)[0]
+    np.testing.assert_allclose(got, Q, rtol=1e-13, atol=1e-13 * np.abs(Q).max())
+    want = np.array([np.trace(s @ Q) for s in sigmas])
+    np.testing.assert_allclose(m.class_traces(Wc)[0, m.column_class], want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
 
 
 def test_specs_compare_by_identity():
