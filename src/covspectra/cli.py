@@ -43,20 +43,19 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _parse_complex(text: str) -> complex:
+def _parse(text: str, form: str, *types: type) -> list:
+    """text's comma-separated fields converted by types; else a UsageError."""
+    fields = text.split(",")
     try:
-        re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
-    except ValueError as exc:
-        raise UsageError(f"expected RE,IM for a complex value, got {text!r}") from exc
+        if len(fields) == len(types):
+            return [t(v) for t, v in zip(types, fields)]
+    except ValueError:
+        pass
+    raise UsageError(f"expected {form}, got {text!r}")
 
 
 def _parse_contour(text: str) -> ContourSpec:
-    try:
-        a, b, h, nodes = text.split(",")
-        return ContourSpec(float(a), float(b), float(h), int(nodes))
-    except ValueError as exc:
-        raise UsageError(f"expected a,b,h,nodes for --contour, got {text!r}") from exc
+    return ContourSpec(*_parse(text, "a,b,h,nodes for --contour", float, float, float, int))
 
 
 def _solver_options(args: argparse.Namespace) -> SolverOptions:
@@ -92,7 +91,7 @@ def _functional_matrix(spec: str, model: EnsembleModel) -> np.ndarray:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     model = _load_model(args)
-    z = _parse_complex(args.z)
+    z = complex(*_parse(args.z, "RE,IM for a complex value", float, float))
     if not z.imag > 0:
         raise UsageError("z must have positive imaginary part")
     res = solve_lambda(model, z, _solver_options(args))
@@ -141,7 +140,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.functional:
         if not (args.contour and args.interval):
             raise UsageError("--functional needs --contour and --interval")
-        lo, hi = (float(v) for v in args.interval.split(","))
+        form = "LO,HI with LO < HI for --interval"
+        lo, hi = _parse(args.interval, form, float, float)
+        if not lo < hi:
+            raise UsageError(f"expected {form}, got {args.interval!r}")
         functionals.append(
             FunctionalSpec(
                 name=args.functional,
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, default=1e-3)
     p.add_argument("--functional", default=None)
     p.add_argument("--contour", default=None)
-    p.add_argument("--interval", default=None, help="a,b")
+    p.add_argument("--interval", default=None, help="LO,HI")
 
     p = command("qve", "solve a quadratic vector equation", cmd_qve, model=False)
     p.add_argument("problem", help="JSON file {z:[re,im], a:[...], S:[[...]]}")

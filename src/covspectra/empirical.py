@@ -246,6 +246,8 @@ def compare(
 ) -> ComparisonReport:
     """Monte Carlo draws pooled into a histogram, compared bin-by-bin with the
     predicted density, plus Stieltjes sup-error and functional rows."""
+    if not bin_width > 0.0:
+        raise ValueError("bin_width must be positive")
     specs = functionals or []
 
     def one(t: int) -> tuple[NDArray[np.float64], list[float]]:

@@ -5,9 +5,12 @@ The map takes a diagonal L (with Im L > 0 and Im(L/z) > 0) to
 ``z - diag((1/n) tr(Sigma_i Q(L)))`` with
 ``Q(L) = (I_p - (1/n) sum_j Sigma_j / L_j)^{-1}``.  It is a contraction for
 the semi-metric d_s, which gives existence and uniqueness of the fixed point
-and justifies the Picard iteration used here.  Anderson acceleration is
-layered on top with a domain guard, because plain iteration slows down
-drastically near the real axis.
+and justifies the Picard iteration used here.  Anderson acceleration (Walker &
+Ni, SIAM J. Numer. Anal. 2011) is layered on top with a domain guard,
+because plain iteration slows down drastically near the real axis.  Its
+coefficients solve normal equations on a Gram matrix that rolls with the
+history, with a ridge so rank-deficient histories stay solvable (Scieur,
+d'Aspremont & Bach, NeurIPS 2016): one small solve, no QR or SVD.
 
 ``_contract`` is the one iteration loop of the package.  It iterates the rows
 of an (m, d) array, m independent contractions side by side, each with its
@@ -49,6 +52,7 @@ __all__ = [
 ]
 
 _ANDERSON_WINDOW = 5  # Anderson mixes this many latest differences of iterates
+_RIDGE = 1e-13  # the Anderson solve's ridge, relative to max diag of the Gram matrix
 # a row stops once its d_s step is below this many ulps of max|x|/Im x, the
 # roundoff floor of d_s, even where that is above tol_ds
 _FLOOR_ULPS = 16
@@ -157,21 +161,13 @@ def contraction_factor(
     return float(np.sqrt(max(1.0 - pL, 0.0) * max(1.0 - pLp, 0.0)))
 
 
-def _lstsq_rows(A: NDArray, b: NDArray) -> NDArray:
-    """Min-norm least-squares solution of A[r] g = b[r] for every row r, with
-    np.linalg.lstsq's cutoff: singular values below eps * max(A[r].shape) *
-    max(s) count as zero.  One stacked QR of [A b] shrinks every row's problem
-    to at most h + 1 equations in h unknowns, solved through their SVD.  A
-    single row goes to lstsq itself, which is cheaper for one problem."""
-    if A.shape[0] == 1:
-        return np.linalg.lstsq(A[0], b[0], rcond=None)[0][None]
-    h = A.shape[2]
-    R = np.linalg.qr(np.concatenate([A, b[:, :, None]], axis=2), mode="r")
-    u, s, vh = np.linalg.svd(R[:, :, :h], full_matrices=False)
-    keep = s > _EPS * max(A.shape[1:]) * s[:, :1]
-    coef = (u.conj().transpose(0, 2, 1) @ R[:, :, h:])[:, :, 0]
-    coef = np.where(keep, coef / np.where(keep, s, 1.0), 0.0)
-    return (vh.conj().transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0]
+def _anderson_coefficients(gram: NDArray, rhs: NDArray) -> NDArray:
+    """gamma (m, h, 1) from (G + mu I) gamma = rhs row by row, G = dF^H dF,
+    rhs = dF^H f, mu = _RIDGE max diag G + tiny (so G = 0 gives gamma = 0)."""
+    A = gram.copy()  # in C order, so diag is a view of it
+    diag = A.reshape(len(A), -1)[:, :: A.shape[1] + 1]
+    diag += _RIDGE * diag.real.max(axis=1, keepdims=True) + np.finfo(float).tiny
+    return np.linalg.solve(A, rhs)
 
 
 def _contract(
@@ -184,7 +180,14 @@ def _contract(
     """Iterate every row of x <- step(x) from the rows of x0 (m, d) until
     consecutive iterates are closer in d_s than opts.tol_ds or than the row's
     roundoff floor _FLOOR_ULPS * eps * max|x|/Im x, with a per-row Anderson
-    step (Walker & Ni 2011) unless opts.acceleration is "none".
+    step unless opts.acceleration is "none".
+
+    Anderson (Walker & Ni 2011) steps to gx - dG gamma, gamma minimising
+    |f - dF gamma| over the latest _ANDERSON_WINDOW differences dF of steps
+    and dG of map values, kept in rings with the Gram matrices dF^H dF (one
+    new column per iteration).  All rows take gamma from one stacked h x h
+    solve of the normal equations, ridged (Scieur, d'Aspremont & Bach 2016)
+    because once d < h every history is rank-deficient and the solve singular.
 
     step(x, rows) and in_domain(x, rows) get the rows still iterating and
     their indices into x0; in_domain answers per row, and a row whose
@@ -200,11 +203,11 @@ def _contract(
     residuals = np.empty(m)
     ratios = np.empty(m)
     active = np.arange(m)
-    # the latest differences of consecutive map values and steps, (rows, d)
-    # each, and the values and steps they were taken from
-    dg_hist: list[NDArray] = []
-    df_hist: list[NDArray] = []
-    g_prev = f_prev = None
+    # the rings of dG and of conj(dF), and the Gram matrices dF^H dF
+    w = _ANDERSON_WINDOW if use_aa else 0
+    dg, dfc = np.zeros((2, m, w, x0.shape[1]), dtype=np.complex128)
+    gram = np.zeros((m, w, w), dtype=np.complex128)
+    g_prev = f_prev = x0
 
     def failure(k: int, rows: NDArray, residual: NDArray) -> NonConvergenceError:
         index = None if labels is None else int(labels[active[rows[0]]])
@@ -230,28 +233,21 @@ def _contract(
                 return out, iterations, residuals, ratios
             keep = ~done
             active, x, gx, f, residual = active[keep], x[keep], gx[keep], f[keep], residual[keep]
-            if g_prev is not None:
-                g_prev, f_prev = g_prev[keep], f_prev[keep]
-                dg_hist = [g[keep] for g in dg_hist]
-                df_hist = [g[keep] for g in df_hist]
+            dg, dfc, gram, g_prev, f_prev = (a[keep] for a in (dg, dfc, gram, g_prev, f_prev))
 
         x_next = gx
-        if use_aa:
-            if g_prev is not None:
-                dg_hist.append(gx - g_prev)
-                df_hist.append(f - f_prev)
-                if len(df_hist) > _ANDERSON_WINDOW:
-                    dg_hist.pop(0)
-                    df_hist.pop(0)
-                # stacked as (rows, h, d), so each row's d x h matrix is
-                # column-major, as LAPACK takes it
-                dF = np.stack(df_hist, axis=1).transpose(0, 2, 1)
-                gamma = _lstsq_rows(dF, f)
-                candidate = gx - (gamma[:, None, :] @ np.stack(dg_hist, axis=1))[:, 0, :]
-                ok = in_domain(candidate, active)
-                x_next = np.where(ok[:, None], candidate, gx)
-            g_prev, f_prev = gx, f
-        x = x_next
+        if use_aa and k > 1:
+            # slot s takes the newest differences; the first h are written
+            s, h = (k - 2) % w, min(k - 1, w)
+            df = f - f_prev
+            dg[:, s], dfc[:, s] = gx - g_prev, df.conj()
+            # the new Gram column dF^H df and the right side dF^H f, one product
+            prod = dfc[:, :h] @ np.concatenate([df[:, :, None], f[:, :, None]], axis=2)
+            gram[:, :h, s], gram[:, s, :h] = prod[:, :, 0], prod[:, :, 0].conj()
+            gamma = _anderson_coefficients(gram[:, :h, :h], prod[:, :, 1:])
+            candidate = gx - (gamma.transpose(0, 2, 1) @ dg[:, :h])[:, 0]
+            x_next = np.where(in_domain(candidate, active)[:, None], candidate, gx)
+        g_prev, f_prev, x = gx, f, x_next
 
     raise failure(opts.max_iter, np.arange(active.size), residual)
 

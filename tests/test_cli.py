@@ -234,3 +234,27 @@ def test_nonconvergence_exit_code(mp_config, capsys):
         "--tol", "1e-14", "--max-iter", "2",
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("width", ["0", "-1", "nan"])
+def test_validate_rejects_nonpositive_bin_width(width, mp_config, tmp_path, capsys):
+    # width 0 divided by zero and width -1 indexed an empty grid, each with a
+    # traceback
+    assert main([
+        "validate", "--model", mp_config, "--out", str(tmp_path / "r"),
+        "--trials", "2", "--seed", "1", "--bin-width", width,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bin_width must be positive") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("interval", ["3", "5,1", "2,2", "a,b", "1,2,3"])
+def test_validate_bad_interval_is_a_usage_error(interval, mp_config, tmp_path, capsys):
+    # "5,1" was accepted and projected onto an empty interval
+    assert main([
+        "validate", "--model", mp_config, "--out", str(tmp_path / "r"),
+        "--trials", "2", "--seed", "1", "--functional", "identity",
+        "--contour", "0.01,4,0.5,16", "--interval", interval,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected LO,HI with LO < HI for --interval")

@@ -273,6 +273,14 @@ def test_compare_decomposes_each_trial_once(monkeypatch):
     assert len(calls) == trials
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
+def test_compare_rejects_nonpositive_bin_width(monkeypatch, width):
+    # raised before any draw
+    monkeypatch.setattr(empirical, "sample_matrix", lambda *a, **k: pytest.fail("drew"))
+    with pytest.raises(ValueError, match="bin_width must be positive"):
+        compare(mp_model(10, 20), trials=2, seed=1, bin_width=width)
+
+
 def test_histogram_frequencies_sum_to_one():
     m = mp_model(30, 60)
     rep = compare(m, trials=2, seed=5)

@@ -19,6 +19,7 @@ from covspectra import (
     apply_Iz,
     contraction_factor,
     continuation_solve,
+    density_grid,
     lambda_derivative,
     psi_matrix,
     q_tilde,
@@ -28,7 +29,12 @@ from covspectra import (
     stieltjes_g,
 )
 from covspectra import fixedpoint
-from covspectra.fixedpoint import _chains, _contract, _rows_within_chain_bytes
+from covspectra.fixedpoint import (
+    _anderson_coefficients,
+    _chains,
+    _contract,
+    _rows_within_chain_bytes,
+)
 from covspectra.semimetric import _in_domain
 
 
@@ -397,6 +403,125 @@ def test_contract_stops_at_roundoff_floor():
     assert list(its) == [2, 2]
     assert 1e-12 < res[0] < 16 * eps * abs(c[0]) / c[0].imag
     np.testing.assert_allclose(x[:, 0], c, rtol=1e-14)
+
+
+def normal_equations(dF: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrices dF^H dF and right sides dF^H f of a stack of
+    histories dF (m, d, h) and steps f (m, d)."""
+    dFh = dF.conj().transpose(0, 2, 1)
+    return dFh @ dF, dFh @ f[:, :, None]
+
+
+def complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("d, h", [(8, 5), (12, 3), (40, 5)])
+def test_anderson_coefficients_match_lstsq(rng, d, h):
+    # full-rank histories: the ridge moves gamma by about 1e-13 cond(dF)^2
+    dF, f = complex_normal(rng, 4, d, h), complex_normal(rng, 4, d)
+    gamma = _anderson_coefficients(*normal_equations(dF, f))[:, :, 0]
+    for r in range(4):
+        want = np.linalg.lstsq(dF[r], f[r], rcond=None)[0]
+        assert np.max(np.abs(gamma[r] - want)) < 1e-9 * np.max(np.abs(want))
+
+
+def test_anderson_candidate_on_rank_one_history_is_min_norm(rng):
+    # d = 1: every history of h > 1 differences has rank 1, so G is singular
+    # without the ridge; the candidate gx - dG gamma is lstsq's min-norm one.
+    # The histories are a scalar affine map's, g(x) = a x + b, so dG = a dX
+    # and dF = (a - 1) dX lie along each other: gamma's component outside
+    # dF's row space is roundoff amplified by 1/_RIDGE, and dG drops it
+    a, dX = complex_normal(rng, 3, 1, 1), complex_normal(rng, 3, 1, 5)
+    dF, dG = (a - 1.0) * dX, a * dX
+    f, gx = complex_normal(rng, 3, 1), complex_normal(rng, 3, 1)
+    candidate = gx - (dG @ _anderson_coefficients(*normal_equations(dF, f)))[:, :, 0]
+    for r in range(3):
+        want = gx[r] - dG[r] @ np.linalg.lstsq(dF[r], f[r], rcond=None)[0]
+        assert np.max(np.abs(candidate[r] - want)) < 1e-9 * np.max(np.abs(want))
+
+
+def test_anderson_zero_history_takes_picard_step(rng):
+    # an all-zero history gets gamma = 0, its Picard step, and leaves the
+    # other rows of the stack as they are
+    dF, f = complex_normal(rng, 3, 6, 4), complex_normal(rng, 3, 6)
+    dF[1] = 0.0
+    G, b = normal_equations(dF, f)
+    with np.errstate(all="raise"):
+        gamma = _anderson_coefficients(G, b)
+    assert np.all(gamma[1] == 0.0)
+    np.testing.assert_array_equal(gamma[[0, 2]], _anderson_coefficients(G[[0, 2]], b[[0, 2]]))
+
+
+def test_contract_matches_lstsq_anderson(rng):
+    # three affine contractions side by side, row 1 constant, so it leaves
+    # before the first Anderson step; the others run past the window, and
+    # every iterate matches a per-row Anderson step taken with lstsq
+    d, steps = 12, 9
+    A = complex_normal(rng, 3, d, d)
+    A *= 0.2 / np.linalg.norm(A, 2, axis=(1, 2))[:, None, None]
+    A[1] = 0.0
+    c = rng.uniform(-1.0, 1.0, (3, d)) + 10j
+    seen = [[] for _ in range(3)]
+
+    def step(x, rows):
+        for r, v in zip(rows, x):
+            seen[r].append(v)
+        return (A[rows] @ x[:, :, None])[:, :, 0] + c[rows]
+
+    with pytest.raises(NonConvergenceError):
+        _contract(step, c + 1j, SolverOptions(tol_ds=1e-300, max_iter=steps),
+                  lambda x, rows: np.ones(len(rows), bool))
+    assert [len(xs) for xs in seen] == [steps, 2, steps]
+    for r in (0, 2):
+        x, dG, dF, g_prev = c[r] + 1j, [], [], None
+        for k in range(steps):
+            np.testing.assert_allclose(seen[r][k], x, rtol=1e-9)
+            gx = A[r] @ x + c[r]
+            if g_prev is not None:
+                dG, dF = (dG + [gx - g_prev])[-5:], (dF + [gx - x - f_prev])[-5:]
+                x_next = gx - np.array(dG).T @ np.linalg.lstsq(
+                    np.array(dF).T, gx - x, rcond=None)[0]
+            else:
+                x_next = gx
+            g_prev, f_prev, x = gx, gx - x, x_next
+
+
+def test_contract_makes_one_solve_per_accelerated_iteration(monkeypatch):
+    # iterations 2 .. K - 1 each take one stacked solve, whatever rows are
+    # left; iteration 1 has no history, and at K every row has stopped
+    for name in ("lstsq", "qr", "svd"):
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _name=name, **k: pytest.fail(f"np.linalg.{_name}"))
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    res = solve_lambda(mp_model(10, 20), 1.0 + 0.05j)
+    assert len(calls) == res.iterations - 2
+    # a QVE at four z's, rows stopping apart
+    S = np.abs(np.subtract.outer(np.arange(30), np.arange(30))) <= 3
+    S = S / 7.0 + 0j
+    z = np.array([[-1.5], [0.0], [0.5], [1.8]]) + 1e-2j
+    calls.clear()
+    _, its, *_ = _contract(lambda x, rows: z[rows] - (1.0 / x) @ S.T,
+                           np.repeat(z, 30, axis=1), SolverOptions(),
+                           lambda x, rows: (x.imag > 0.0).all(axis=1))
+    assert len(set(its)) > 1
+    assert len(calls) == its.max() - 2
+
+
+def test_figure1_density_grid_iterations(monkeypatch):
+    # Figure-1 left, d = k = 1: 2,209 row iterations with lstsq's min-norm
+    # step, 2,208 with the ridge.  Without it every history of two or more
+    # differences makes the solve singular, and Picard steps there took 8,199
+    total = []
+    contract = fixedpoint._contract
+    monkeypatch.setattr(fixedpoint, "_contract",
+                        lambda *a, **k: total.append(contract(*a, **k)) or total[-1])
+    base = np.r_[[8.0] * 20, [1.0] * 60]
+    m = EnsembleModel(80, 160, [Column(Diagonal(base))] * 160)
+    density_grid(m, 0.01, 16.0, 400, y=1e-3)
+    assert sum(int(out[1].sum()) for out in total) <= 2320
 
 
 def test_psi_matrix_scalar_oracle():
