@@ -98,6 +98,8 @@ def density_grid(
     """Im g(x + iy)/pi on a uniform grid, continuation-solved left to right."""
     if not x_lo < x_hi:
         raise ValueError("x_lo must be < x_hi")
+    if not np.isfinite([x_lo, x_hi]).all():
+        raise ValueError("x_lo and x_hi must be finite")
     if count < 2:
         raise ValueError("count must be >= 2")
     if not y > 0.0:

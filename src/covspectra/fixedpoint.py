@@ -5,28 +5,36 @@ The map takes a diagonal L (with Im L > 0 and Im(L/z) > 0) to
 ``z - diag((1/n) tr(Sigma_i Q(L)))`` with
 ``Q(L) = (I_p - (1/n) sum_j Sigma_j / L_j)^{-1}``.  It is a contraction for
 the semi-metric d_s, which gives existence and uniqueness of the fixed point
-and justifies the Picard iteration used here.  Anderson acceleration (Walker &
-Ni, SIAM J. Numer. Anal. 2011) is layered on top with a domain guard,
-because plain iteration slows down drastically near the real axis.  Its
-coefficients solve normal equations on a Gram matrix that rolls with the
-history, with a ridge so rank-deficient histories stay solvable (Scieur,
-d'Aspremont & Bach, NeurIPS 2016): one small solve, no QR or SVD.
+and justifies the Picard iteration used here.  Plain iteration slows down
+drastically near the real axis, so an accelerated step is layered on top,
+guarded by the domain.  On a diagonal model of at most _NEWTON_CLASSES
+classes it is Newton's on the class values, with the Jacobian I - Psi from
+one product, taken only while the d_s residual falls (a Picard-safeguarded
+Newton step, Kelley, Iterative Methods for Linear and Nonlinear Equations,
+SIAM 1995).  Elsewhere it is Anderson's (Walker & Ni, SIAM J. Numer. Anal.
+2011), whose coefficients solve normal equations on a Gram matrix that rolls
+with the history, with a ridge so rank-deficient histories stay solvable
+(Scieur, d'Aspremont & Bach, NeurIPS 2016).  Either takes one small stacked
+solve per iteration, no QR or SVD.
 
 ``_contract`` is the one iteration loop of the package.  It iterates the rows
 of an (m, d) array, m independent contractions side by side, each with its
-own stop rule, domain guard and Anderson step; a row stops at tol_ds or at
-its roundoff floor, whichever is larger.  ``qve.solve_qve`` runs it on the
-quadratic vector equation, a d_s contraction of the same kind.  Column i
-enters the map only through Sigma_i, so its value is constant on column
-classes for any L, and the fixed point is too: ``solve_lambda`` (one row)
-and ``continuation_solve`` (one row per node of a path) iterate the k class
-values through one batched evaluation, ``EnsembleModel.class_traces``.  Every
-map, resolvent and Psi goes through the model's class kernels, which take
-the class sums of the weights 1/L_i.
+own stop rule, domain guard and accelerated step; a row stops at tol_ds or
+at its roundoff floor, whichever is larger.  ``qve.solve_qve`` runs it on the
+quadratic vector equation, a d_s contraction of the same kind, with Anderson
+steps.  Column i enters the map only through Sigma_i, so its value is
+constant on column classes for any L, and the fixed point is too:
+``solve_lambda`` (one row) and ``continuation_solve`` (one row per node of a
+path) iterate the k class values through one batched evaluation,
+``EnsembleModel.class_traces`` (``class_traces_and_pairs`` under Newton
+steps).  Every map, resolvent and Psi goes through the model's class
+kernels, which take the class sums of the weights 1/L_i; ``lambda_derivative``
+solves its k x k system on the class values.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -71,6 +79,15 @@ _CHAIN_BYTES = 4 << 20
 # a warm node starts from the polynomial in z through this many latest
 # solved nodes of its chain: quadratic, once the chain has three
 _PREDICTOR_POINTS = 3
+# a diagonal model of at most this many classes takes Newton steps on its
+# class values, and Anderson steps above it.  A 100-node density grid at
+# y = 1e-3 on seeded diagonal models (n = 160; 2 cores, one BLAS thread)
+# took a third to a half fewer row iterations under Newton at every k.  It
+# took less time for k <= 4 at p = 80 and 800 (p = 80, k = 4: 16 against
+# 28 ms), about the same at p = 4000, k = 4 (45-75 ms either way on a noisy
+# host), and more for k = 16 from p = 800 and for k = 40 at every p: the
+# pair product grows as k^2 p per node
+_NEWTON_CLASSES = 4
 
 
 class DomainError(ValueError):
@@ -96,7 +113,9 @@ class NonConvergenceError(RuntimeError):
 class SolverOptions:
     tol_ds: float = 1e-12
     max_iter: int = 50_000
-    acceleration: str = "anderson"  # "anderson" | "none"
+    # "anderson", the accelerated mode (Newton on few diagonal classes,
+    # Anderson elsewhere; see _contract), or "none" for Picard steps only
+    acceleration: str = "anderson"
 
     def __post_init__(self) -> None:
         if not self.tol_ds > 0.0:
@@ -112,7 +131,7 @@ class FixedPointResult:
     lam: UpperDiagonal
     iterations: int
     residual_ds: float
-    contraction_estimate: float
+    contraction_estimate: float  # the ratio of the last two d_s residuals
     phi: float
 
 
@@ -176,36 +195,43 @@ def _contract(
     opts: SolverOptions,
     in_domain: Callable[[NDArray, NDArray], NDArray],
     labels: NDArray | None = None,
+    newton: bool = False,
 ) -> tuple[NDArray, NDArray, NDArray, NDArray]:
     """Iterate every row of x <- step(x) from the rows of x0 (m, d) until
     consecutive iterates are closer in d_s than opts.tol_ds or than the row's
-    roundoff floor _FLOOR_ULPS * eps * max|x|/Im x, with a per-row Anderson
-    step unless opts.acceleration is "none".
+    roundoff floor _FLOOR_ULPS * eps * max|x|/Im x, with a per-row
+    accelerated step unless opts.acceleration is "none".
 
-    Anderson (Walker & Ni 2011) steps to gx - dG gamma, gamma minimising
-    |f - dF gamma| over the latest _ANDERSON_WINDOW differences dF of steps
-    and dG of map values, kept in rings with the Gram matrices dF^H dF (one
-    new column per iteration).  All rows take gamma from one stacked h x h
-    solve of the normal equations, ridged (Scieur, d'Aspremont & Bach 2016)
-    because once d < h every history is rank-deficient and the solve singular.
+    With newton, step(x, rows) returns (gx, Psi), Psi (m, d, d) the
+    derivative of the map at x, and the accelerated step is Newton's on
+    x = step(x): x + (I - Psi)^-1 (gx - x), from one stacked d x d solve for
+    all rows.  A row takes it only where its d_s residual fell below its
+    previous one, and otherwise its Picard step gx, which contracts (Kelley
+    1995).  Without newton the accelerated step is Anderson's (Walker & Ni
+    2011): gx - dG gamma, gamma minimising |f - dF gamma| over the latest
+    _ANDERSON_WINDOW differences dF of steps and dG of map values, kept in
+    rings with the Gram matrices dF^H dF (one new column per iteration).
+    All rows take gamma from one stacked h x h solve of the normal
+    equations, ridged (Scieur, d'Aspremont & Bach 2016) because once d < h
+    every history is rank-deficient and the solve singular.
 
     step(x, rows) and in_domain(x, rows) get the rows still iterating and
     their indices into x0; in_domain answers per row, and a row whose
-    accelerated step leaves the domain takes its Picard step.  All rows start
-    together, so they share one history depth; a converged row leaves.
-    Returns per row (x, iterations, residual, ratio of the last two
+    accelerated step leaves the domain takes its Picard step.  All rows
+    start together, so they share one history depth; a converged row
+    leaves.  Returns per row (x, iterations, residual, ratio of the last two
     residuals).  Raises NonConvergenceError after max_iter steps, or at once
     on a non-finite residual, naming the lowest failing row's label."""
-    use_aa = opts.acceleration == "anderson"
-    m = x0.shape[0]
+    accelerate = opts.acceleration == "anderson"
+    m, d = x0.shape
     out = np.empty_like(x0)
     iterations = np.empty(m, dtype=np.intp)
     residuals = np.empty(m)
     ratios = np.empty(m)
     active = np.arange(m)
     # the rings of dG and of conj(dF), and the Gram matrices dF^H dF
-    w = _ANDERSON_WINDOW if use_aa else 0
-    dg, dfc = np.zeros((2, m, w, x0.shape[1]), dtype=np.complex128)
+    w = _ANDERSON_WINDOW if accelerate and not newton else 0
+    dg, dfc = np.zeros((2, m, w, d), dtype=np.complex128)
     gram = np.zeros((m, w, w), dtype=np.complex128)
     g_prev = f_prev = x0
 
@@ -216,7 +242,7 @@ def _contract(
     x = x0
     residual = np.full(m, np.inf)
     for k in range(1, opts.max_iter + 1):
-        gx = step(x, active)
+        gx, psi = step(x, active) if newton else (step(x, active), None)
         f = gx - x
         prev, residual = residual, _ds(gx, x, axis=1)
         if not np.isfinite(residual).all():
@@ -232,11 +258,22 @@ def _contract(
             if done.all():
                 return out, iterations, residuals, ratios
             keep = ~done
-            active, x, gx, f, residual = active[keep], x[keep], gx[keep], f[keep], residual[keep]
+            active, x, gx, f, residual, prev = (
+                a[keep] for a in (active, x, gx, f, residual, prev))
+            psi = psi if psi is None else psi[keep]
             dg, dfc, gram, g_prev, f_prev = (a[keep] for a in (dg, dfc, gram, g_prev, f_prev))
 
         x_next = gx
-        if use_aa and k > 1:
+        if newton and accelerate:
+            A = -psi
+            A.reshape(len(A), -1)[:, :: d + 1] += 1.0
+            try:
+                candidate = x + np.linalg.solve(A, f[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # a singular I - Psi: Picard steps
+                candidate = gx
+            take = (residual < prev) & in_domain(candidate, active)
+            x_next = np.where(take[:, None], candidate, gx)
+        elif w and k > 1:
             # slot s takes the newest differences; the first h are written
             s, h = (k - 2) % w, min(k - 1, w)
             df = f - f_prev
@@ -265,9 +302,11 @@ def solve_lambda(
     when consecutive iterates are closer than tol_ds in the d_s semi-metric,
     or than their roundoff floor.
     """
-    if not complex(z).imag > 0.0:
-        raise DomainError("z must lie in the upper half-plane")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("z must be finite")
+    if not z.imag > 0.0:
+        raise DomainError("z must lie in the upper half-plane")
     opts = opts or SolverOptions()
 
     if warm is not None:
@@ -336,6 +375,8 @@ def continuation_solve(
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     if zs.size == 0:
         raise ValueError("empty z path")
+    if not np.isfinite(zs).all():
+        raise DomainError("z must be finite")
     if not np.all(zs.imag > 0.0):
         raise DomainError("z must lie in the upper half-plane")
     opts = opts or SolverOptions()
@@ -381,13 +422,32 @@ def _stage(model: EnsembleModel, z: NDArray, x: NDArray, cold: NDArray,
            opts: SolverOptions, labels: NDArray | None = None) -> tuple[NDArray, ...]:
     """Solve the map on class values at each z[row] (m, 1) from the starts x
     (m, k) in one batched _contract; a row marked cold starts instead from
-    one map application at z*ones, which lands strictly inside the domain."""
+    one map application at z*ones, which lands strictly inside the domain.
+    A diagonal model of at most _NEWTON_CLASSES classes gives _contract the
+    map's derivative, so its accelerated steps are Newton's."""
+    size = model._class_size
+
     def step(v: NDArray, r: NDArray) -> NDArray:
-        return _class_map(model, z[r], model._class_size / v)
+        return _class_map(model, z[r], size / v)
+
+    def newton_step(v: NDArray, r: NDArray) -> tuple[NDArray, NDArray]:
+        t, pair = model.class_traces_and_pairs(size / v)
+        return z[r] - t / model.n, _class_psi(model, v, pair)
 
     if cold.any():
         x[cold] = step(np.repeat(z[cold], x.shape[1], axis=1), cold)
-    return _contract(step, x, opts, lambda v, r: _in_domain(v, z[r], axis=1), labels=labels)
+    newton = (opts.acceleration == "anderson" and model.is_diagonal
+              and size.size <= _NEWTON_CLASSES)
+    return _contract(newton_step if newton else step, x, opts,
+                     lambda v, r: _in_domain(v, z[r], axis=1), labels=labels, newton=newton)
+
+
+def _class_psi(model: EnsembleModel, x: NDArray, pair: NDArray) -> NDArray:
+    """Psi on the class values x (m, k) from the class_pair_traces pair
+    (m, k, k) at their class sums: entry (c, c') of each row is
+    n_c' tr(Sigma_c Q Sigma_c' Q) / (n^2 x_c'^2), the derivative of the class
+    map's entry c in x_c'."""
+    return pair / (model.n * model.n * x * x)[:, None, :] * model._class_size
 
 
 def psi_matrix(
@@ -398,28 +458,32 @@ def psi_matrix(
 
     This is the transfer matrix of the fixed-point map: at a solved point,
     d(lambda)/dz = (I - Psi)^{-1} ones and ||Psi|| < 1."""
-    n = model.n
-    Q, Qp = q_tilde(model, D), q_tilde(model, Dp)
-    # columns of one class share Sigma_c, which mixtures(n e_c) reads from the
-    # class storage: one product pair per class, and a chunk of classes takes
-    # its traces in one pass over the packed stack
-    E = n * np.eye(model._class_size.size)
-    b = _rows_within_chain_bytes(model.p)
-    traces = np.concatenate([model.class_traces_of(Q @ model.mixtures(rows) @ Qp)
-                             for rows in np.split(E, range(b, len(E), b))])
-    cc = model.column_class
-    return traces[np.ix_(cc, cc)].T / (n * n * D.values * Dp.values)
+    n, cc = model.n, model.column_class
+    pair = _pair_traces(model, _class_sums(model, D), _class_sums(model, Dp))
+    return pair[np.ix_(cc, cc)] / (n * n * D.values * Dp.values)
+
+
+def _pair_traces(model: EnsembleModel, Wc: NDArray, Wcp: NDArray | None) -> NDArray:
+    """class_pair_traces at the class sums Wc and Wcp (1, k), as (k, k); with
+    a dense class a chunk of classes within _CHAIN_BYTES per pass."""
+    chunk = _rows_within_chain_bytes(model.p)
+    return _kernel(lambda W: model.class_pair_traces(W, Wcp, chunk), Wc)[0]
 
 
 def lambda_derivative(
     model: EnsembleModel, z: complex, lam: UpperDiagonal
 ) -> NDArray[np.complex128]:
-    """d(lambda)/dz at a converged fixed point: solves (I - Psi) x = ones."""
-    psi = psi_matrix(model, lam, lam)
-    A = np.eye(model.n, dtype=np.complex128) - psi
+    """d(lambda)/dz at a converged fixed point: solves (I - Psi) x = ones.
+    Lambda is constant on column classes, and so is x: it comes from the
+    k x k system of Psi on the class values, expanded through column_class."""
+    Wc = _class_sums(model, lam)
+    x = lam.values[np.unique(model.column_class, return_index=True)[1]][None]
+    psi = _class_psi(model, x, _pair_traces(model, Wc, None)[None])[0]
+    A = np.eye(len(psi), dtype=np.complex128) - psi
     try:
-        return np.linalg.solve(A, np.ones(model.n, dtype=np.complex128))
+        y = np.linalg.solve(A, np.ones(len(psi), dtype=np.complex128))
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             "I - Psi is singular; input is not a converged fixed point"
         ) from exc
+    return y[model.column_class]

@@ -18,6 +18,10 @@ inverse with no p x p matrix, and dense classes one GEMM each way against
 their stack plus a stacked LU.  ``functional_traces`` gives tr(A Q) for
 fixed real matrices A, the contour projections' functionals, by the same
 branches: with no dense class from r x r blocks Y^T A Y, never forming Q.
+``class_pair_traces`` gives tr(Sigma_c Q Sigma_c' Q'), the stability matrix
+Psi on class values: on a diagonal model from one product of the diagonals
+of Q and Q' against the rows d_c d_c', which ``class_traces_and_pairs``
+shares with the map's traces for the solver's Newton steps.
 Each dense class is stored once, as the packed upper triangle of its
 symmetric part (p(p+1)/2 entries), and every product reads that stack once:
 the real and imaginary rows of the complex operand are stacked into one real
@@ -47,6 +51,7 @@ __all__ = [
 
 _PSD_TOL = 1e-10
 _MIN_EIG_FLOOR = 1e-8  # warn below it: lower-bounded-covariance assumption
+_PAIR_BLOCK = 1 << 18  # entries of the rows d_c d_c' formed at once (2 MiB)
 
 
 class ModelError(ValueError):
@@ -315,6 +320,12 @@ class EnsembleModel:
         a diagonal matrix plus a rank-r correction (r = 0: diagonal)."""
         return not self._dense_rows.size
 
+    @property
+    def is_diagonal(self) -> bool:
+        """True when every Sigma_i is diagonal: no dense class and no vector,
+        so each resolvent factor is a diagonal matrix."""
+        return not (self._dense_rows.size or self._vec_rows.size)
+
     def _class_weights(self, w: NDArray) -> NDArray:
         """For each class, the sum of w_i over its n columns; real weights give
         real sums, which keeps the BLAS products that take them real."""
@@ -387,6 +398,46 @@ class EnsembleModel:
         t = _times_real(diag_q + np.sum((Y @ M) * Y, axis=2), self._diag.T)
         t[:, self._vec_rows] += self.n * np.diagonal(KG, axis1=1, axis2=2)
         return t
+
+    def class_pair_traces(self, Wc: NDArray, Wcp: NDArray | None = None,
+                          chunk: int = 1) -> NDArray[np.complex128]:
+        """tr(Sigma_c Q[row] Sigma_c' Q'[row]) for every pair of classes
+        (c, c') and every row of the class sums Wc and Wcp (m, k), Q and Q'
+        being factor_inverses(Wc) and factor_inverses(Wcp) (Q' = Q when Wcp
+        is None), as (m, k, k).  On a diagonal model that is the product
+        _diagonal_pairs of the diagonals of Q and Q'.  Otherwise one product
+        pair Q Sigma_c Q' per class, Sigma_c read as mixtures(n e_c), and each
+        chunk of classes takes its traces in one pass over the packed stack."""
+        if self.is_diagonal:
+            q = self._woodbury(Wc)[0]
+            return self._diagonal_pairs(q, q if Wcp is None else self._woodbury(Wcp)[0])
+        m, k, p = len(Wc), self._diag.shape[0], self.p
+        Q = self.factor_inverses(Wc)[:, None]
+        Qp = Q if Wcp is None else self.factor_inverses(Wcp)[:, None]
+        E = self.n * np.eye(k)
+        t = np.concatenate([
+            self.class_traces_of((Q @ self.mixtures(rows) @ Qp).reshape(-1, p, p)).reshape(m, -1, k)
+            for rows in np.split(E, range(chunk, k, chunk))], axis=1)
+        return t.transpose(0, 2, 1)
+
+    def class_traces_and_pairs(self, Wc: NDArray) -> tuple[NDArray[np.complex128], ...]:
+        """class_traces(Wc) and class_pair_traces(Wc) of a diagonal model,
+        both from one diagonal q of Q per row."""
+        q = self._woodbury(Wc)[0]
+        return _times_real(q, self._diag.T), self._diagonal_pairs(q, q)
+
+    def _diagonal_pairs(self, q: NDArray, qp: NDArray) -> NDArray[np.complex128]:
+        """sum_j d_cj d_c'j q_j qp_j for the diagonal rows d_c and every row of
+        q and qp (m, p), as (m, k, k): q qp against the rows d_c d_c', two
+        real GEMMs per block of at most _PAIR_BLOCK entries of those rows."""
+        (m, p), k = q.shape, self._diag.shape[0]
+        qq = q * qp
+        out = np.empty((m, k, k), dtype=np.complex128)
+        b = max(1, _PAIR_BLOCK // (k * p))
+        for c in range(0, k, b):
+            rows = (self._diag[c:c + b, None] * self._diag).reshape(-1, p)
+            out[:, c:c + b] = _times_real(qq, rows.T).reshape(m, -1, k)
+        return out
 
     def functional_traces(self, Wc: NDArray, As: NDArray) -> NDArray[np.complex128]:
         """tr(A_a Q[row]) for every real matrix A_a of the (a, p, p) stack As

@@ -40,6 +40,23 @@ def test_solve_rejects_bad_z(mp_config, capsys):
     assert main(["solve", "--model", mp_config, "--z", "nonsense"]) == 1
 
 
+@pytest.mark.parametrize("z", ["nan,1", "inf,1", "1,inf"])
+def test_solve_rejects_non_finite_z(z, mp_config, capsys):
+    # these ran the solver into a residual of nan and exit 2
+    assert main(["solve", "--model", mp_config, "--z", z]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--y", "inf"), ("--y", "nan"), ("--xhi", "inf")])
+def test_density_rejects_non_finite_nodes(flag, value, mp_config, tmp_path, capsys):
+    args = {"--xlo": "0.05", "--xhi": "3.5", "--y": "0.01", flag: value}
+    rc = main(["density", "--model", mp_config, "--out", str(tmp_path / "out"), "--count", "8",
+               *[part for item in args.items() for part in item]])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_missing_model_file(tmp_path, capsys):
     rc = main(["solve", "--model", str(tmp_path / "nope.json"), "--z", "0,1"])
     assert rc == 1

@@ -29,6 +29,7 @@ from covspectra import (
     stieltjes_g,
 )
 from covspectra import fixedpoint
+from covspectra import model as model_module
 from covspectra.fixedpoint import (
     _anderson_coefficients,
     _chains,
@@ -129,6 +130,20 @@ def test_rejects_lower_halfplane():
         solve_lambda(m, 1.0 - 1.0j)
     with pytest.raises(DomainError):
         solve_lambda(m, 1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("z", [complex(np.nan, 1.0), complex(np.inf, 1.0),
+                               complex(1.0, np.inf), complex(np.nan, np.nan)])
+def test_rejects_non_finite_z(monkeypatch, z):
+    # before any map evaluation: a non-finite z used to run one iteration
+    # with RuntimeWarnings and fail with a residual of nan
+    monkeypatch.setattr(EnsembleModel, "class_traces",
+                        lambda *a: pytest.fail("map evaluated at a non-finite z"))
+    m = mp_model(4, 8)
+    with pytest.raises(DomainError, match="finite"):
+        solve_lambda(m, z)
+    with pytest.raises(DomainError, match="finite"):
+        continuation_solve(m, [1.0 + 1.0j, z, 2.0 + 1.0j])
 
 
 def test_apply_iz_rejects_bad_diagonal():
@@ -358,8 +373,10 @@ def test_extrapolated_start_outside_domain_falls_back(monkeypatch):
 
 
 def test_predicted_starts_save_iterations():
-    # 60 nodes on 0.01..4 + 1e-3i: 661 iterations in all when every warm node
-    # started from its predecessor, 518 from the three-point extrapolation
+    # 60 nodes on 0.01..4 + 1e-3i.  Under Anderson steps: 661 iterations in
+    # all when every warm node started from its predecessor, 518 from the
+    # three-point extrapolation.  Under the Newton steps that this one-class
+    # model now takes: 344 and 293
     zs = np.linspace(0.01, 4.0, 60) + 1e-3j
     assert sum(r.iterations for r in continuation_solve(mp_model(20, 40), zs)) < 590
 
@@ -496,7 +513,8 @@ def test_contract_makes_one_solve_per_accelerated_iteration(monkeypatch):
     calls = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
-    res = solve_lambda(mp_model(10, 20), 1.0 + 0.05j)
+    # mean vectors: Anderson steps, as on every model but few diagonal classes
+    res = solve_lambda(mixture_model(10, 20, 3), 1.0 + 0.05j)
     assert len(calls) == res.iterations - 2
     # a QVE at four z's, rows stopping apart
     S = np.abs(np.subtract.outer(np.arange(30), np.arange(30))) <= 3
@@ -510,18 +528,153 @@ def test_contract_makes_one_solve_per_accelerated_iteration(monkeypatch):
     assert len(calls) == its.max() - 2
 
 
+def test_newton_makes_one_solve_per_iteration(monkeypatch):
+    # a diagonal model of one class takes Newton steps: iterations 1 .. K - 1
+    # each take one stacked solve of I - Psi, and at K the row has stopped
+    for name in ("lstsq", "qr", "svd"):
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _name=name, **k: pytest.fail(f"np.linalg.{_name}"))
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(a[1].shape) or solve(*a, **k))
+    res = solve_lambda(mp_model(10, 20), 1.0 + 0.05j)
+    assert calls == [(1, 1, 1)] * (res.iterations - 1)
+
+
+def figure1_left() -> EnsembleModel:
+    base = np.r_[[8.0] * 20, [1.0] * 60]
+    return EnsembleModel(80, 160, [Column(Diagonal(base))] * 160)
+
+
 def test_figure1_density_grid_iterations(monkeypatch):
-    # Figure-1 left, d = k = 1: 2,209 row iterations with lstsq's min-norm
-    # step, 2,208 with the ridge.  Without it every history of two or more
-    # differences makes the solve singular, and Picard steps there took 8,199
+    # Figure-1 left, d = k = 1.  Under Anderson steps: 2,209 row iterations
+    # with lstsq's min-norm step, 2,208 with the ridge; without the ridge every
+    # history of two or more differences makes the solve singular, and
+    # Picard steps there took 8,199.  Under Newton steps: 1,411
     total = []
     contract = fixedpoint._contract
     monkeypatch.setattr(fixedpoint, "_contract",
                         lambda *a, **k: total.append(contract(*a, **k)) or total[-1])
-    base = np.r_[[8.0] * 20, [1.0] * 60]
-    m = EnsembleModel(80, 160, [Column(Diagonal(base))] * 160)
-    density_grid(m, 0.01, 16.0, 400, y=1e-3)
+    density_grid(figure1_left(), 0.01, 16.0, 400, y=1e-3)
     assert sum(int(out[1].sum()) for out in total) <= 2320
+    assert sum(int(out[1].sum()) for out in total) <= 1550
+
+
+def diagonal_model(p: int, n: int, k: int, seed: int) -> EnsembleModel:
+    """k seeded diagonal classes, column i in class i mod k."""
+    d = np.random.Generator(np.random.Philox(key=seed)).uniform(0.2, 3.0, (k, p))
+    specs = [Diagonal(row) for row in d]
+    return EnsembleModel(p, n, [Column(specs[i % k]) for i in range(n)])
+
+
+def dense_model(p: int, n: int, seed: int) -> EnsembleModel:
+    """Two seeded dense classes, column i in class i mod 2."""
+    B = np.random.Generator(np.random.Philox(key=seed)).standard_normal((2, p, p))
+    specs = [Dense(b @ b.T / p + 0.1 * np.eye(p)) for b in B]
+    return EnsembleModel(p, n, [Column(specs[i % 2]) for i in range(n)])
+
+
+@pytest.mark.parametrize("name", ["mp-p<n", "mp-p>n", "figure1-left", "k=2", "k=3", "k=4"])
+def test_newton_matches_picard(name):
+    # the 1e-2 points lie in the bulk, the 1e-3 ones outside it, where a cold
+    # Picard solve stays short; the fixed point is unique, so the steps taken
+    # change iteration counts, not answers
+    zs = [0.5 + 0.5j, 1.0 + 1e-2j, -0.5 + 1e-3j, 8.0 + 1e-3j]
+    if name.startswith("mp"):
+        m = mp_model(20, 40) if name == "mp-p<n" else mp_model(40, 20)
+    elif name == "figure1-left":
+        m = figure1_left()
+        zs = [1.0 + 1e-2j, 5.0 + 1e-2j, 3.0 + 1e-3j, 20.0 + 1e-3j, -0.5 + 1e-3j]
+    else:
+        k = int(name[2:])
+        m = diagonal_model(12, 24, k, seed=k)
+        assert m.is_diagonal and m._class_size.size == k
+    picard = SolverOptions(acceleration="none")
+    for z in zs:
+        want = solve_lambda(m, z, picard).lam.values
+        got = solve_lambda(m, z).lam.values
+        assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
+    for r, z in zip(continuation_solve(m, zs), zs):
+        want = solve_lambda(m, z, picard).lam.values
+        assert np.max(np.abs(r.lam.values - want)) < 1e-11 * np.max(np.abs(want))
+
+
+def test_newton_on_zigzag_path_matches_picard():
+    # the zigzag of test_extrapolated_start_outside_domain_falls_back has two
+    # distinct nodes, 0.1 + 1e-3i in the bulk next to its lower edge and
+    # 1.9 + 0.5i
+    m = mp_model(20, 40)
+    j = np.arange(30)
+    zs = 1.0 + 0.9 * (-1.0) ** j + 1j * np.where(j % 2, 1e-3, 0.5)
+    picard = SolverOptions(acceleration="none")
+    want = {z: solve_lambda(m, z, picard).lam.values for z in zs[:2]}
+    for z, r in zip(zs, continuation_solve(m, zs)):
+        assert np.max(np.abs(r.lam.values - want[z])) < 1e-11 * np.max(np.abs(want[z]))
+
+
+def test_newton_step_guards():
+    # a constant map c with a made-up derivative Psi per row.  Row 0's first
+    # Newton candidate x + (c - x)/(1 - 2) = 1 - 1i leaves the domain, so it
+    # takes its Picard step c.  Row 1's candidates 2c - x alternate between
+    # 1 + 5i and 1 + 1i: the first lowers its residual, the second raises
+    # it, so its next step is Picard's
+    c = 1.0 + 3.0j
+    psi = np.array([2.0, 0.5])[:, None, None] + 0j
+    seen = [[], []]
+
+    def step(x, rows):
+        for r, v in zip(rows, x[:, 0]):
+            seen[r].append(v)
+        return np.full_like(x, c), psi[rows]
+
+    x, its, *_ = _contract(step, np.full((2, 1), 1.0 + 1.0j), SolverOptions(),
+                           lambda x, rows: (x.imag > 0.0).all(axis=1), newton=True)
+    assert seen == [[1 + 1j, c], [1 + 1j, 1 + 5j, 1 + 1j, c]]
+    assert list(its) == [2, 4] and np.all(x == c)
+
+
+def test_newton_singular_jacobian_takes_picard_step():
+    # Psi = 1 makes I - Psi singular: every row takes its Picard step
+    c = 1.0 + 3.0j
+    seen = []
+
+    def step(x, rows):
+        seen.extend(x[:, 0])
+        return np.full_like(x, c), np.ones((len(rows), 1, 1), dtype=complex)
+
+    x, its, *_ = _contract(step, np.full((2, 1), 1.0 + 1.0j), SolverOptions(),
+                           lambda x, rows: (x.imag > 0.0).all(axis=1), newton=True)
+    assert seen == [1 + 1j, 1 + 1j, c, c] and list(its) == [2, 2]
+
+
+def test_newton_jacobian_matches_finite_difference(rng):
+    # Psi on class values is the derivative of the class map, which is
+    # holomorphic in them: a central difference along each class value
+    m = diagonal_model(7, 12, 3, seed=11)
+    size, z, h = m._class_size, 1.3 + 0.2j, 1e-6
+    x = rng.uniform(0.5, 2.0, (2, 3)) + 1j * rng.uniform(0.5, 2.0, (2, 3))
+    _, pair = m.class_traces_and_pairs(size / x)
+    psi = fixedpoint._class_psi(m, x, pair)
+    np.testing.assert_allclose(pair, m.class_pair_traces(size / x), rtol=1e-14)
+    for c in range(3):
+        e = h * np.eye(3)[c]
+        fd = (fixedpoint._class_map(m, z, size / (x + e))
+              - fixedpoint._class_map(m, z, size / (x - e))) / (2 * h)
+        np.testing.assert_allclose(psi[:, :, c], fd, rtol=1e-7, atol=1e-9)
+
+
+@pytest.mark.parametrize("name, path, single", [
+    ("k=5", 303, 13), ("mixture", 383, 15), ("dense", 272, 11)])
+def test_anderson_models_keep_their_iterations(name, path, single):
+    # five diagonal classes are one more than _NEWTON_CLASSES, and mean
+    # vectors or dense classes take Anderson steps at any k: the counts
+    # these models had before Newton steps existed
+    m = {"k=5": lambda: diagonal_model(10, 20, 5, seed=5),
+         "mixture": lambda: mixture_model(10, 20, 3),
+         "dense": lambda: dense_model(10, 20, seed=3)}[name]()
+    zs = np.linspace(0.01, 4.0, 30) + 1e-2j
+    assert sum(r.iterations for r in continuation_solve(m, zs)) == path
+    assert solve_lambda(m, 1.0 + 0.05j).iterations == single
 
 
 def test_psi_matrix_scalar_oracle():
@@ -553,9 +706,9 @@ def test_psi_matrix_class_oracle(rng):
                                    atol=1e-12 * np.abs(want).max())
 
 
-def test_psi_matrix_oracle_over_several_chunks(rng):
-    # at p = 80 more dense classes than one chunk of Q Sigma_c Q' products
-    # holds, rotation counts shuffled, next to a diagonal and a mean class
+def chunked_model(rng: np.random.Generator) -> EnsembleModel:
+    """At p = 80, more dense classes than one chunk of Q Sigma_c Q' products
+    holds, rotation counts shuffled, next to a diagonal and a mean class."""
     p = 80
     b = _rows_within_chain_bytes(p)
     P = random_orthogonal(p, 5)
@@ -566,6 +719,11 @@ def test_psi_matrix_oracle_over_several_chunks(rng):
              Column(Diagonal(base)), Column(ScaledIdentity(0.5), mean=base / p)]
     m = EnsembleModel(p, len(cols), [cols[i] for i in rng.permutation(len(cols))])
     assert m._dense_rows.size > b
+    return m
+
+
+def test_psi_matrix_oracle_over_several_chunks(rng):
+    m = chunked_model(rng)
     n = m.n
     sigmas = [m.realize_sigma(i) for i in range(n)]
     D, Dp = (UpperDiagonal(3 * rng.standard_normal(n) + 1j * rng.uniform(2.0, 4.0, n))
@@ -577,9 +735,31 @@ def test_psi_matrix_oracle_over_several_chunks(rng):
                                atol=1e-12 * np.abs(want).max())
 
 
+def test_psi_matrix_diagonal_oracle(rng, monkeypatch):
+    # three diagonal classes, one of them a scaled identity, and D varying
+    # within each class: the traces come from one product of Q's diagonals,
+    # in one block of the rows d_c d_c' or in one block per class
+    d = rng.uniform(0.2, 3.0, (2, 6))
+    specs = [Diagonal(d[0]), Diagonal(d[1]), ScaledIdentity(0.7)]
+    m = EnsembleModel(6, 15, [Column(specs[i % 3]) for i in range(15)])
+    assert m.is_diagonal and m._class_size.size == 3
+    n = m.n
+    sigmas = [m.realize_sigma(i) for i in range(n)]
+    D, Dp = (UpperDiagonal(rng.standard_normal(n) + 1j * rng.uniform(0.5, 2.0, n))
+             for _ in range(2))
+    Q, Qp = explicit_q(m, D.values), explicit_q(m, Dp.values)
+    want = np.array([[np.trace(sigmas[i] @ Q @ sigmas[j] @ Qp) for j in range(n)]
+                     for i in range(n)]) / (n * n * D.values * Dp.values)
+    psi = psi_matrix(m, D, Dp)
+    np.testing.assert_allclose(psi, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    monkeypatch.setattr(model_module, "_PAIR_BLOCK", 1)
+    np.testing.assert_allclose(psi_matrix(m, D, Dp), psi, rtol=1e-14)
+
+
 def test_psi_matrix_one_product_pair_per_class(monkeypatch):
     # Psi forms each class's second moment once, as mixtures(n e_c), and no
-    # other mixture: the models below have no dense class for q_tilde to mix
+    # other mixture: the mixture model has no dense class for q_tilde to mix.
+    # A diagonal model forms none: its traces come from Q's diagonal alone
     rows = []
     mixtures = EnsembleModel.mixtures
     monkeypatch.setattr(EnsembleModel, "mixtures",
@@ -588,7 +768,11 @@ def test_psi_matrix_one_product_pair_per_class(monkeypatch):
         lam = solve_lambda(m, 1.0 + 0.5j).lam
         rows.clear()
         psi = psi_matrix(m, lam, lam)
-        np.testing.assert_array_equal(np.concatenate(rows), m.n * np.eye(m._class_size.size))
+        if m.is_diagonal:
+            assert rows == []
+        else:
+            np.testing.assert_array_equal(np.concatenate(rows),
+                                          m.n * np.eye(m._class_size.size))
     # one class: a constant Psi
     np.testing.assert_allclose(psi, psi[0, 0], rtol=1e-14)
 
@@ -599,6 +783,22 @@ def test_psi_norm_below_one_at_fixed_point(rng):
         lam = solve_lambda(m, z).lam
         psi = psi_matrix(m, lam, lam)
         assert np.linalg.norm(psi, 2) < 1.0
+
+
+@pytest.mark.parametrize("build", ["structured", "chunked", "diagonal"])
+def test_lambda_derivative_matches_n_by_n_solve(rng, build):
+    # the k x k system on class values, expanded, solves the n x n one
+    base = structured_model(5, 8, rng)
+    # structured columns three times each, shuffled: 8 classes over 24 columns
+    m = {"structured": lambda: EnsembleModel(5, 24, [
+            base.columns[i] for i in rng.permutation(np.repeat(np.arange(8), 3))]),
+         "chunked": lambda: chunked_model(rng),
+         "diagonal": lambda: diagonal_model(6, 12, 3, seed=2)}[build]()
+    z = 0.7 + 0.4j
+    lam = solve_lambda(m, z).lam
+    want = np.linalg.solve(np.eye(m.n) - psi_matrix(m, lam, lam), np.ones(m.n))
+    got = lambda_derivative(m, z, lam)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_lambda_derivative_matches_finite_difference(rng):
