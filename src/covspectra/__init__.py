@@ -16,8 +16,6 @@ from .equivalent import (
     DensityGrid,
     SupportEstimate,
     density_grid,
-    linear_functional,
-    per_column_stieltjes,
     r_tilde,
     stieltjes_g,
     support_scan,

@@ -4,7 +4,9 @@ Contour integration of deterministic-equivalent functionals.
 Eigenvalue counts and eigenspace projections are recovered from the resolvent
 equivalent by a Cauchy integral over a closed rectangle around the targeted
 part of the spectrum.  Only the upper half of the rectangle is solved; the
-lower half follows from conjugate symmetry of the resolvent.
+lower half follows from conjugate symmetry of the resolvent.  All nodes'
+functionals come from one call of the model's ``functional_traces``, which
+batches the nodes within the model's memory budget.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .equivalent import SupportEstimate, _write_csv
-from .fixedpoint import (FixedPointResult, SolverOptions, _class_sums, _kernel,
-                         _rows_within_chain_bytes, continuation_solve)
+from .fixedpoint import FixedPointResult, SolverOptions, _class_sums, _kernel, continuation_solve
 from .model import EnsembleModel
 
 __all__ = [
@@ -27,10 +28,6 @@ __all__ = [
     "project_functional",
     "eigenvalue_count",
 ]
-
-# nodes per functional_traces call: the stacked products A Y grow with it,
-# and at 64 nodes at once they raise the Figure-2 projection's peak memory
-_FUNCTIONAL_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,8 @@ def project_functionals(
 ) -> list[ProjectionResult]:
     """Cauchy-integral projections tr(Pi A) for several real matrices A
     sharing one contour.  With tr(A R(z)) = -tr(A Q)/z, every functional at
-    every node comes from the model's ``functional_traces`` on the nodes'
-    class sums, in chunks of at most _FUNCTIONAL_ROWS nodes: with no dense
+    every node comes from one call of the model's ``functional_traces`` on
+    the nodes' class sums, which batches the nodes itself: with no dense
     class from r x r blocks, never forming a p x p resolvent.
 
     Each node's mirror at conj(z) contributes the conjugate of its term, since
@@ -135,10 +132,7 @@ def project_functionals(
 
     As = np.asarray(As, dtype=np.float64).reshape(len(As), model.p, model.p)
     Wc = np.concatenate([_class_sums(model, res.lam) for res in solves])
-    b = (_FUNCTIONAL_ROWS if model.is_diagonal_plus_low_rank
-         else min(_FUNCTIONAL_ROWS, _rows_within_chain_bytes(model.p)))
-    traces = np.concatenate([_kernel(lambda W: model.functional_traces(W, As), Wc[i:i + b])
-                             for i in range(0, len(Wc), b)])
+    traces = _kernel(lambda W: model.functional_traces(W, As), Wc)
     up = -(weights / nodes) @ traces
     # mirror node at conj(z) carries weight -conj(w)
     totals = up - np.conj(up)

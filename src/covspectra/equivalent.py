@@ -25,10 +25,8 @@ __all__ = [
     "SupportEstimate",
     "r_tilde",
     "stieltjes_g",
-    "per_column_stieltjes",
     "density_grid",
     "support_scan",
-    "linear_functional",
 ]
 
 
@@ -78,13 +76,6 @@ def stieltjes_g(model: EnsembleModel, z: complex, lam: UpperDiagonal) -> complex
     return (1.0 / z) * (model.n / model.p - 1.0) - complex(
         np.sum(1.0 / lam.values)
     ) / model.p
-
-
-def per_column_stieltjes(lam: UpperDiagonal, i: int) -> complex:
-    """Stieltjes transform of the column-i measure: -1/lambda_i."""
-    if not 0 <= i < len(lam):
-        raise IndexError(f"index {i} out of range [0, {len(lam)})")
-    return complex(-1.0 / lam.values[i])
 
 
 def density_grid(
@@ -151,11 +142,3 @@ def support_scan(
     edges = [(max(float(lo), 0.0), min(float(hi), x0)) for lo, hi in zip(pts[::2], pts[1::2])]
     return SupportEstimate(intervals=edges, threshold=threshold, upper_bound_x0=x0)
 
-
-def linear_functional(A: NDArray, R: NDArray) -> complex:
-    """tr(A R)."""
-    A = np.asarray(A)
-    R = np.asarray(R)
-    if A.shape != R.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("dimension mismatch")
-    return complex(np.einsum("ij,ji->", A, R))

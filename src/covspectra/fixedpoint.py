@@ -26,10 +26,10 @@ steps.  Column i enters the map only through Sigma_i, so its value is
 constant on column classes for any L, and the fixed point is too:
 ``solve_lambda`` (one row) and ``continuation_solve`` (one row per node of a
 path) iterate the k class values through one batched evaluation,
-``EnsembleModel.class_traces`` (``class_traces_and_pairs`` under Newton
-steps).  Every map, resolvent and Psi goes through the model's class
-kernels, which take the class sums of the weights 1/L_i; ``lambda_derivative``
-solves its k x k system on the class values.
+``EnsembleModel.class_traces`` (``class_pair_traces`` under Newton steps).
+Every map, resolvent and Psi goes through the model's class kernels, which
+take the class sums of the weights 1/L_i and batch them within the model's
+memory budget; ``lambda_derivative`` solves its k x k system on class values.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import EnsembleModel
+from .model import EnsembleModel, _rows_within_chain_bytes
 from .semimetric import UpperDiagonal, _ds, _in_domain, in_solver_domain
 
 __all__ = [
@@ -65,17 +65,6 @@ _RIDGE = 1e-13  # the Anderson solve's ridge, relative to max diag of the Gram m
 # roundoff floor of d_s, even where that is above tol_ds
 _FLOOR_ULPS = 16
 _EPS = np.finfo(np.float64).eps
-# complex p x p arrays budgeted per node within _CHAIN_BYTES, for
-# continuation on a model with a dense class and per class of a psi_matrix
-# chunk.  tracemalloc reads 3.1 per node at the peak of a batched evaluation
-# (the factor, its inverse and the half-size packed products and folds;
-# p = 80), so 5 is a cap, not a count: it keeps B = 8 chains at p = 80, and
-# a sweep of B = 4, 6, 8, 11, 15 there (fig1-rotated, predicted starts) read
-# B = 8 fastest on the support scan and within 6% of the fastest on the
-# 120-node grid.  Chunks of 8 classes raise psi_matrix's peak from 15 to 26
-# arrays, below the 33 of that grid
-_NODE_TEMPORARIES = 5
-_CHAIN_BYTES = 4 << 20
 # a warm node starts from the polynomial in z through this many latest
 # solved nodes of its chain: quadratic, once the chain has three
 _PREDICTOR_POINTS = 3
@@ -337,17 +326,11 @@ def _result(z: complex, x: NDArray, k: int, residual: float, contraction: float
 def _chains(model: EnsembleModel, m: int) -> int:
     """How many segments a path of m nodes is cut into: ceil(sqrt(m)) balances
     cold starts against stages; with a dense class, one stage's p x p
-    temporaries stay within _CHAIN_BYTES."""
+    temporaries stay within the model's _CHAIN_BYTES."""
     b = min(m, math.isqrt(m - 1) + 1)
     if not model.is_diagonal_plus_low_rank:
         b = min(b, _rows_within_chain_bytes(model.p))
     return b
-
-
-def _rows_within_chain_bytes(p: int) -> int:
-    """How many p x p matrices one batched dense evaluation may take at once
-    for its complex temporaries to stay within _CHAIN_BYTES."""
-    return max(1, _CHAIN_BYTES // (_NODE_TEMPORARIES * 16 * p * p))
 
 
 def continuation_solve(
@@ -431,7 +414,7 @@ def _stage(model: EnsembleModel, z: NDArray, x: NDArray, cold: NDArray,
         return _class_map(model, z[r], size / v)
 
     def newton_step(v: NDArray, r: NDArray) -> tuple[NDArray, NDArray]:
-        t, pair = model.class_traces_and_pairs(size / v)
+        t, pair = model.class_pair_traces(size / v)
         return z[r] - t / model.n, _class_psi(model, v, pair)
 
     if cold.any():
@@ -464,10 +447,8 @@ def psi_matrix(
 
 
 def _pair_traces(model: EnsembleModel, Wc: NDArray, Wcp: NDArray | None) -> NDArray:
-    """class_pair_traces at the class sums Wc and Wcp (1, k), as (k, k); with
-    a dense class a chunk of classes within _CHAIN_BYTES per pass."""
-    chunk = _rows_within_chain_bytes(model.p)
-    return _kernel(lambda W: model.class_pair_traces(W, Wcp, chunk), Wc)[0]
+    """class_pair_traces' pairs at the class sums Wc and Wcp (1, k), as (k, k)."""
+    return _kernel(lambda W: model.class_pair_traces(W, Wcp)[1], Wc)[0]
 
 
 def lambda_derivative(

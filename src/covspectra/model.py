@@ -19,9 +19,10 @@ their stack plus a stacked LU.  ``functional_traces`` gives tr(A Q) for
 fixed real matrices A, the contour projections' functionals, by the same
 branches: with no dense class from r x r blocks Y^T A Y, never forming Q.
 ``class_pair_traces`` gives tr(Sigma_c Q Sigma_c' Q'), the stability matrix
-Psi on class values: on a diagonal model from one product of the diagonals
-of Q and Q' against the rows d_c d_c', which ``class_traces_and_pairs``
-shares with the map's traces for the solver's Newton steps.
+Psi on class values, and the map's traces from the same Q for Newton steps:
+on a diagonal model from one product of the diagonals of Q and Q' against
+the rows d_c d_c'.  The kernels batch their rows within one budget,
+_CHAIN_BYTES, which also bounds the solver's continuation chains.
 Each dense class is stored once, as the packed upper triangle of its
 symmetric part (p(p+1)/2 entries), and every product reads that stack once:
 the real and imaginary rows of the complex operand are stacked into one real
@@ -51,11 +52,30 @@ __all__ = [
 
 _PSD_TOL = 1e-10
 _MIN_EIG_FLOOR = 1e-8  # warn below it: lower-bounded-covariance assumption
-_PAIR_BLOCK = 1 << 18  # entries of the rows d_c d_c' formed at once (2 MiB)
+# complex p x p arrays budgeted per node within _CHAIN_BYTES, for
+# continuation on a model with a dense class and per class of a
+# class_pair_traces chunk.  tracemalloc reads 3.1 per node at the peak of a
+# batched evaluation (the factor, its inverse and the half-size packed
+# products and folds; p = 80), so 5 is a cap, not a count: it keeps B = 8
+# chains at p = 80, and a sweep of B = 4, 6, 8, 11, 15 there (fig1-rotated,
+# predicted starts) read B = 8 fastest on the support scan and within 6% of
+# the fastest on the 120-node grid.  Chunks of 8 classes raise psi_matrix's
+# peak from 15 to 26 arrays, below the 33 of that grid
+_NODE_TEMPORARIES = 5
+_CHAIN_BYTES = 4 << 20
+# nodes per functional_traces pass: the stacked products A Y grow with it,
+# and at 64 nodes at once they raise the Figure-2 projection's peak memory
+_FUNCTIONAL_ROWS = 8
 
 
 class ModelError(ValueError):
     """Fatal model configuration problem (parse error, non-PSD covariance...)."""
+
+
+def _rows_within_chain_bytes(p: int) -> int:
+    """How many p x p matrices one batched dense evaluation may take at once
+    for its complex temporaries to stay within _CHAIN_BYTES."""
+    return max(1, _CHAIN_BYTES // (_NODE_TEMPORARIES * 16 * p * p))
 
 
 def random_orthogonal(p: int, seed: int) -> NDArray[np.float64]:
@@ -399,41 +419,37 @@ class EnsembleModel:
         t[:, self._vec_rows] += self.n * np.diagonal(KG, axis1=1, axis2=2)
         return t
 
-    def class_pair_traces(self, Wc: NDArray, Wcp: NDArray | None = None,
-                          chunk: int = 1) -> NDArray[np.complex128]:
-        """tr(Sigma_c Q[row] Sigma_c' Q'[row]) for every pair of classes
-        (c, c') and every row of the class sums Wc and Wcp (m, k), Q and Q'
-        being factor_inverses(Wc) and factor_inverses(Wcp) (Q' = Q when Wcp
-        is None), as (m, k, k).  On a diagonal model that is the product
-        _diagonal_pairs of the diagonals of Q and Q'.  Otherwise one product
-        pair Q Sigma_c Q' per class, Sigma_c read as mixtures(n e_c), and each
-        chunk of classes takes its traces in one pass over the packed stack."""
+    def class_pair_traces(self, Wc: NDArray, Wcp: NDArray | None = None
+                          ) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+        """class_traces(Wc), and tr(Sigma_c Q[row] Sigma_c' Q'[row]) as (m, k, k)
+        for every class pair and row of the class sums Wc and Wcp (m, k), Q and
+        Q' being factor_inverses of Wc and Wcp (Q' = Q if Wcp is None), both
+        from the Q the pairs need.  On a diagonal model the pairs are the product
+        _diagonal_pairs of the diagonals of Q and Q'.  Otherwise one product pair
+        Q Sigma_c Q' per class, Sigma_c read as mixtures(n e_c); each chunk of
+        classes within _CHAIN_BYTES takes its traces in one pass over the stack."""
         if self.is_diagonal:
             q = self._woodbury(Wc)[0]
-            return self._diagonal_pairs(q, q if Wcp is None else self._woodbury(Wcp)[0])
+            qp = q if Wcp is None else self._woodbury(Wcp)[0]
+            return _times_real(q, self._diag.T), self._diagonal_pairs(q, qp)
         m, k, p = len(Wc), self._diag.shape[0], self.p
         Q = self.factor_inverses(Wc)[:, None]
         Qp = Q if Wcp is None else self.factor_inverses(Wcp)[:, None]
+        chunk = max(1, _rows_within_chain_bytes(p) // m)
         E = self.n * np.eye(k)
         t = np.concatenate([
             self.class_traces_of((Q @ self.mixtures(rows) @ Qp).reshape(-1, p, p)).reshape(m, -1, k)
             for rows in np.split(E, range(chunk, k, chunk))], axis=1)
-        return t.transpose(0, 2, 1)
-
-    def class_traces_and_pairs(self, Wc: NDArray) -> tuple[NDArray[np.complex128], ...]:
-        """class_traces(Wc) and class_pair_traces(Wc) of a diagonal model,
-        both from one diagonal q of Q per row."""
-        q = self._woodbury(Wc)[0]
-        return _times_real(q, self._diag.T), self._diagonal_pairs(q, q)
+        return self.class_traces_of(Q[:, 0]), t.transpose(0, 2, 1)
 
     def _diagonal_pairs(self, q: NDArray, qp: NDArray) -> NDArray[np.complex128]:
         """sum_j d_cj d_c'j q_j qp_j for the diagonal rows d_c and every row of
         q and qp (m, p), as (m, k, k): q qp against the rows d_c d_c', two
-        real GEMMs per block of at most _PAIR_BLOCK entries of those rows."""
+        real GEMMs per block of at most _CHAIN_BYTES / 16 = 2^18 of their entries."""
         (m, p), k = q.shape, self._diag.shape[0]
         qq = q * qp
         out = np.empty((m, k, k), dtype=np.complex128)
-        b = max(1, _PAIR_BLOCK // (k * p))
+        b = max(1, _CHAIN_BYTES // (16 * k * p))
         for c in range(0, k, b):
             rows = (self._diag[c:c + b, None] * self._diag).reshape(-1, p)
             out[:, c:c + b] = _times_real(qq, rows.T).reshape(m, -1, k)
@@ -442,12 +458,20 @@ class EnsembleModel:
     def functional_traces(self, Wc: NDArray, As: NDArray) -> NDArray[np.complex128]:
         """tr(A_a Q[row]) for every real matrix A_a of the (a, p, p) stack As
         and every row of the class sums Wc (m, k), Q being
-        factor_inverses(Wc), as an (m, a) array.  Q is symmetric, so
+        factor_inverses(Wc), as an (m, a) array, _FUNCTIONAL_ROWS rows a pass
+        (fewer with a dense class, within _CHAIN_BYTES).  Q is symmetric, so
         tr(A Q) = sum(A * Q).  With a dense class that is one GEMM of the
         resolvents against the flattened stack.  Without one no p x p matrix
         is formed: tr(A D^-1) plus sum((Y^T A Y) * (W K^-1)^T), summed as
         sum((A Y) * (Y W K^-1)) since W K^-1 = (n W^-1 - G)^-1 is symmetric,
         with A Y for every matrix and row from one pair of real GEMMs."""
+        b = (_FUNCTIONAL_ROWS if self.is_diagonal_plus_low_rank
+             else min(_FUNCTIONAL_ROWS, _rows_within_chain_bytes(self.p)))
+        return np.concatenate([self._functionals(Wc[i:i + b], As) for i in range(0, len(Wc), b)])
+
+    def _functionals(self, Wc: NDArray, As: NDArray) -> NDArray[np.complex128]:
+        """functional_traces on the rows of one pass, a call each so that one
+        pass's temporaries are freed before the next pass forms its own."""
         a, p, m = len(As), self.p, len(Wc)
         A = As.reshape(a, p * p)
         if self._dense_rows.size:

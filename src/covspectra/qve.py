@@ -39,11 +39,14 @@ class QveProblem:
             raise ValueError("S entries must be nonnegative numbers")
         if not np.isfinite(a).all():
             raise ValueError("a entries must be finite")
-        if not complex(self.z).imag > 0.0:
+        z = complex(self.z)
+        if not np.isfinite(z):
+            raise ValueError("z must be finite")
+        if not z.imag > 0.0:
             raise ValueError("z must lie in the upper half-plane")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "z", complex(self.z))
+        object.__setattr__(self, "z", z)
 
 
 def qve_residual(prob: QveProblem, m: NDArray[np.complex128]) -> float:

@@ -237,7 +237,8 @@ def test_qve_bad_problem_file(tmp_path, capsys):
     {"z": 1.0, "a": [0.0], "S": [[1.0]]},
     [0.0, 1.0],
     {"z": [1], "a": [0.0], "S": [[1.0]]},
-], ids=["scalar-z", "top-level-list", "short-z"])
+    {"z": [float("nan"), 1], "a": [0.0], "S": [[1.0]]},  # json writes and reads NaN
+], ids=["scalar-z", "top-level-list", "short-z", "nan-z"])
 def test_qve_malformed_problem_is_a_usage_error(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

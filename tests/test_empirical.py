@@ -90,7 +90,7 @@ def test_sample_batch_two_threads_bit_identical():
 
 def test_compare_one_projection_per_contour(monkeypatch):
     # specs sharing a contour take one projection with all their matrices:
-    # the kernel runs once per chunk of nodes per contour, whatever the count
+    # the kernel runs once per contour, whatever the count
     # of functionals, and the values are those of separate projections
     p, n = 20, 40
     m = mp_model(p, n)
@@ -106,8 +106,7 @@ def test_compare_one_projection_per_contour(monkeypatch):
     monkeypatch.setattr(m, "functional_traces",
                         lambda Wc, As: calls.append(len(As)) or kernel(Wc, As))
     rep = compare(m, trials=2, seed=1, functionals=specs)
-    chunks = sum(-(-c.upper_nodes()[0].size // contour._FUNCTIONAL_ROWS) for c in (near, far))
-    assert len(calls) == chunks
+    assert len(calls) == 2
     assert sorted(set(calls)) == [1, 2]
     np.testing.assert_allclose([row.predicted for row in rep.functionals], want,
                                rtol=1e-13, atol=1e-13)

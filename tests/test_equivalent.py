@@ -12,8 +12,6 @@ from covspectra import (
     RotatedFamily,
     ScaledIdentity,
     density_grid,
-    linear_functional,
-    per_column_stieltjes,
     r_tilde,
     random_orthogonal,
     solve_lambda,
@@ -65,15 +63,6 @@ def test_g_total_mass_is_one(rng):
     y = 1e4
     g = stieltjes_g(m, 1j * y, solve_lambda(m, 1j * y).lam)
     assert abs(-1j * y * g - 1.0) < 1e-3
-
-
-def test_per_column_stieltjes():
-    m = mp_model(4, 8)
-    z = 2.0j
-    lam = solve_lambda(m, z).lam
-    assert per_column_stieltjes(lam, 3) == pytest.approx(-1.0 / lam.values[3])
-    with pytest.raises(IndexError):
-        per_column_stieltjes(lam, 8)
 
 
 def test_density_grid_mp_shape():
@@ -180,13 +169,3 @@ def test_support_scan_figure1_right_finishes(monkeypatch):
     (lo, hi), = est.intervals
     tol = 0.5 * est.upper_bound_x0 / 200 + 0.011
     assert abs(lo - 0.1512) < tol and abs(hi - 8.2567) < tol
-
-
-def test_linear_functional_identity(rng):
-    m = random_model(5, 8, rng)
-    z = 1.0 + 0.4j
-    R = r_tilde(m, z, solve_lambda(m, z).lam)
-    assert linear_functional(np.eye(5), R) == pytest.approx(np.trace(R))
-    v = rng.standard_normal(5)
-    # [TRIVIAL] tr(vv^T R) = v^T R v
-    assert linear_functional(np.outer(v, v), R) == pytest.approx(v @ R @ v)

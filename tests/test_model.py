@@ -17,6 +17,7 @@ from covspectra import (
     sample_matrix,
     solve_lambda,
 )
+from covspectra import model as model_module
 from covspectra.model import model_from_config
 
 from conftest import mixture_model, random_model, structured_model
@@ -494,27 +495,40 @@ def test_class_traces_oracle(rng, kind):
     W = rng.uniform(0.05, 0.6, (5, k)) * np.exp(1j * rng.uniform(-2.5, -0.1, (5, k)))
     T = m.class_traces(W * m._class_size)
     assert T.shape == (5, k)
+    Tp = m.class_pair_traces(W * m._class_size)[0]
     sigmas = [m.realize_sigma(i) for i in range(m.n)]
-    for row, t in zip(W, T):
+    for row, t, tp in zip(W, T, Tp):
         w = row[m.column_class]
         Q = np.linalg.inv(np.eye(m.p) - sum(wi * s for wi, s in zip(w, sigmas)) / m.n)
         want = np.array([np.trace(s @ Q) for s in sigmas])
         np.testing.assert_allclose(t[m.column_class], want, rtol=1e-13,
                                    atol=1e-13 * np.abs(want).max())
+        np.testing.assert_allclose(tp[m.column_class], want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "woodbury", "dense"])
-def test_functional_traces_oracle(rng, kind):
+def test_functional_traces_oracle(rng, kind, monkeypatch):
     # tr(A Q[row]) against the explicit trace of A times each resolvent, for
-    # symmetric and non-symmetric A, with class sums that are not class values
+    # symmetric and non-symmetric A, with class sums that are not class values,
+    # over more rows than two passes; with a dense class, a budget shrunk to
+    # three rows' temporaries caps each pass at three rows
     m = _class_traces_model(kind, rng)
     k = m.column_class.max() + 1
-    W = rng.uniform(0.05, 0.6, (5, k)) * np.exp(1j * rng.uniform(-2.5, -0.1, (5, k)))
+    W = rng.uniform(0.05, 0.6, (19, k)) * np.exp(1j * rng.uniform(-2.5, -0.1, (19, k)))
     Wc = W * m._class_size
     B = rng.standard_normal((m.p, m.p))
     As = np.stack([np.eye(m.p), B @ B.T, B])
+    rows = []
+    if kind == "dense":
+        monkeypatch.setattr(model_module, "_CHAIN_BYTES", 3 * 5 * 16 * 7 * 7)
+        assert model_module._rows_within_chain_bytes(7) == 3
+        factor = m.factor_inverses
+        monkeypatch.setattr(m, "factor_inverses", lambda Wr: rows.append(len(Wr)) or factor(Wr))
     T = m.functional_traces(Wc, As)
-    assert T.shape == (5, 3)
+    assert T.shape == (19, 3)
+    if kind == "dense":
+        assert max(rows) <= 3 and sum(rows) == 19
     want = np.array([[np.trace(A @ Q) for A in As] for Q in m.factor_inverses(Wc)])
     np.testing.assert_allclose(T, want, rtol=1e-13)
 

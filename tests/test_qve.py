@@ -13,6 +13,9 @@ def test_problem_validation():
         QveProblem(z=1j, a=np.zeros(3), S=np.eye(2))  # shape mismatch
     with pytest.raises(ValueError):
         QveProblem(z=1j, a=np.zeros(2), S=-np.eye(2))  # negative entries
+    for z in (complex(np.nan, 1.0), complex(np.inf, 1.0), complex(1.0, np.inf)):
+        with pytest.raises(ValueError, match="z must be finite"):
+            QveProblem(z=z, a=np.zeros(2), S=np.eye(2))
 
 
 def test_scalar_semicircle_oracle():
