@@ -30,7 +30,6 @@ from .fixedpoint import (
     contraction_factor,
     lambda_derivative,
     psi_matrix,
-    q_tilde,
     solve_lambda,
 )
 from .model import (

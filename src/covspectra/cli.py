@@ -92,8 +92,6 @@ def _functional_matrix(spec: str, model: EnsembleModel) -> np.ndarray:
 def cmd_solve(args: argparse.Namespace) -> int:
     model = _load_model(args)
     z = complex(*_parse(args.z, "RE,IM for a complex value", float, float))
-    if not z.imag > 0:
-        raise UsageError("z must have positive imaginary part")
     res = solve_lambda(model, z, _solver_options(args))
     g = stieltjes_g(model, z, res.lam)
     out = {

@@ -53,18 +53,17 @@ def _column_rng(seed: int, trial: int, i: int) -> np.random.Generator:
 
 def sample_matrix(model: EnsembleModel, seed: int, trial: int = 0) -> NDArray[np.float64]:
     """One p x n draw: column i is mu_i + C_i^{1/2} g, g standard normal from
-    column i's own generator.  The roots are applied class by class
-    (``EnsembleModel.columns_from_normals``): diagonal and mean-vector columns
-    equal mu_i + column_root_matvec(i, g) bit for bit.  Dense and rotated
-    ones differ from it in rounding: one product covers a class's columns,
-    and a rotated class uses the stepped rotation R_k of the solver's packed
-    stack, not P raised to the k-th power.
+    column i's own generator, the roots applied class by class
+    (``EnsembleModel.columns_from_normals``).  A seed outside [0, 2^64) or a
+    trial outside [0, 2^32) is a ValueError.
 
     One generator serves the call: before each column its state is reset to
     the fresh state of column i's generator (key (seed, trial * 2^32 + i),
     counter 0, empty buffer), which draws what _column_rng(seed, trial, i)
     draws without building a generator per column.  It stays local, so
     threads drawing trials at once share nothing."""
+    if not (0 <= seed < 1 << 64 and 0 <= trial < 1 << 32):
+        raise ValueError(f"seed {seed} or trial {trial} outside [0, 2^64) x [0, 2^32)")
     rng = _column_rng(seed, trial, 0)
     fresh = rng.bit_generator.state
     G = np.empty((model.p, model.n))

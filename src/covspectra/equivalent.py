@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .fixedpoint import SolverOptions, continuation_solve, q_tilde
+from .fixedpoint import SolverOptions, _class_sums, _kernel, _upper_z, continuation_solve
 from .model import EnsembleModel
 from .semimetric import UpperDiagonal
 
@@ -66,13 +66,16 @@ def r_tilde(
     model: EnsembleModel, z: complex, lam: UpperDiagonal
 ) -> NDArray[np.complex128]:
     """((1/n) sum_i (z / lambda_i) Sigma_i - z I_p)^{-1}, computed as
-    -(1/z) * q_tilde(lam)."""
-    return -q_tilde(model, lam) / complex(z)
+    -(1/z) (I_p - (1/n) sum_i Sigma_i / lambda_i)^{-1}; DomainError unless
+    z is finite with Im z > 0."""
+    z = _upper_z(z)
+    return -_kernel(model.factor_inverses, _class_sums(model, lam))[0] / z
 
 
 def stieltjes_g(model: EnsembleModel, z: complex, lam: UpperDiagonal) -> complex:
-    """(1/z)(n/p - 1) - (1/p) sum_i 1/lambda_i."""
-    z = complex(z)
+    """(1/z)(n/p - 1) - (1/p) sum_i 1/lambda_i; DomainError unless z is
+    finite with Im z > 0."""
+    z = _upper_z(z)
     return (1.0 / z) * (model.n / model.p - 1.0) - complex(
         np.sum(1.0 / lam.values)
     ) / model.p

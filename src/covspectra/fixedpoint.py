@@ -50,7 +50,6 @@ __all__ = [
     "FixedPointResult",
     "DomainError",
     "NonConvergenceError",
-    "q_tilde",
     "apply_Iz",
     "contraction_factor",
     "solve_lambda",
@@ -145,9 +144,14 @@ def _class_map(model: EnsembleModel, z: NDArray | complex, Wc: NDArray) -> NDArr
     return z - _kernel(model.class_traces, Wc) / model.n
 
 
-def q_tilde(model: EnsembleModel, L: UpperDiagonal) -> NDArray[np.complex128]:
-    """(I_p - (1/n) sum_i Sigma_i / L_i)^{-1}."""
-    return _kernel(model.factor_inverses, _class_sums(model, L))[0]
+def _upper_z(z: complex) -> complex:
+    """complex(z), a DomainError unless it is finite with Im z > 0."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("z must be finite")
+    if not z.imag > 0.0:
+        raise DomainError("z must lie in the upper half-plane")
+    return z
 
 
 def apply_Iz(model: EnsembleModel, z: complex, L: UpperDiagonal) -> UpperDiagonal:
@@ -291,11 +295,7 @@ def solve_lambda(
     when consecutive iterates are closer than tol_ds in the d_s semi-metric,
     or than their roundoff floor.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError("z must be finite")
-    if not z.imag > 0.0:
-        raise DomainError("z must lie in the upper half-plane")
+    z = _upper_z(z)
     opts = opts or SolverOptions()
 
     if warm is not None:
@@ -358,10 +358,8 @@ def continuation_solve(
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     if zs.size == 0:
         raise ValueError("empty z path")
-    if not np.isfinite(zs).all():
-        raise DomainError("z must be finite")
-    if not np.all(zs.imag > 0.0):
-        raise DomainError("z must lie in the upper half-plane")
+    for z in zs:
+        _upper_z(z)
     opts = opts or SolverOptions()
     k = model._class_size.size
 

@@ -112,17 +112,6 @@ class Dense:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def realize(self, p: int) -> NDArray[np.float64]:
-        return self.matrix.copy()
-
-    def min_eig(self, p: int) -> float:
-        return float(self._eigh[0].min())
-
-    def root_matvec(self, g: NDArray[np.float64]) -> NDArray[np.float64]:
-        """C^{1/2} g for a vector g, or for each column of a (p, m) block."""
-        w, v = self._eigh
-        return v @ (np.sqrt(np.clip(w, 0.0, None)) * (v.T @ g).T).T
-
 
 @dataclass(frozen=True, eq=False)
 class Diagonal:
@@ -141,9 +130,6 @@ class Diagonal:
     def dim(self) -> int:
         return self.entries.size
 
-    def realize(self, p: int) -> NDArray[np.float64]:
-        return np.diag(self.entries)
-
 
 @dataclass(frozen=True)
 class ScaledIdentity:
@@ -157,9 +143,6 @@ class ScaledIdentity:
 
     def dim(self) -> int | None:
         return None
-
-    def realize(self, p: int) -> NDArray[np.float64]:
-        return self.sigma2 * np.eye(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,22 +172,6 @@ class RotatedFamily:
 
     def dim(self) -> int:
         return self.base.size
-
-    def _rotation(self) -> NDArray[np.float64]:
-        return np.linalg.matrix_power(self.orthogonal, self.rotations)
-
-    def realize(self, p: int) -> NDArray[np.float64]:
-        if self.rotations == 0:
-            return np.diag(self.base)
-        R = self._rotation()
-        return R.T @ (self.base[:, None] * R)
-
-    def min_eig(self, p: int) -> float:
-        return float(self.base.min())
-
-    def root_matvec(self, g: NDArray[np.float64]) -> NDArray[np.float64]:
-        """C^{1/2} g for a vector g, or for each column of a (p, m) block."""
-        return self._rotation().T @ (np.sqrt(self.base) * g.T).T
 
 
 CovarianceSpec = Dense | Diagonal | ScaledIdentity | RotatedFamily
@@ -237,9 +204,12 @@ class EnsembleModel:
     symmetric matrix, traces fold their matrix onto it.  The kernels
     ``mixtures``, ``factor_inverses``, ``class_traces`` and
     ``functional_traces`` take class sums of the weights, shaped (m, k), as
-    ``_class_weights`` gives them for a weight per column; ``mixture_matrix``
-    and ``traces_against_all`` are their one-node, per-column forms.  With no
-    dense class the resolvent needs an r x r inverse instead of a p x p one.
+    ``_class_weights`` gives them for a weight per column.  With no dense
+    class the resolvent needs an r x r inverse instead of a p x p one.  The
+    classes are the model's only description of its columns: the per-column
+    methods ``realize_sigma``, ``mixture_matrix``, ``traces_against_all`` and
+    ``column_root_matvec`` are views of the class storage, and the columns
+    passed in are not kept.
     """
 
     def __init__(
@@ -256,7 +226,6 @@ class EnsembleModel:
             raise ModelError(f"expected {n} columns, got {len(columns)}")
         self.p = int(p)
         self.n = int(n)
-        self.columns = tuple(columns)
         self.warnings: list[str] = []
 
         # keyed by content, but dense specs by identity: hashing their
@@ -264,7 +233,7 @@ class EnsembleModel:
         classes: dict[tuple, int] = {}
         parts: list[tuple] = []  # (diagonal part, dense spec, vector) per class
         self.column_class = np.empty(n, dtype=np.intp)
-        for i, col in enumerate(self.columns):
+        for i, col in enumerate(columns):
             spec = col.cov
             d = spec.dim()
             if d is not None and d != p:
@@ -272,6 +241,7 @@ class EnsembleModel:
             mu = None if col.mean is None else np.asarray(col.mean, dtype=np.float64).ravel()
             if mu is not None and mu.size != p:
                 raise ModelError(f"column {i}: mean has wrong length")
+            mu = mu if mu is not None and mu.any() else None
             dense = None
             if isinstance(spec, Diagonal):
                 diag = spec.entries
@@ -281,8 +251,6 @@ class EnsembleModel:
                 diag = spec.base
             else:
                 diag, dense = 0.0, spec
-            if mu is not None and not mu.any():
-                mu = None
             key = (diag.tobytes() if isinstance(diag, np.ndarray) else diag, id(dense),
                    None if mu is None else mu.tobytes())
             c = self.column_class[i] = classes.setdefault(key, len(parts))
@@ -292,9 +260,7 @@ class EnsembleModel:
         self._diag = np.zeros((len(parts), p))
         self._offsets = np.zeros((len(parts), p))  # the class's vector, or zero
         for c, (diag, _, mu) in enumerate(parts):
-            self._diag[c] = diag
-            if mu is not None:
-                self._offsets[c] = mu
+            self._diag[c], self._offsets[c] = diag, 0.0 if mu is None else mu
         # each class's dense spec, or None where the diagonal row describes it;
         # the classes with a dense part, and those carrying a vector
         self._class_dense = [dense for _, dense, _ in parts]
@@ -317,7 +283,8 @@ class EnsembleModel:
         norms = np.linalg.norm(self._offsets, axis=1)[self.column_class]
         min_eig = self._diag.min(axis=1)
         for c in self._dense_rows:
-            min_eig[c] = self._class_dense[c].min_eig(p)
+            spec = self._class_dense[c]
+            min_eig[c] = (spec.base if isinstance(spec, RotatedFamily) else spec._eigh[0]).min()
         low = (min_eig < _MIN_EIG_FLOOR)[self.column_class]
         for i in np.flatnonzero((norms > mean_norm_bound) | low):
             if norms[i] > mean_norm_bound:
@@ -357,14 +324,12 @@ class EnsembleModel:
         return np.bincount(self.column_class, w, self._diag.shape[0])
 
     def realize_sigma(self, i: int) -> NDArray[np.float64]:
-        """Dense Sigma_i = C_i + mu_i mu_i^T."""
+        """Dense Sigma_i = C_i + mu_i mu_i^T, read from column i's class as
+        mixtures(n e_c)."""
         if not 0 <= i < self.n:
             raise IndexError(f"column index {i} out of range [0, {self.n})")
-        sigma = self.columns[i].cov.realize(self.p)
-        mu = self.columns[i].mean
-        if mu is not None and np.any(mu):
-            sigma = sigma + np.outer(mu, mu)
-        return sigma
+        e = np.eye(1, self._diag.shape[0], self.column_class[i])
+        return self.mixtures(self.n * e)[0].real
 
     def mixture_matrix(self, w: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """(1/n) sum_i w_i Sigma_i."""
@@ -520,7 +485,7 @@ class EnsembleModel:
         rotated families realised from the rotations of _orbit."""
         rows = np.empty((len(specs), self._up.size))
         for row, spec, R in zip(rows, specs, _orbit(specs)):
-            S = spec.realize(self.p) if R is None else R.T @ (spec.base[:, None] * R)
+            S = spec.matrix if R is None else R.T @ (spec.base[:, None] * R)
             f = S.ravel()
             np.add(f.take(self._up), f.take(self._lo), out=row)
         rows /= 2
@@ -547,30 +512,41 @@ class EnsembleModel:
         return self._offsets[self.column_class[i]]
 
     def column_root_matvec(self, i: int, g: NDArray[np.float64]) -> NDArray[np.float64]:
-        """C_i^{1/2} g: sqrt(d_c) * g for a diagonal class, else the dense
-        spec's own root."""
+        """C_i^{1/2} g for a vector g, or for each column of a (p, m) block."""
         c = self.column_class[i]
-        dense = self._class_dense[c]
-        return np.sqrt(self._diag[c]) * g if dense is None else dense.root_matvec(g)
+        return self._class_root(c, next(_orbit([self._class_dense[c]])), g)
 
     def columns_from_normals(self, G: NDArray[np.float64]) -> NDArray[np.float64]:
         """mu_i + C_i^{1/2} G[:, i] for every column i of the (p, n) block G,
         one product per class.  Diagonal classes match column_root_matvec bit
         for bit.  A dense class takes its root on all its columns at once, a
-        rotated family the stepped rotation R_k of _orbit that the packed stack
-        is built from, where column_root_matvec multiplies one column and
+        rotated family the rotation R_k stepped along the orbit of its
+        predecessors, where column_root_matvec multiplies one column and
         raises P to the k-th power: those differ from it in rounding."""
         X = np.sqrt(self._diag.T)[:, self.column_class] * G
         if self._dense_rows.size:
-            specs = [self._class_dense[c] for c in self._dense_rows]
             members = np.split(np.argsort(self.column_class, kind="stable"),
                                np.cumsum(self._class_size[:-1]).astype(np.intp))
-            for c, spec, R in zip(self._dense_rows, specs, _orbit(specs)):
-                g = G[:, members[c]]
-                X[:, members[c]] = (spec.root_matvec(g) if R is None
-                                    else R.T @ (np.sqrt(spec.base)[:, None] * g))
+            rotations = _orbit([self._class_dense[c] for c in self._dense_rows])
+            for c, R in zip(self._dense_rows, rotations):
+                X[:, members[c]] = self._class_root(c, R, G[:, members[c]])
         X += self._offsets.T[:, self.column_class]
         return X
+
+    def _class_root(self, c: int, R: NDArray | None, g: NDArray) -> NDArray[np.float64]:
+        """C_c^{1/2} g for a vector g or each column of a (p, m) block:
+        sqrt(d_c) * g for a diagonal class, V sqrt(w) V^T g for a Dense one
+        from its one eigh, R^T sqrt(d) g for a rotated family, R the rotation
+        that _orbit gives it."""
+        spec, b = self._class_dense[c], g.reshape(self.p, -1)
+        if spec is None:
+            b = np.sqrt(self._diag[c])[:, None] * b
+        elif R is None:
+            w, v = spec._eigh
+            b = v @ (np.sqrt(np.clip(w, 0.0, None)) * (v.T @ b).T).T
+        else:
+            b = R.T @ (np.sqrt(spec.base)[:, None] * b)
+        return b.reshape(g.shape)
 
     # -- derived scalars ---------------------------------------------------
 

@@ -17,6 +17,28 @@ def rng():
     return np.random.Generator(np.random.Philox(key=20240817))
 
 
+def covariance_oracle(spec, p: int) -> np.ndarray:
+    """The p x p covariance of one spec, built from its fields alone:
+    diag(entries), sigma2 I, (P^k)^T diag(d) P^k with P^k from
+    np.linalg.matrix_power, or the matrix.  It reads neither the model's
+    packed stack nor its stepped rotations, so it stays independent of the
+    code it checks."""
+    if isinstance(spec, Diagonal):
+        return np.diag(spec.entries)
+    if isinstance(spec, ScaledIdentity):
+        return spec.sigma2 * np.eye(p)
+    if isinstance(spec, RotatedFamily):
+        R = np.linalg.matrix_power(spec.orthogonal, spec.rotations)
+        return R.T @ (spec.base[:, None] * R)
+    return spec.matrix.copy()
+
+
+def sigma_oracle(cols, p: int) -> list[np.ndarray]:
+    """Sigma_i = C_i + mu_i mu_i^T for every column, from covariance_oracle."""
+    return [covariance_oracle(c.cov, p) + (0.0 if c.mean is None else np.outer(c.mean, c.mean))
+            for c in cols]
+
+
 def mp_model(p: int, n: int, sigma2: float = 1.0) -> EnsembleModel:
     """All columns share sigma2 * I: the Marchenko-Pastur setting."""
     return EnsembleModel(p, n, [Column(ScaledIdentity(sigma2))] * n)
@@ -24,6 +46,11 @@ def mp_model(p: int, n: int, sigma2: float = 1.0) -> EnsembleModel:
 
 def random_model(p: int, n: int, rng: np.random.Generator) -> EnsembleModel:
     """Small random model mixing covariance kinds."""
+    return EnsembleModel(p, n, random_columns(p, n, rng))
+
+
+def random_columns(p: int, n: int, rng: np.random.Generator) -> list[Column]:
+    """random_model's columns."""
     cols = []
     for i in range(n):
         kind = rng.integers(3)
@@ -34,7 +61,7 @@ def random_model(p: int, n: int, rng: np.random.Generator) -> EnsembleModel:
         else:
             B = rng.standard_normal((p, p))
             cols.append(Column(Dense(B @ B.T / p + 0.1 * np.eye(p))))
-    return EnsembleModel(p, n, cols)
+    return cols
 
 
 def structured_model(p: int, n: int, rng: np.random.Generator) -> EnsembleModel:
@@ -42,6 +69,11 @@ def structured_model(p: int, n: int, rng: np.random.Generator) -> EnsembleModel:
     kind, rotated families with and without rotations, signal-plus-noise
     columns (sigma^2 I with a mean), and columns with a nonzero mean, a zero
     mean and no mean."""
+    return EnsembleModel(p, n, structured_columns(p, n, rng))
+
+
+def structured_columns(p: int, n: int, rng: np.random.Generator) -> list[Column]:
+    """structured_model's columns."""
     P = random_orthogonal(p, seed=int(rng.integers(1 << 31)))
     cols = []
     for i in range(n):
@@ -65,15 +97,19 @@ def structured_model(p: int, n: int, rng: np.random.Generator) -> EnsembleModel:
         elif i % 4 == 2:
             mean = np.zeros(p)
         cols.append(Column(cov, mean=mean))
-    return EnsembleModel(p, n, cols)
+    return cols
 
 
 def mixture_model(p: int, n: int, k: int, seed: int = 7) -> EnsembleModel:
     """Figure-2 shape: column i is N(u_{i mod k}, I) for k seeded Gaussian
     vectors, each column getting its own view U[:, j] as its mean."""
+    return EnsembleModel(p, n, mixture_columns(p, n, k, seed), mean_norm_bound=1e9)
+
+
+def mixture_columns(p: int, n: int, k: int, seed: int = 7) -> list[Column]:
+    """mixture_model's columns."""
     U = np.random.Generator(np.random.Philox(key=[seed, 0])).standard_normal((p, k))
-    cols = [Column(ScaledIdentity(1.0), mean=U[:, i % k]) for i in range(n)]
-    return EnsembleModel(p, n, cols, mean_norm_bound=1e9)
+    return [Column(ScaledIdentity(1.0), mean=U[:, i % k]) for i in range(n)]
 
 
 def mp_stieltjes(z: complex, c: float) -> complex:

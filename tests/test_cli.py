@@ -178,6 +178,15 @@ def test_validate_requires_seed(mp_config, tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)], ids=["negative", "2^64"])
+def test_validate_rejects_out_of_range_seed(seed, mp_config, tmp_path, capsys):
+    # these ended in an OverflowError traceback from the generator's key
+    rc = main(["validate", "--model", mp_config, "--out", str(tmp_path / "r"),
+               "--trials", "2", "--seed", seed])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and "Traceback" not in err
+
+
 def test_validate_writes_report(mp_config, tmp_path, capsys):
     out = tmp_path / "report"
     rc = main([

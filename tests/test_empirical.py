@@ -41,6 +41,16 @@ def test_sample_matrix_shape_and_determinism():
     assert not np.array_equal(X1, X4)
 
 
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 32)],
+                         ids=["seed-negative", "seed-2^64", "trial-negative", "trial-2^32"])
+def test_sample_matrix_rejects_out_of_range_seed(seed, trial):
+    # the generator key is (seed, trial * 2^32 + i) in two uint64 words
+    m = mp_model(2, 3)
+    with pytest.raises(ValueError, match="outside"):
+        sample_matrix(m, seed, trial)
+    assert sample_matrix(m, (1 << 64) - 1, (1 << 32) - 1).shape == (2, 3)
+
+
 def test_sample_matrix_column_statistics():
     # column covariance and mean honored: sigma2=4, mean=3*ones
     p, n = 3, 2000

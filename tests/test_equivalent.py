@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import mp_model, mp_stieltjes, random_model
+from conftest import mp_model, mp_stieltjes, random_columns, random_model, sigma_oracle
 
 import covspectra.model
 
 from covspectra import (
     Column,
     Diagonal,
+    DomainError,
     EnsembleModel,
     RotatedFamily,
     ScaledIdentity,
@@ -21,14 +22,27 @@ from covspectra import (
 
 
 def test_r_tilde_is_scaled_q_tilde(rng):
-    from covspectra import q_tilde
-
-    m = random_model(5, 8, rng)
+    # R = -Q/z, Q the inverse of the factor summed from the columns' Sigma_i
+    cols = random_columns(5, 8, rng)
+    m, sigmas = EnsembleModel(5, 8, cols), sigma_oracle(cols, 5)
     z = 1.0 + 0.7j
     lam = solve_lambda(m, z).lam
-    np.testing.assert_allclose(
-        r_tilde(m, z, lam), -q_tilde(m, lam) / z, atol=1e-12
-    )
+    Q = np.linalg.inv(np.eye(5) - sum(s / li for s, li in zip(sigmas, lam.values)) / 8)
+    np.testing.assert_allclose(r_tilde(m, z, lam), -Q / z, atol=1e-12)
+
+
+@pytest.mark.parametrize("z, match", [
+    (0.0, "upper half-plane"), (np.nan, "finite"), (np.inf, "finite"),
+    (1.0 - 1.0j, "upper half-plane"),
+], ids=["zero", "nan", "inf", "lower"])
+def test_r_tilde_and_g_reject_z_off_the_upper_half_plane(z, match):
+    # the checks of solve_lambda, where a zero z gave inf/nan or a
+    # ZeroDivisionError and a nan z a nan answer
+    m = mp_model(3, 6)
+    lam = solve_lambda(m, 1.0 + 1.0j).lam
+    for f in (r_tilde, stieltjes_g):
+        with pytest.raises(DomainError, match=match):
+            f(m, z, lam)
 
 
 def test_g_equals_normalized_trace_of_r(rng):

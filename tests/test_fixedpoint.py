@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import mixture_model, mp_model, mp_stieltjes, random_model, structured_model
+from conftest import (
+    mixture_columns,
+    mixture_model,
+    mp_model,
+    mp_stieltjes,
+    random_model,
+    sigma_oracle,
+    structured_columns,
+    structured_model,
+)
 
 from covspectra import (
     Column,
@@ -22,7 +31,7 @@ from covspectra import (
     density_grid,
     lambda_derivative,
     psi_matrix,
-    q_tilde,
+    r_tilde,
     random_orthogonal,
     solve_lambda,
     solve_qve,
@@ -180,30 +189,31 @@ def test_contraction_factor_rejects_wrong_length(rng, dense):
             contraction_factor(m, z, *args)
 
 
-def repeated_structured_model(rng) -> EnsembleModel:
+def repeated_structured_columns(rng) -> list[Column]:
     """structured_model's 8 columns three times each, shuffled."""
-    base = structured_model(5, 8, rng)
+    base = structured_columns(5, 8, rng)
     order = rng.permutation(np.repeat(np.arange(8), 3))
-    return EnsembleModel(5, 24, [base.columns[i] for i in order])
+    return [base[i] for i in order]
 
 
 @pytest.mark.parametrize("build", [
-    lambda rng: mp_model(6, 12),
-    lambda rng: mixture_model(20, 40, 4),
-    repeated_structured_model,
+    lambda rng: (6, [Column(ScaledIdentity(1.0))] * 12),
+    lambda rng: (20, mixture_columns(20, 40, 4)),
+    lambda rng: (5, repeated_structured_columns(rng)),
 ], ids=["mp", "mixture", "structured-repeated"])
 def test_class_sum_kernel_on_l_varying_within_class(rng, build):
     from covspectra import d_s
 
-    m = build(rng)
+    p, cols = build(rng)
+    m = EnsembleModel(p, len(cols), cols, mean_norm_bound=1e9)
     assert m._class_size.size < m.n
     opts = SolverOptions()
-    sigmas = [m.realize_sigma(i) for i in range(m.n)]
+    sigmas = sigma_oracle(cols, p)
     for z in (1.0 + 0.5j, 3.0 + 0.05j):
         cold = solve_lambda(m, z, opts).lam
         # a positive scale per column keeps Im L > 0 and Im(L/z) > 0
         L = UpperDiagonal(cold.values * rng.uniform(0.5, 2.0, m.n))
-        Q = explicit_q(m, L.values)
+        Q = explicit_q(sigmas, L.values)
         want = z - np.array([np.trace(s @ Q) for s in sigmas]) / m.n
         np.testing.assert_allclose(apply_Iz(m, z, L).values, want, rtol=1e-13)
         warm = solve_lambda(m, z, opts, warm=L).lam
@@ -227,23 +237,29 @@ def test_map_contracts_in_ds(rng):
 
 
 def test_q_tilde_identity_oracle():
-    # [DERIVED] all Sigma = I, L = 2*ones(n): Q = (1 - 1/2)^{-1} I = 2I
+    # [DERIVED] all Sigma = I, L = 2*ones(n): Q = (1 - 1/2)^{-1} I = 2I, read
+    # as -z R(z) at any z
     m = mp_model(3, 4)
     L = UpperDiagonal(np.full(4, 2.0 + 1e-12j))
-    np.testing.assert_allclose(q_tilde(m, L), 2.0 * np.eye(3), atol=1e-9)
+    z = 0.5 + 1.0j
+    np.testing.assert_allclose(-z * r_tilde(m, z, L), 2.0 * np.eye(3), atol=1e-9)
 
 
-def explicit_q(m: EnsembleModel, lam: np.ndarray) -> np.ndarray:
-    """Oracle: the inverse of the explicitly summed p x p factor."""
-    factor = np.eye(m.p) - sum(m.realize_sigma(i) / lam[i] for i in range(m.n)) / m.n
+def explicit_q(sigmas: list[np.ndarray], lam: np.ndarray) -> np.ndarray:
+    """Oracle: the inverse of the explicitly summed p x p factor, from the
+    columns' Sigma_i."""
+    factor = np.eye(len(sigmas[0])) - sum(s / li for s, li in zip(sigmas, lam)) / len(sigmas)
     return np.linalg.inv(factor)
 
 
-def assert_q_tilde_oracle(m: EnsembleModel, rng: np.random.Generator) -> None:
+def assert_q_tilde_oracle(m: EnsembleModel, cols: list[Column],
+                          rng: np.random.Generator) -> None:
+    """Q = -z R(z) against explicit_q, at z = 0.5 + 1j."""
+    sigmas, z = sigma_oracle(cols, m.p), 0.5 + 1.0j
     for _ in range(10):
         L = UpperDiagonal(rng.standard_normal(m.n) + 1j * rng.uniform(0.1, 2.0, m.n))
-        want = explicit_q(m, L.values)
-        np.testing.assert_allclose(q_tilde(m, L), want, rtol=1e-13, atol=1e-13)
+        want = explicit_q(sigmas, L.values)
+        np.testing.assert_allclose(-z * r_tilde(m, z, L), want, rtol=1e-13, atol=1e-13)
 
 
 def test_q_tilde_diagonal_model_oracle(rng):
@@ -251,7 +267,7 @@ def test_q_tilde_diagonal_model_oracle(rng):
     cols += [Column(ScaledIdentity(1.5), mean=np.zeros(5))] * 3
     m = EnsembleModel(5, 7, cols)
     assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 0
-    assert_q_tilde_oracle(m, rng)
+    assert_q_tilde_oracle(m, cols, rng)
 
 
 def test_q_tilde_woodbury_oracle(rng):
@@ -269,17 +285,17 @@ def test_q_tilde_woodbury_oracle(rng):
     m = EnsembleModel(p, 7, cols)
     # one vector per class: mu under two covariances is stored twice
     assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 5
-    assert_q_tilde_oracle(m, rng)
+    assert_q_tilde_oracle(m, cols, rng)
 
 
 def test_solve_lambda_woodbury_fixed_point():
     # Figure-2 shape: 4 classes over 40 columns; residual of the solution
     # under the map evaluated with the explicit p x p inverse
-    m = mixture_model(40, 40, 4)
+    m, sigmas = mixture_model(40, 40, 4), sigma_oracle(mixture_columns(40, 40, 4), 40)
     for z in (0.5 + 0.05j, 3.0 + 0.01j, 12.0 + 1.0j):
         lam = solve_lambda(m, z).lam.values
-        Q = explicit_q(m, lam)
-        mapped = z - np.array([np.trace(m.realize_sigma(i) @ Q) for i in range(40)]) / 40
+        Q = explicit_q(sigmas, lam)
+        mapped = z - np.array([np.trace(s @ Q) for s in sigmas]) / 40
         assert np.max(np.abs(mapped - lam)) <= 1e-10 * np.max(np.abs(lam))
 
 
@@ -288,7 +304,7 @@ def test_q_tilde_singular_factor_raises():
     # factor diag(1 - 2/L, 1 - 1/L) is singular, and so is Woodbury's 1x1 system
     m = EnsembleModel(2, 1, [Column(ScaledIdentity(1.0), mean=np.array([1.0, 0.0]))])
     with pytest.raises(DomainError, match="singular"):
-        q_tilde(m, UpperDiagonal(np.array([2.0 + 5e-324j])))
+        r_tilde(m, 1j, UpperDiagonal(np.array([2.0 + 5e-324j])))
 
 
 def test_continuation_matches_cold(rng):
@@ -303,10 +319,10 @@ def test_continuation_matches_cold(rng):
 @pytest.mark.parametrize("kind", ["woodbury", "dense"])
 def test_lockstep_continuation_matches_cold(rng, kind):
     # 23 nodes: 5 segments of 5, 5, 5, 4, 4 nodes, walked in 5 stages
-    m = structured_model(6, 18, rng)
+    cols = structured_columns(6, 18, rng)
     if kind == "woodbury":
-        cols = [c for c in m.columns if isinstance(c.cov, (Diagonal, ScaledIdentity))]
-        m = EnsembleModel(6, len(cols), cols)
+        cols = [c for c in cols if isinstance(c.cov, (Diagonal, ScaledIdentity))]
+    m = EnsembleModel(6, len(cols), cols)
     assert m.is_diagonal_plus_low_rank == (kind == "woodbury")
     zs = np.linspace(-0.5, 4.0, 23) + 0.05j
     assert _chains(m, zs.size) == 5
@@ -336,7 +352,7 @@ def test_predicted_starts_match_cold(rng, path):
         m = EnsembleModel(10, 20, [Column(RotatedFamily(base, P, i)) for i in range(20)])
         zs = np.linspace(0.01, 8.0, 40) + 1e-2j
     elif path == "woodbury-grid":
-        cols = [c for c in structured_model(6, 18, rng).columns
+        cols = [c for c in structured_columns(6, 18, rng)
                 if isinstance(c.cov, (Diagonal, ScaledIdentity))]
         m = EnsembleModel(6, len(cols), cols)
         assert m.is_diagonal_plus_low_rank
@@ -686,25 +702,25 @@ def test_psi_matrix_scalar_oracle():
 
 def test_psi_matrix_class_oracle(rng):
     # each structured column three times, shuffled: 8 classes over 24 columns
-    base = structured_model(5, 8, rng)
-    order = rng.permutation(np.repeat(np.arange(8), 3))
-    m = EnsembleModel(5, 24, [base.columns[i] for i in order])
+    cols = repeated_structured_columns(rng)
+    m = EnsembleModel(5, 24, cols)
     assert m._diag.shape[0] == 8
     n = m.n
-    sigmas = [m.realize_sigma(i) for i in range(n)]
+    sigmas = sigma_oracle(cols, 5)
     for _ in range(3):
         D, Dp = (UpperDiagonal(rng.standard_normal(n) + 1j * rng.uniform(0.5, 2.0, n))
                  for _ in range(2))
-        Q, Qp = explicit_q(m, D.values), explicit_q(m, Dp.values)
+        Q, Qp = explicit_q(sigmas, D.values), explicit_q(sigmas, Dp.values)
         want = np.array([[np.trace(sigmas[i] @ Q @ sigmas[j] @ Qp) for j in range(n)]
                          for i in range(n)]) / (n * n * D.values * Dp.values)
         np.testing.assert_allclose(psi_matrix(m, D, Dp), want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
 
-def chunked_model(rng: np.random.Generator) -> EnsembleModel:
+def chunked_model(rng: np.random.Generator) -> tuple[EnsembleModel, list[Column]]:
     """At p = 80, more dense classes than one chunk of Q Sigma_c Q' products
-    holds, rotation counts shuffled, next to a diagonal and a mean class."""
+    holds, rotation counts shuffled, next to a diagonal and a mean class.
+    The model and its columns."""
     p = 80
     b = _rows_within_chain_bytes(p)
     P = random_orthogonal(p, 5)
@@ -713,18 +729,19 @@ def chunked_model(rng: np.random.Generator) -> EnsembleModel:
     cols = [Column(RotatedFamily(base, P, int(k))) for k in rng.permutation(b + 3) + 1]
     cols += [cols[0], Column(Dense(B @ B.T / p + 0.1 * np.eye(p))),
              Column(Diagonal(base)), Column(ScaledIdentity(0.5), mean=base / p)]
-    m = EnsembleModel(p, len(cols), [cols[i] for i in rng.permutation(len(cols))])
+    cols = [cols[i] for i in rng.permutation(len(cols))]
+    m = EnsembleModel(p, len(cols), cols)
     assert m._dense_rows.size > b
-    return m
+    return m, cols
 
 
 def test_psi_matrix_oracle_over_several_chunks(rng):
-    m = chunked_model(rng)
+    m, cols = chunked_model(rng)
     n = m.n
-    sigmas = [m.realize_sigma(i) for i in range(n)]
+    sigmas = sigma_oracle(cols, m.p)
     D, Dp = (UpperDiagonal(3 * rng.standard_normal(n) + 1j * rng.uniform(2.0, 4.0, n))
              for _ in range(2))
-    Q, Qp = explicit_q(m, D.values), explicit_q(m, Dp.values)
+    Q, Qp = explicit_q(sigmas, D.values), explicit_q(sigmas, Dp.values)
     want = np.array([[np.trace(sigmas[i] @ Q @ sigmas[j] @ Qp) for j in range(n)]
                      for i in range(n)]) / (n * n * D.values * Dp.values)
     np.testing.assert_allclose(psi_matrix(m, D, Dp), want, rtol=1e-12,
@@ -737,13 +754,14 @@ def test_psi_matrix_diagonal_oracle(rng, monkeypatch):
     # in one block of the rows d_c d_c' or in one block per class
     d = rng.uniform(0.2, 3.0, (2, 6))
     specs = [Diagonal(d[0]), Diagonal(d[1]), ScaledIdentity(0.7)]
-    m = EnsembleModel(6, 15, [Column(specs[i % 3]) for i in range(15)])
+    cols = [Column(specs[i % 3]) for i in range(15)]
+    m = EnsembleModel(6, 15, cols)
     assert m.is_diagonal and m._class_size.size == 3
     n = m.n
-    sigmas = [m.realize_sigma(i) for i in range(n)]
+    sigmas = sigma_oracle(cols, 6)
     D, Dp = (UpperDiagonal(rng.standard_normal(n) + 1j * rng.uniform(0.5, 2.0, n))
              for _ in range(2))
-    Q, Qp = explicit_q(m, D.values), explicit_q(m, Dp.values)
+    Q, Qp = explicit_q(sigmas, D.values), explicit_q(sigmas, Dp.values)
     want = np.array([[np.trace(sigmas[i] @ Q @ sigmas[j] @ Qp) for j in range(n)]
                      for i in range(n)]) / (n * n * D.values * Dp.values)
     psi = psi_matrix(m, D, Dp)
@@ -754,7 +772,7 @@ def test_psi_matrix_diagonal_oracle(rng, monkeypatch):
 
 def test_psi_matrix_one_product_pair_per_class(monkeypatch):
     # Psi forms each class's second moment once, as mixtures(n e_c), and no
-    # other mixture: the mixture model has no dense class for q_tilde to mix.
+    # other mixture: the mixture model has no dense class for a resolvent to mix.
     # A diagonal model forms none: its traces come from Q's diagonal alone
     rows = []
     mixtures = EnsembleModel.mixtures
@@ -784,11 +802,11 @@ def test_psi_norm_below_one_at_fixed_point(rng):
 @pytest.mark.parametrize("build", ["structured", "chunked", "diagonal"])
 def test_lambda_derivative_matches_n_by_n_solve(rng, build):
     # the k x k system on class values, expanded, solves the n x n one
-    base = structured_model(5, 8, rng)
+    base = structured_columns(5, 8, rng)
     # structured columns three times each, shuffled: 8 classes over 24 columns
     m = {"structured": lambda: EnsembleModel(5, 24, [
-            base.columns[i] for i in rng.permutation(np.repeat(np.arange(8), 3))]),
-         "chunked": lambda: chunked_model(rng),
+            base[i] for i in rng.permutation(np.repeat(np.arange(8), 3))]),
+         "chunked": lambda: chunked_model(rng)[0],
          "diagonal": lambda: diagonal_model(6, 12, 3, seed=2)}[build]()
     z = 0.7 + 0.4j
     lam = solve_lambda(m, z).lam

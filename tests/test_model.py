@@ -20,7 +20,14 @@ from covspectra import (
 from covspectra import model as model_module
 from covspectra.model import model_from_config
 
-from conftest import mixture_model, random_model, structured_model
+from conftest import (
+    covariance_oracle,
+    mixture_model,
+    random_columns,
+    random_model,
+    sigma_oracle,
+    structured_columns,
+)
 
 
 def test_realize_identity():
@@ -59,9 +66,10 @@ def test_mixture_arithmetic_mean():
 
 
 def test_mixture_matches_naive_sum(rng):
-    m = random_model(5, 7, rng)
+    cols = random_columns(5, 7, rng)
+    m, sigmas = EnsembleModel(5, 7, cols), sigma_oracle(cols, 5)
     w = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    naive = sum(w[i] * m.realize_sigma(i) for i in range(7)) / 7
+    naive = sum(w[i] * sigmas[i] for i in range(7)) / 7
     np.testing.assert_allclose(m.mixture_matrix(w), naive, atol=1e-14, rtol=1e-14)
 
 
@@ -83,18 +91,20 @@ def test_trace_against_trivial_cases():
 
 
 def test_trace_against_matches_dense_oracle(rng):
-    m = random_model(5, 6, rng)
+    cols = random_columns(5, 6, rng)
+    m, sigmas = EnsembleModel(5, 6, cols), sigma_oracle(cols, 5)
     for _ in range(100):
         M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         got = m.traces_against_all(M)
         for i in range(6):
-            want = np.trace(m.realize_sigma(i) @ M)
+            want = np.trace(sigmas[i] @ M)
             assert abs(got[i] - want) <= 1e-13 * max(abs(want), 1.0)
 
 
 @pytest.mark.parametrize("kind", ["complex", "real-nonsymmetric"])
 def test_traces_against_all_structured_oracle(rng, kind):
-    m = structured_model(6, 12, rng)
+    cols = structured_columns(6, 12, rng)
+    m, sigmas = EnsembleModel(6, 12, cols), sigma_oracle(cols, 6)
     assert m._dense.shape[0] and m._V.shape[1]  # dense and vector paths are taken
     for _ in range(20):
         M = rng.standard_normal((6, 6))
@@ -102,18 +112,19 @@ def test_traces_against_all_structured_oracle(rng, kind):
             M = M + 1j * rng.standard_normal((6, 6))
         got = m.traces_against_all(M)
         for i in range(12):
-            want = np.trace(m.realize_sigma(i) @ M)
+            want = np.trace(sigmas[i] @ M)
             assert abs(got[i] - want) <= 1e-13 * max(abs(want), 1.0)
 
 
 @pytest.mark.parametrize("kind", ["complex", "real"])
 def test_mixture_structured_oracle(rng, kind):
-    m = structured_model(6, 12, rng)
+    cols = structured_columns(6, 12, rng)
+    m, sigmas = EnsembleModel(6, 12, cols), sigma_oracle(cols, 6)
     for _ in range(20):
         w = rng.standard_normal(12)
         if kind == "complex":
             w = w + 1j * rng.standard_normal(12)
-        naive = sum(w[i] * m.realize_sigma(i) for i in range(12)) / 12
+        naive = sum(w[i] * sigmas[i] for i in range(12)) / 12
         np.testing.assert_allclose(m.mixture_matrix(w), naive, rtol=1e-13, atol=1e-13)
 
 
@@ -150,15 +161,15 @@ def test_vectors_stored_once_by_content(rng):
         Column(ScaledIdentity(0.5), mean=mu.copy()),
         Column(ScaledIdentity(1.0), mean=other),
     ]
-    m = EnsembleModel(p, 5, cols)
+    m, sigmas = EnsembleModel(p, 5, cols), sigma_oracle(cols, p)
     # one vector per class: five (covariance, vector) pairs
     assert m._V.shape == (p, 5)
     for _ in range(5):
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        naive = sum(w[i] * m.realize_sigma(i) for i in range(5)) / 5
+        naive = sum(w[i] * sigmas[i] for i in range(5)) / 5
         np.testing.assert_allclose(m.mixture_matrix(w), naive, rtol=1e-13, atol=1e-13)
         M = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-        want = [np.trace(m.realize_sigma(i) @ M) for i in range(5)]
+        want = [np.trace(s @ M) for s in sigmas]
         np.testing.assert_allclose(m.traces_against_all(M), want, rtol=1e-13, atol=1e-13)
     # Figure 2: ten classes over 200 columns, each column a new U[:, j] view
     assert mixture_model(200, 200, 10)._V.shape == (200, 10)
@@ -194,18 +205,20 @@ def test_column_classes(rng):
 
 def test_dense_class_realised_once(monkeypatch):
     calls = []
-    realize = Dense.realize
-    monkeypatch.setattr(Dense, "realize", lambda self, p: calls.append(p) or realize(self, p))
+    pack = EnsembleModel._pack
+    monkeypatch.setattr(EnsembleModel, "_pack",
+                        lambda self, specs: calls.append(len(specs)) or pack(self, specs))
     spec = Dense(np.array([[2.0, 0.5], [0.5, 1.0]]))
     m = EnsembleModel(2, 5, [Column(spec)] * 5)
-    assert len(calls) == 1 and n_classes(m) == 1 and m._dense.shape == (1, 3)
+    assert calls == [1] and n_classes(m) == 1 and m._dense.shape == (1, 3)
     np.testing.assert_allclose(m.mixture_matrix(np.ones(5)), spec.matrix, rtol=1e-15)
 
 
 def test_rotated_family_k0_equals_base():
     P = random_orthogonal(3, seed=5)
     spec = RotatedFamily(base=np.array([1.0, 2.0, 3.0]), orthogonal=P, rotations=0)
-    np.testing.assert_array_equal(spec.realize(3), np.diag([1.0, 2.0, 3.0]))
+    m = EnsembleModel(3, 1, [Column(spec)])
+    np.testing.assert_array_equal(m.realize_sigma(0), np.diag([1.0, 2.0, 3.0]))
 
 
 def test_rotated_family_realization(rng):
@@ -213,7 +226,8 @@ def test_rotated_family_realization(rng):
     d = np.array([1.0, 2.0, 3.0, 4.0])
     spec = RotatedFamily(base=d, orthogonal=P, rotations=3)
     R = np.linalg.matrix_power(P, 3)
-    np.testing.assert_allclose(spec.realize(4), R.T @ np.diag(d) @ R, atol=1e-12)
+    m = EnsembleModel(4, 1, [Column(spec)])
+    np.testing.assert_allclose(m.realize_sigma(0), R.T @ np.diag(d) @ R, atol=1e-12)
 
 
 def test_rotated_family_rejects_bad_inputs():
@@ -245,7 +259,8 @@ def test_rotated_stack_rows_match_realize(rng):
     m = EnsembleModel(p, len(cols), cols)
     assert m._dense.shape == (len(cols), p * (p + 1) // 2)
     for row, c in zip(m._dense, m._dense_rows):
-        np.testing.assert_allclose(row, pack(m._class_dense[c].realize(p)), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(row, pack(covariance_oracle(m._class_dense[c], p)),
+                                   rtol=0, atol=1e-13)
 
 
 def test_packed_kernel_matches_realized_oracle(rng):
@@ -258,7 +273,7 @@ def test_packed_kernel_matches_realized_oracle(rng):
     m = EnsembleModel(p, n, cols)
     k_d = m._dense_rows.size
     assert k_d and m._dense.shape == (k_d, p * (p + 1) // 2)
-    sigmas = [m.realize_sigma(i) for i in range(n)]
+    sigmas = sigma_oracle(cols, p)
     k = m.column_class.max() + 1
     W = rng.uniform(0.05, 0.6, (4, k)) * np.exp(1j * rng.uniform(-2.5, -0.1, (4, k)))
     T = m.class_traces(W)
@@ -286,18 +301,30 @@ def test_dense_nearly_symmetric_stored_symmetric():
     spec = Dense(np.array([[2.0, 1.0], [1.0 + 1e-6, 2.0]]))
     m = EnsembleModel(2, 1, [Column(spec)])
     R = np.column_stack([m.column_root_matvec(0, e) for e in np.eye(2)])
-    np.testing.assert_allclose(R @ R.T, spec.realize(2), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(m.mixture_matrix(np.ones(1)), spec.realize(2), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(R @ R.T, spec.matrix, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(m.mixture_matrix(np.ones(1)), spec.matrix, rtol=0, atol=1e-14)
 
 
 def test_column_root_and_mean_oracle(rng):
     p = 6
-    m = structured_model(p, 12, rng)
-    for i, col in enumerate(m.columns):
+    cols = structured_columns(p, 12, rng)
+    m = EnsembleModel(p, 12, cols)
+    for i, col in enumerate(cols):
         R = np.column_stack([m.column_root_matvec(i, e) for e in np.eye(p)])
-        np.testing.assert_allclose(R @ R.T, col.cov.realize(p), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(R @ R.T, covariance_oracle(col.cov, p), rtol=0, atol=1e-12)
         want = np.zeros(p) if col.mean is None else col.mean
         np.testing.assert_array_equal(m.column_mean(i), want)
+
+
+def test_realize_sigma_is_a_view_of_the_classes(rng):
+    # every column's Sigma_i read from its class against the oracle built
+    # from the column's own spec and mean, on every covariance kind
+    p = 6
+    cols = structured_columns(p, 12, rng)
+    m = EnsembleModel(p, 12, cols)
+    for i, want in enumerate(sigma_oracle(cols, p)):
+        np.testing.assert_allclose(m.realize_sigma(i), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("m", [3, 5], ids=["wide", "square"])
@@ -307,9 +334,10 @@ def test_root_matvec_takes_a_block(rng, m):
     specs = [Dense(B @ B.T / p + 0.1 * np.eye(p)),
              RotatedFamily(rng.uniform(0.2, 3.0, p), random_orthogonal(p, 3), 2)]
     G = rng.standard_normal((p, m))
-    for spec in specs:
-        want = np.column_stack([spec.root_matvec(g) for g in G.T])
-        np.testing.assert_allclose(spec.root_matvec(G), want, rtol=0,
+    model = EnsembleModel(p, 2, [Column(spec) for spec in specs])
+    for i in range(2):
+        want = np.column_stack([model.column_root_matvec(i, g) for g in G.T])
+        np.testing.assert_allclose(model.column_root_matvec(i, G), want, rtol=0,
                                    atol=1e-13 * np.abs(want).max())
 
 
@@ -468,12 +496,12 @@ def test_non_finite_inputs_rejected(build, error):
         build()
 
 
-def _class_traces_model(kind: str, rng) -> EnsembleModel:
+def _class_traces_model(kind: str, rng) -> tuple[EnsembleModel, list[Column]]:
     """structured_model's columns ("dense"), or only those with no dense
     class ("woodbury"), or only those with no dense class and no mean
     ("diagonal"); each column twice, shuffled, so that a class sum is not
-    the class's weight."""
-    cols = structured_model(7, 36, rng).columns
+    the class's weight.  The model and its columns."""
+    cols = structured_columns(7, 36, rng)
     if kind != "dense":
         cols = [c for c in cols
                 if isinstance(c.cov, (Diagonal, ScaledIdentity))
@@ -481,12 +509,12 @@ def _class_traces_model(kind: str, rng) -> EnsembleModel:
     if kind == "diagonal":
         cols = [c for c in cols if c.mean is None or not np.any(c.mean)]
     cols = [cols[i] for i in rng.permutation(np.repeat(np.arange(len(cols)), 2))]
-    return EnsembleModel(7, len(cols), cols)
+    return EnsembleModel(7, len(cols), cols), cols
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "woodbury", "dense"])
 def test_class_traces_oracle(rng, kind):
-    m = _class_traces_model(kind, rng)
+    m, cols = _class_traces_model(kind, rng)
     assert m.is_diagonal_plus_low_rank == (kind != "dense")
     assert (m._V.shape[1] == 0) == (kind == "diagonal")
     k = m.column_class.max() + 1
@@ -496,7 +524,7 @@ def test_class_traces_oracle(rng, kind):
     T = m.class_traces(W * m._class_size)
     assert T.shape == (5, k)
     Tp = m.class_pair_traces(W * m._class_size)[0]
-    sigmas = [m.realize_sigma(i) for i in range(m.n)]
+    sigmas = sigma_oracle(cols, m.p)
     for row, t, tp in zip(W, T, Tp):
         w = row[m.column_class]
         Q = np.linalg.inv(np.eye(m.p) - sum(wi * s for wi, s in zip(w, sigmas)) / m.n)
@@ -507,13 +535,41 @@ def test_class_traces_oracle(rng, kind):
                                    atol=1e-13 * np.abs(want).max())
 
 
+def test_class_pair_traces_class_chunks(rng, monkeypatch):
+    # a budget shrunk to c = 5 classes' temporaries for one row: each
+    # mixtures call that forms the Sigma_c of one class_pair_traces call takes
+    # at most c classes, ceil(k / c) calls cover the k classes in order, and
+    # the pairs still match the explicit-trace oracle
+    m, cols = _class_traces_model("dense", rng)
+    k, p, c = m._class_size.size, m.p, 5
+    assert k > c and k % c
+    monkeypatch.setattr(model_module, "_CHAIN_BYTES", c * 5 * 16 * p * p)
+    assert model_module._rows_within_chain_bytes(p) == c
+    calls = []
+    mixtures = m.mixtures
+    monkeypatch.setattr(m, "mixtures", lambda Wc: calls.append(Wc) or mixtures(Wc))
+    W = rng.uniform(0.05, 0.6, (1, k)) * np.exp(1j * rng.uniform(-2.5, -0.1, (1, k)))
+    Wc = W * m._class_size
+    pairs = m.class_pair_traces(Wc)[1][0]
+    factor, *chunks = calls  # the resolvent's own mixture, then the classes
+    np.testing.assert_array_equal(factor, Wc)
+    assert len(chunks) == -(-k // c) and max(len(rows) for rows in chunks) <= c
+    np.testing.assert_array_equal(np.concatenate(chunks), m.n * np.eye(k))
+    sigmas = sigma_oracle(cols, p)
+    S = [sigmas[i] for i in np.unique(m.column_class, return_index=True)[1]]
+    w = W[0, m.column_class]
+    Q = np.linalg.inv(np.eye(p) - sum(wi * s for wi, s in zip(w, sigmas)) / m.n)
+    want = np.array([[np.trace(a @ Q @ b @ Q) for b in S] for a in S])
+    np.testing.assert_allclose(pairs, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("kind", ["diagonal", "woodbury", "dense"])
 def test_functional_traces_oracle(rng, kind, monkeypatch):
     # tr(A Q[row]) against the explicit trace of A times each resolvent, for
     # symmetric and non-symmetric A, with class sums that are not class values,
     # over more rows than two passes; with a dense class, a budget shrunk to
     # three rows' temporaries caps each pass at three rows
-    m = _class_traces_model(kind, rng)
+    m, _ = _class_traces_model(kind, rng)
     k = m.column_class.max() + 1
     W = rng.uniform(0.05, 0.6, (19, k)) * np.exp(1j * rng.uniform(-2.5, -0.1, (19, k)))
     Wc = W * m._class_size
@@ -544,7 +600,7 @@ def test_woodbury_kernels_near_the_axis():
     assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 6
     lam = solve_lambda(m, 1.5 + 1e-6j).lam.values
     Wc = m._class_weights(1.0 / lam)[None]
-    sigmas = [m.realize_sigma(i) for i in range(n)]
+    sigmas = sigma_oracle(cols, p)
     Q = np.linalg.inv(np.eye(p) - sum(s / li for s, li in zip(sigmas, lam)) / n)
     got = m.factor_inverses(Wc)[0]
     np.testing.assert_allclose(got, Q, rtol=1e-13, atol=1e-13 * np.abs(Q).max())
