@@ -107,7 +107,6 @@ def project_functionals(
     As: list[NDArray],
     contour: ContourSpec,
     opts: SolverOptions | None = None,
-    support: SupportEstimate | None = None,
     solves: list[FixedPointResult] | None = None,
 ) -> list[ProjectionResult]:
     """Cauchy-integral projections tr(Pi A) for several real matrices A
@@ -119,8 +118,6 @@ def project_functionals(
     Each node's mirror at conj(z) contributes the conjugate of its term, since
     tr(A conj(R)) = conj(tr(A R)) for real A, so ``imag_residue`` is zero by
     construction; complex A is rejected."""
-    if support is not None:
-        contour.check_margin(support)
     for A in As:
         if np.shape(A) != (model.p, model.p):
             raise ValueError("functional matrix dimension mismatch")
@@ -148,24 +145,20 @@ def project_functional(
     A: NDArray,
     contour: ContourSpec,
     opts: SolverOptions | None = None,
-    support: SupportEstimate | None = None,
     solves: list[FixedPointResult] | None = None,
 ) -> ProjectionResult:
     """tr(Pi A) for the eigenvalues enclosed by the contour."""
-    return project_functionals(model, [A], contour, opts, support, solves)[0]
+    return project_functionals(model, [A], contour, opts, solves)[0]
 
 
 def eigenvalue_count(
     model: EnsembleModel,
     contour: ContourSpec,
     opts: SolverOptions | None = None,
-    support: SupportEstimate | None = None,
     solves: list[FixedPointResult] | None = None,
 ) -> float:
     """Predicted number of eigenvalues of (1/n) X X^T inside the contour."""
-    return project_functional(
-        model, np.eye(model.p), contour, opts, support, solves
-    ).value
+    return project_functional(model, np.eye(model.p), contour, opts, solves).value
 
 
 def write_projection_csv(

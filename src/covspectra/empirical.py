@@ -15,15 +15,15 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .contour import ContourSpec, contour_solves, project_functionals
-from .equivalent import DensityGrid, _write_csv, density_grid, stieltjes_g
-from .fixedpoint import SolverOptions, continuation_solve
+from .equivalent import DensityGrid, _path_g, _write_csv, density_grid
+from .fixedpoint import SolverOptions
 from .model import EnsembleModel
 
 __all__ = [
@@ -104,6 +104,8 @@ def _map_trials(one: Callable[[int], _T], trials: int, jobs: int) -> list[_T]:
     change results."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(one, range(trials)))
@@ -245,8 +247,8 @@ def compare(
 ) -> ComparisonReport:
     """Monte Carlo draws pooled into a histogram, compared bin-by-bin with the
     predicted density, plus Stieltjes sup-error and functional rows."""
-    if not bin_width > 0.0:
-        raise ValueError("bin_width must be positive")
+    if not 0.0 < bin_width < np.inf:
+        raise ValueError("bin_width must be positive and finite")
     specs = functionals or []
 
     def one(t: int) -> tuple[NDArray[np.float64], list[float]]:
@@ -271,11 +273,9 @@ def compare(
 
     # seven Stieltjes probes at Im z = 0.5 across and beyond the histogram
     probes = np.linspace(0.2 * edges[-1], 1.2 * edges[-1], 7) + 0.5j
-    sup_err = max(
-        abs(np.mean([empirical_stieltjes(ev, z) for ev in eigenvalue_sets])
-            - stieltjes_g(model, z, r.lam))
-        for z, r in zip(probes, continuation_solve(model, probes, opts))
-    )
+    empirical = [np.mean([empirical_stieltjes(ev, z) for ev in eigenvalue_sets])
+                 for z in probes]
+    sup_err = np.abs(np.array(empirical) - _path_g(model, probes, opts)).max()
 
     # one projection per contour, its solves and traces shared by the specs on it
     on_contour: dict[ContourSpec, list[int]] = {}

@@ -10,15 +10,15 @@ recovered as Im g(x + iy)/pi on grids with a small, explicit y offset.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .fixedpoint import SolverOptions, _class_sums, _kernel, _upper_z, continuation_solve
+from .fixedpoint import SolverOptions, _class_sums, _kernel, _solve_path
 from .model import EnsembleModel
-from .semimetric import UpperDiagonal
+from .semimetric import UpperDiagonal, _upper_z
 
 __all__ = [
     "DensityGrid",
@@ -75,10 +75,19 @@ def r_tilde(
 def stieltjes_g(model: EnsembleModel, z: complex, lam: UpperDiagonal) -> complex:
     """(1/z)(n/p - 1) - (1/p) sum_i 1/lambda_i; DomainError unless z is
     finite with Im z > 0."""
-    z = _upper_z(z)
-    return (1.0 / z) * (model.n / model.p - 1.0) - complex(
-        np.sum(1.0 / lam.values)
-    ) / model.p
+    return complex(_g(model, _upper_z(z), _class_sums(model, lam))[0])
+
+
+def _g(model: EnsembleModel, z: NDArray | complex, Wc: NDArray) -> NDArray:
+    """g at each z (m,) from the class sums Wc (m, k) of the 1/lambda_i."""
+    return (1.0 / z) * (model.n / model.p - 1.0) - Wc.sum(axis=1) / model.p
+
+
+def _path_g(model: EnsembleModel, zs: Sequence[complex], opts: SolverOptions | None) -> NDArray:
+    """g at every node of the z-path zs, solved as continuation_solve solves
+    it but read from the class values, with no per-node result."""
+    zs, lam, _ = _solve_path(model, zs, opts)
+    return _g(model, zs, model._class_size / lam)
 
 
 def density_grid(
@@ -99,11 +108,7 @@ def density_grid(
     if not y > 0.0:
         raise ValueError("y must be positive")
     xs = np.linspace(x_lo, x_hi, count)
-    results = continuation_solve(model, xs + 1j * y, opts)
-    dens = np.array(
-        [stieltjes_g(model, x + 1j * y, r.lam).imag / np.pi for x, r in zip(xs, results)]
-    )
-    dens = np.maximum(dens, 0.0)
+    dens = np.maximum(_path_g(model, xs + 1j * y, opts).imag / np.pi, 0.0)
     dirac = max(0.0, 1.0 - model.n / model.p)
     return DensityGrid(xs=xs, y=float(y), density=dens, dirac_at_zero=dirac)
 
@@ -135,11 +140,10 @@ def support_scan(
     ends = [end for i, j in zip(starts, stops) for end in ((i, i - 1), (j, j + 1))]
     # one bisection level at every crossing, all midpoints solved on one path
     cross = [(xs[a], 0.5 * (xs[a] + xs[b])) for a, b in ends if 0 <= b < len(xs)]
-    solves = continuation_solve(model, [mid + 1j * y for _, mid in cross], opts) if cross else []
+    g = _path_g(model, [mid + 1j * y for _, mid in cross], opts) if cross else []
     refined = iter(
-        mid if stieltjes_g(model, complex(mid, y), r.lam).imag / np.pi > threshold
-        else 0.5 * (mid + inside)
-        for (inside, mid), r in zip(cross, solves)
+        mid if gm.imag / np.pi > threshold else 0.5 * (mid + inside)
+        for (inside, mid), gm in zip(cross, g)
     )
     pts = [next(refined) if 0 <= b < len(xs) else xs[a] for a, b in ends]
     edges = [(max(float(lo), 0.0), min(float(hi), x0)) for lo, hi in zip(pts[::2], pts[1::2])]

@@ -34,7 +34,6 @@ memory budget; ``lambda_derivative`` solves its k x k system on class values.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -43,7 +42,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .model import EnsembleModel, _rows_within_chain_bytes
-from .semimetric import UpperDiagonal, _ds, _in_domain, in_solver_domain
+from .semimetric import DomainError, UpperDiagonal, _domain_values, _ds, _in_domain, _upper_z
 
 __all__ = [
     "SolverOptions",
@@ -76,10 +75,6 @@ _PREDICTOR_POINTS = 3
 # host), and more for k = 16 from p = 800 and for k = 40 at every p: the
 # pair product grows as k^2 p per node
 _NEWTON_CLASSES = 4
-
-
-class DomainError(ValueError):
-    """Input diagonal outside the solver domain."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -123,11 +118,10 @@ class FixedPointResult:
     phi: float
 
 
-def _class_sums(model: EnsembleModel, L: UpperDiagonal) -> NDArray[np.complex128]:
-    """The class sums of the weights 1/L_i, as one row (1, k)."""
-    if len(L) != model.n:
-        raise DomainError(f"diagonal length {len(L)} != n={model.n}")
-    return model._class_weights(1.0 / L.values)[None]
+def _class_sums(model: EnsembleModel, L: UpperDiagonal, z: complex | None = None) -> NDArray:
+    """The class sums of the weights 1/L_i, as one row (1, k); a DomainError
+    unless L has n entries and, given z, lies in the solver domain at z."""
+    return model._class_weights(1.0 / _domain_values(L, model.n, z))[None]
 
 
 def _kernel(kernel: Callable[[NDArray], NDArray], Wc: NDArray) -> NDArray:
@@ -144,32 +138,19 @@ def _class_map(model: EnsembleModel, z: NDArray | complex, Wc: NDArray) -> NDArr
     return z - _kernel(model.class_traces, Wc) / model.n
 
 
-def _upper_z(z: complex) -> complex:
-    """complex(z), a DomainError unless it is finite with Im z > 0."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError("z must be finite")
-    if not z.imag > 0.0:
-        raise DomainError("z must lie in the upper half-plane")
-    return z
-
-
 def apply_Iz(model: EnsembleModel, z: complex, L: UpperDiagonal) -> UpperDiagonal:
     """One application of the fixed-point map; stays in the solver domain."""
-    if not in_solver_domain(L, z):
-        raise DomainError("L is outside the solver domain for this z")
-    return UpperDiagonal(_class_map(model, z, _class_sums(model, L))[0, model.column_class])
+    z = _upper_z(z)
+    return UpperDiagonal(_class_map(model, z, _class_sums(model, L, z))[0, model.column_class])
 
 
 def contraction_factor(
     model: EnsembleModel, z: complex, L: UpperDiagonal, Lp: UpperDiagonal
 ) -> float:
     """sqrt((1 - phi(z, L)) (1 - phi(z, L'))) with phi = Im z / max Im(map(L))."""
-    for D in (L, Lp):
-        if not in_solver_domain(D, z):
-            raise DomainError("diagonal outside the solver domain")
-    pL, pLp = (z.imag / float(_class_map(model, z, _class_sums(model, D)).imag.max())
-                for D in (L, Lp))
+    z = _upper_z(z)
+    pL, pLp = (z.imag / float(_class_map(model, z, _class_sums(model, D, z)).imag.max())
+               for D in (L, Lp))
     return float(np.sqrt(max(1.0 - pL, 0.0) * max(1.0 - pLp, 0.0)))
 
 
@@ -299,12 +280,8 @@ def solve_lambda(
     opts = opts or SolverOptions()
 
     if warm is not None:
-        if len(warm) != model.n:
-            raise DomainError("warm start has wrong length")
-        if not _in_domain(warm.values, z):
-            raise DomainError("warm start outside the solver domain")
         # the domain is convex, so each class's average stays in it
-        x = (model._class_weights(warm.values) / model._class_size)[None]
+        x = (model._class_weights(_domain_values(warm, model.n, z)) / model._class_size)[None]
     else:
         x = np.empty((1, model._class_size.size), dtype=np.complex128)
     x, k, residual, contraction = (a[0] for a in _stage(
@@ -352,14 +329,23 @@ def continuation_solve(
     for a segment's first node, one map application at z*ones.  Only the
     start changes with the prediction: the fixed point is unique, so the
     answers agree to the tolerance.  The unknowns are the k class values of
-    Lambda (equal within a class), expanded to n only in the results.  A
-    NonConvergenceError's index is the path index of the failing node (the
-    lowest one, if several nodes of a stage fail)."""
-    zs = np.asarray(zs, dtype=np.complex128).ravel()
+    Lambda (equal within a class), which ``_solve_path`` returns and the
+    grids read; only these results expand them to n.  A NonConvergenceError's
+    index is the path index of the failing node (the lowest one, if several
+    nodes of a stage fail)."""
+    zs, lam, stats = _solve_path(model, zs, opts)
+    return [_result(z, row[model.column_class], *st)
+            for z, row, st in zip(zs, lam, stats)]
+
+
+def _solve_path(model: EnsembleModel, zs: Sequence[complex], opts: SolverOptions | None
+                ) -> tuple[NDArray, NDArray, NDArray]:
+    """continuation_solve on class values: the checked path zs (m,), the
+    class values (m, k) of its nodes' Lambda and their statistics (m, 3),
+    iterations, d_s residual and ratio of the last two residuals."""
+    zs = np.array([_upper_z(z) for z in np.ravel(zs)], dtype=np.complex128)
     if zs.size == 0:
         raise ValueError("empty z path")
-    for z in zs:
-        _upper_z(z)
     opts = opts or SolverOptions()
     k = model._class_size.size
 
@@ -379,8 +365,7 @@ def continuation_solve(
             x, cold = np.empty((idx.size, k), dtype=np.complex128), np.ones(idx.size, bool)
         lam[idx], *info = _stage(model, z, x, cold, opts, labels=idx)
         stats[idx] = np.column_stack(info)
-    return [_result(z, row[model.column_class], *st)
-            for z, row, st in zip(zs, lam, stats)]
+    return zs, lam, stats
 
 
 def _lift(x: NDArray, z: NDArray) -> NDArray:
@@ -455,6 +440,7 @@ def lambda_derivative(
     """d(lambda)/dz at a converged fixed point: solves (I - Psi) x = ones.
     Lambda is constant on column classes, and so is x: it comes from the
     k x k system of Psi on the class values, expanded through column_class."""
+    _upper_z(z)
     Wc = _class_sums(model, lam)
     x = lam.values[np.unique(model.column_class, return_index=True)[1]][None]
     psi = _class_psi(model, x, _pair_traces(model, Wc, None)[None])[0]

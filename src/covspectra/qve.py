@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .fixedpoint import SolverOptions, _contract
-from .semimetric import _in_upper
+from .semimetric import _in_upper, _upper_z
 
 __all__ = ["QveProblem", "solve_qve", "qve_residual"]
 
@@ -39,14 +39,9 @@ class QveProblem:
             raise ValueError("S entries must be nonnegative numbers")
         if not np.isfinite(a).all():
             raise ValueError("a entries must be finite")
-        z = complex(self.z)
-        if not np.isfinite(z):
-            raise ValueError("z must be finite")
-        if not z.imag > 0.0:
-            raise ValueError("z must lie in the upper half-plane")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "z", _upper_z(self.z))
 
 
 def qve_residual(prob: QveProblem, m: NDArray[np.complex128]) -> float:

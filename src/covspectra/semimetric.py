@@ -4,17 +4,20 @@ Semi-metric on complex diagonals with positive imaginary parts.
 ``d_s(D, D') = max_i |D_i - D_i'| / sqrt(Im(D_i) Im(D_i'))`` is the geometry
 in which the deterministic-equivalent fixed-point map contracts.  It is not a
 metric (no triangle inequality) and must not be fed to generic metric-space
-algorithms.
+algorithms.  The solver domain (z finite with Im z > 0, Im D_i > 0 and
+Im(D_i / z) > 0) and its checks live here alone: outside it is a DomainError.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
+    "DomainError",
     "UpperDiagonal",
     "d_s",
     "in_solver_domain",
@@ -22,13 +25,25 @@ __all__ = [
 ]
 
 
+class DomainError(ValueError):
+    """Input outside the solver domain."""
+
+
+def _upper_z(z: complex) -> complex:
+    """complex(z), a DomainError unless it is finite with Im z > 0."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("z must be finite")
+    if not z.imag > 0.0:
+        raise DomainError("z must lie in the upper half-plane")
+    return z
+
+
 @dataclass(frozen=True)
 class UpperDiagonal:
-    """Complex diagonal with strictly positive imaginary parts.
-
-    Entries with Im <= 0 are rejected at construction: the semi-metric is
-    undefined there and silent NaNs would poison convergence tests.
-    """
+    """Complex diagonal with finite entries and strictly positive imaginary
+    parts; others are a DomainError at construction: the semi-metric is
+    undefined there and silent NaNs would poison convergence tests."""
 
     values: NDArray[np.complex128]
 
@@ -36,8 +51,10 @@ class UpperDiagonal:
         v = np.atleast_1d(np.asarray(self.values, dtype=np.complex128))
         if v.ndim != 1 or v.size == 0:
             raise ValueError("UpperDiagonal needs a nonempty 1-d array")
+        if not np.isfinite(v).all():
+            raise DomainError("UpperDiagonal entries must be finite")
         if not _in_upper(v):
-            raise ValueError("UpperDiagonal entries must have Im > 0")
+            raise DomainError("UpperDiagonal entries must have Im > 0")
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
@@ -63,6 +80,16 @@ def _in_domain(values, z, axis=None):
     return _in_upper(values, axis) & _in_upper(values / z, axis)
 
 
+def _domain_values(D: UpperDiagonal, n: int, z: complex | None = None) -> NDArray:
+    """D's entries, a DomainError unless there are n of them and, given z,
+    all in the solver domain at z."""
+    if len(D) != n:
+        raise DomainError(f"diagonal length {len(D)} != n={n}")
+    if z is not None and not _in_domain(D.values, z):
+        raise DomainError("diagonal outside the solver domain for this z")
+    return D.values
+
+
 def d_s(D: UpperDiagonal, Dp: UpperDiagonal) -> float:
     """Semi-metric between two diagonals of equal length."""
     a, b = D.values, Dp.values
@@ -73,13 +100,7 @@ def d_s(D: UpperDiagonal, Dp: UpperDiagonal) -> float:
 
 def in_solver_domain(D: UpperDiagonal, z: complex) -> bool:
     """True iff every entry satisfies Im(D_i) > 0 and Im(D_i / z) > 0."""
-    if not z.imag > 0.0:
-        raise ValueError("z must lie in the upper half-plane")
-    return bool(_in_domain(D.values, z))
-
-
-def _discrete_stieltjes(locs: NDArray, masses: NDArray, w: complex) -> complex:
-    return complex(np.sum(masses / (locs - w)))
+    return bool(_in_domain(D.values, _upper_z(z)))
 
 
 def stieltjes_lipschitz_check(
@@ -98,9 +119,8 @@ def stieltjes_lipschitz_check(
     masses = np.asarray([a[1] for a in atoms], dtype=np.float64)
     if masses.min() < 0.0 or masses.sum() <= 0.0:
         raise ValueError("atom masses must be nonnegative with positive total")
-    if not (z.imag > 0.0 and zp.imag > 0.0):
-        raise ValueError("z and z' must lie in the upper half-plane")
-    g, gp = _discrete_stieltjes(locs, masses, z), _discrete_stieltjes(locs, masses, zp)
+    z, zp = _upper_z(z), _upper_z(zp)
+    g, gp = (complex(np.sum(masses / (locs - w))) for w in (z, zp))
     lhs = abs(g - gp)
     rhs = float(np.sqrt(g.imag * gp.imag) * _ds(z, zp))
     return lhs, rhs

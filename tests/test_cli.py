@@ -263,16 +263,29 @@ def test_nonconvergence_exit_code(mp_config, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("width", ["0", "-1", "nan"])
+@pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
 def test_validate_rejects_nonpositive_bin_width(width, mp_config, tmp_path, capsys):
     # width 0 divided by zero and width -1 indexed an empty grid, each with a
-    # traceback
+    # traceback; width inf left numpy's "arange: cannot compute length"
     assert main([
         "validate", "--model", mp_config, "--out", str(tmp_path / "r"),
         "--trials", "2", "--seed", "1", "--bin-width", width,
     ]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: bin_width must be positive") and "Traceback" not in err
+    assert err.startswith("error: bin_width must be positive and finite")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_validate_rejects_jobs_below_one(jobs, mp_config, tmp_path, capsys):
+    # such a count silently ran the trials serially
+    assert main([
+        "validate", "--model", mp_config, "--out", str(tmp_path / "r"),
+        "--trials", "2", "--seed", "1", "--jobs", jobs,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: jobs must be >= 1") and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("interval", ["3", "5,1", "2,2", "a,b", "1,2,3"])

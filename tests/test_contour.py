@@ -121,16 +121,6 @@ def test_complex_functional_rejected():
         project_functional(m, 1j * np.eye(10), ContourSpec(0.01, 4.0, 0.5, 32))
 
 
-def test_margin_enforced_when_support_given():
-    p, n = 20, 40
-    m = mp_model(p, n)
-    support = SupportEstimate(
-        intervals=[(0.086, 2.914)], threshold=1e-3, upper_bound_x0=10.0
-    )
-    with pytest.raises(ValueError):
-        project_functional(m, np.eye(p), ContourSpec(1.0, 5.0, 0.5), support=support)
-
-
 def test_projection_csv(tmp_path):
     m = mp_model(6, 12)
     spec = ContourSpec(0.01, 4.0, 0.5, 32)

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import mp_model, mp_stieltjes, random_columns, random_model, sigma_oracle
+from conftest import (
+    mixture_model,
+    mp_model,
+    mp_stieltjes,
+    random_columns,
+    random_model,
+    sigma_oracle,
+)
 
+import covspectra.empirical
+import covspectra.equivalent
+import covspectra.fixedpoint
 import covspectra.model
 
 from covspectra import (
@@ -12,6 +22,8 @@ from covspectra import (
     EnsembleModel,
     RotatedFamily,
     ScaledIdentity,
+    compare,
+    continuation_solve,
     density_grid,
     r_tilde,
     random_orthogonal,
@@ -183,3 +195,40 @@ def test_support_scan_figure1_right_finishes(monkeypatch):
     (lo, hi), = est.intervals
     tol = 0.5 * est.upper_bound_x0 / 200 + 0.011
     assert abs(lo - 0.1512) < tol and abs(hi - 8.2567) < tol
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "woodbury", "dense"])
+def test_grids_read_g_from_class_values(kind, rng, monkeypatch):
+    # density_grid, support_scan's midpoints and compare's probes build no
+    # per-node result: g comes from the path's class values, and matches
+    # stieltjes_g node by node on continuation_solve's results
+    model = {
+        "diagonal": lambda: EnsembleModel(
+            8, 16, [Column(Diagonal(np.r_[[4.0] * 2, [1.0] * 6]))] * 16),
+        "woodbury": lambda: mixture_model(10, 20, 2),
+        "dense": lambda: random_model(6, 10, rng),
+    }[kind]()
+    path_g = covspectra.equivalent._path_g
+    calls = {}
+
+    def spy(caller):
+        def recorded(model, zs, opts):
+            g = path_g(model, zs, opts)
+            calls.setdefault(caller, []).append((np.ravel(zs), g))
+            return g
+        return recorded
+
+    with monkeypatch.context() as mp:
+        mp.setattr(covspectra.fixedpoint, "_result",
+                   lambda *a: pytest.fail("a per-node result was built"))
+        mp.setattr(covspectra.equivalent, "_path_g", spy("equivalent"))
+        mp.setattr(covspectra.empirical, "_path_g", spy("empirical"))
+        density_grid(model, 0.01, 6.0, 40, y=1e-2)
+        support_scan(model)
+        compare(model, trials=2, seed=3)
+    # the grid, the scan's grid and midpoints and compare's grid; the probes
+    assert len(calls["equivalent"]) == 4 and len(calls["empirical"]) == 1
+    for zs, g in calls["equivalent"] + calls["empirical"]:
+        want = np.array([stieltjes_g(model, z, r.lam)
+                         for z, r in zip(zs, continuation_solve(model, zs))])
+        assert np.abs(g - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

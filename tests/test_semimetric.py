@@ -1,15 +1,26 @@
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import mp_model
 
+import covspectra
 from covspectra import (
     Column,
+    DomainError,
     EnsembleModel,
+    QveProblem,
     ScaledIdentity,
     UpperDiagonal,
+    apply_Iz,
+    continuation_solve,
+    contraction_factor,
     d_s,
     in_solver_domain,
+    lambda_derivative,
+    r_tilde,
     solve_lambda,
     stieltjes_lipschitz_check,
     stieltjes_g,
@@ -62,6 +73,59 @@ def test_rejects_nonpositive_imag():
         UpperDiagonal(np.array([1.0 + 0.0j]))
     with pytest.raises(ValueError):
         UpperDiagonal(np.array([1.0 - 1.0j]))
+
+
+@pytest.mark.parametrize("v", [complex(np.nan, 1.0), complex(np.inf, 1.0),
+                               complex(1.0, np.inf)], ids=["nan", "inf", "inf-imag"])
+def test_rejects_non_finite_entries(v):
+    # accepted before, and d_s then returned nan
+    with pytest.raises(DomainError, match="UpperDiagonal entries must be finite"):
+        UpperDiagonal(np.array([1.0j, v]))
+
+
+# every public function that takes a z of the solver: each checks it in
+# semimetric._upper_z.  empirical_stieltjes and resolvent_identity_check take
+# any z off the spectrum, real or in the lower half-plane too
+_Z_CALLS = {
+    "solve_lambda": lambda m, L, z: solve_lambda(m, z),
+    "continuation_solve": lambda m, L, z: continuation_solve(m, [1.0 + 1.0j, z]),
+    "apply_Iz": lambda m, L, z: apply_Iz(m, z, L),
+    "contraction_factor": lambda m, L, z: contraction_factor(m, z, L, L),
+    "lambda_derivative": lambda m, L, z: lambda_derivative(m, z, L),
+    "r_tilde": lambda m, L, z: r_tilde(m, z, L),
+    "stieltjes_g": lambda m, L, z: stieltjes_g(m, z, L),
+    "in_solver_domain": lambda m, L, z: in_solver_domain(L, z),
+    "stieltjes_lipschitz_check": lambda m, L, z: stieltjes_lipschitz_check([(0.0, 1.0)], 1j, z),
+    "QveProblem": lambda m, L, z: QveProblem(z=z, a=np.zeros(2), S=np.eye(2)),
+}
+_OFF_SPECTRUM_Z = {"empirical_stieltjes", "resolvent_identity_check"}
+
+
+def test_z_calls_cover_every_public_function_taking_z():
+    takes_z = {name for name in covspectra.__all__
+               if callable(obj := getattr(covspectra, name))
+               and not (isinstance(obj, type) and issubclass(obj, Exception))
+               and "z" in inspect.signature(obj).parameters}
+    takes_z |= {"continuation_solve"}  # its path is zs
+    assert takes_z == set(_Z_CALLS) | _OFF_SPECTRUM_Z
+
+
+@pytest.mark.parametrize("z, message", [
+    (complex(np.nan, 1.0), "z must be finite"),
+    (complex(np.inf, 1.0), "z must be finite"),
+    (complex(1.0, np.inf), "z must be finite"),
+    (1.0 - 1.0j, "z must lie in the upper half-plane"),
+    (0, "z must lie in the upper half-plane"),
+], ids=["nan", "inf", "inf-imag", "lower", "zero"])
+@pytest.mark.parametrize("name", sorted(_Z_CALLS))
+def test_z_outside_the_domain_is_one_domain_error(name, z, message):
+    m = mp_model(3, 6)
+    L = solve_lambda(m, 1.0 + 1.0j).lam
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc:
+            _Z_CALLS[name](m, L, z)
+    assert str(exc.value) == message
 
 
 def test_in_solver_domain():
