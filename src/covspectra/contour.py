@@ -61,8 +61,8 @@ class ContourSpec:
                 )
 
     def upper_nodes(self) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-        """Upper-half nodes and their dz weights, ordered as a warm-start
-        chain (up the right side, along the top, down the left side).
+        """Upper-half nodes and their dz weights, ordered as one continuation
+        path (up the right side, along the top, down the left side).
 
         Midpoint sampling per side keeps every node strictly off the real
         axis for any node count.

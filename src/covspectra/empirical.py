@@ -84,7 +84,7 @@ def _projection(w: NDArray, v: NDArray, A: NDArray, interval: tuple[float, float
     """tr(Pi A), Pi projecting on the eigenvectors v whose eigenvalue w lies
     in the interval (zero when none does)."""
     V = v[:, (w >= interval[0]) & (w <= interval[1])]
-    return float(np.einsum("ij,ik,kj->", V, np.asarray(A), V).real)
+    return float(np.sum(V * (np.asarray(A) @ V)).real)
 
 
 def spectrum(X: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -120,7 +120,9 @@ def sample_batch(model: EnsembleModel, trials: int, seed: int, jobs: int = 1) ->
 
 
 def empirical_stieltjes(eigs: NDArray[np.float64], z: complex) -> complex:
-    """(1/p) sum_k 1/(lambda_k - z)."""
+    """(1/p) sum_k 1/(lambda_k - z); a ValueError for a non-finite z."""
+    if not np.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     eigs = np.asarray(eigs, dtype=np.float64)
     if np.min(np.abs(eigs - z)) < 1e-12:
         raise ValueError("z is too close to an eigenvalue")

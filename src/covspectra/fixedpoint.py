@@ -63,9 +63,9 @@ _RIDGE = 1e-13  # the Anderson solve's ridge, relative to max diag of the Gram m
 # roundoff floor of d_s, even where that is above tol_ds
 _FLOOR_ULPS = 16
 _EPS = np.finfo(np.float64).eps
-# a warm node starts from the polynomial in z through this many latest
-# solved nodes of its chain: quadratic, once the chain has three
-_PREDICTOR_POINTS = 3
+# a warm node starts from the polynomial in z through this many solved
+# nodes around it, two on each side where there are: cubic
+_PREDICTOR_POINTS = 4
 # a diagonal model of at most this many classes takes Newton steps on its
 # class values, and Anderson steps above it.  A 100-node density grid at
 # y = 1e-3 on seeded diagonal models (n = 160; 2 cores, one BLAS thread)
@@ -301,9 +301,9 @@ def _result(z: complex, x: NDArray, k: int, residual: float, contraction: float
 
 
 def _chains(model: EnsembleModel, m: int) -> int:
-    """How many segments a path of m nodes is cut into: ceil(sqrt(m)) balances
-    cold starts against stages; with a dense class, one stage's p x p
-    temporaries stay within the model's _CHAIN_BYTES."""
+    """How many nodes of a path of m nodes are solved from cold starts, about:
+    ceil(sqrt(m)) balances cold starts against levels; with a dense class,
+    one batch's p x p temporaries stay within the model's _CHAIN_BYTES."""
     b = min(m, math.isqrt(m - 1) + 1)
     if not model.is_diagonal_plus_low_rank:
         b = min(b, _rows_within_chain_bytes(model.p))
@@ -315,24 +315,25 @@ def continuation_solve(
     zs: Sequence[complex],
     opts: SolverOptions | None = None,
 ) -> list[FixedPointResult]:
-    """Solve along an ordered z-path, warm-starting each point from a
-    prediction off the solutions before it.
+    """Solve along an ordered z-path, warm-starting each point from an
+    interpolant through solved points around it.
 
-    The path is cut into contiguous segments (``_chains``) walked in
-    lockstep: stage s solves node s of every segment in one batched
-    ``_contract``.  Node s starts from the Lagrange extrapolation in z through
-    its segment's last min(s, 3) solved nodes (the previous solution at
-    s = 1, the secant at s = 2, the quadratic from then on; weights from the
-    actual z's, which handles corners and uneven steps), its imaginary parts
-    floored at Im z.  Where that start leaves the domain, node s - 1's
-    solution so floored replaces it; where that leaves the domain too, and
-    for a segment's first node, one map application at z*ones.  Only the
-    start changes with the prediction: the fixed point is unique, so the
-    answers agree to the tolerance.  The unknowns are the k class values of
-    Lambda (equal within a class), which ``_solve_path`` returns and the
-    grids read; only these results expand them to n.  A NonConvergenceError's
-    index is the path index of the failing node (the lowest one, if several
-    nodes of a stage fail)."""
+    The path is solved coarse to fine.  Level 0 solves every s-th node and
+    the last one from cold starts (one map application at z*ones), s the
+    power of two at or above (m - 1) / ``_chains``.  Each later level halves
+    s and solves the nodes halfway between solved ones.  Such a node starts
+    from the Lagrange polynomial in z through the 4 solved nodes around it,
+    two on each side where there are (weights from the actual z's, which
+    handles corners and uneven steps), its imaginary parts floored at Im z.
+    Where that start leaves the domain, the nearest solved node's solution so
+    floored replaces it; where that leaves the domain too, a cold start.  A
+    level is one batched ``_contract``, in batches within the model's memory
+    budget.  Only the start changes with the prediction: the fixed point is
+    unique, so the answers agree to the tolerance.  The unknowns are the k
+    class values of Lambda (equal within a class), which ``_solve_path``
+    returns and the grids read; only these results expand them to n.  A
+    NonConvergenceError's index is the path index of the failing node (the
+    lowest one, if several nodes of a batch fail)."""
     zs, lam, stats = _solve_path(model, zs, opts)
     return [_result(z, row[model.column_class], *st)
             for z, row, st in zip(zs, lam, stats)]
@@ -347,25 +348,51 @@ def _solve_path(model: EnsembleModel, zs: Sequence[complex], opts: SolverOptions
     if zs.size == 0:
         raise ValueError("empty z path")
     opts = opts or SolverOptions()
-    k = model._class_size.size
-
-    segments = np.array_split(np.arange(zs.size), _chains(model, zs.size))
-    lam = np.empty((zs.size, k), dtype=np.complex128)
-    stats = np.empty((zs.size, 3))  # iterations, residual, ratio
-    for s in range(segments[0].size):
-        idx = np.array([seg[s] for seg in segments if seg.size > s])
-        z = zs[idx, None]
-        if s:
-            back = idx[:, None] - np.arange(1, min(s, _PREDICTOR_POINTS) + 1)
-            x = _lift(_extrapolate(zs[back], lam[back], z), z)
-            out = ~_in_domain(x, z, axis=1)
-            x[out] = _lift(lam[idx[out] - 1], z[out])
-            cold = ~_in_domain(x, z, axis=1)
-        else:
-            x, cold = np.empty((idx.size, k), dtype=np.complex128), np.ones(idx.size, bool)
-        lam[idx], *info = _stage(model, z, x, cold, opts, labels=idx)
-        stats[idx] = np.column_stack(info)
+    m, k = zs.size, model._class_size.size
+    lam = np.empty((m, k), dtype=np.complex128)
+    stats = np.empty((m, 3))  # iterations, residual, ratio
+    # level 0: every s-th node and the last, s the least power of two at or
+    # above (m - 1) / _chains; then the odd multiples of s / 2, s / 4, ..., 1
+    # below the last node, each halfway between solved ones
+    s = 1 << max(0, math.ceil((m - 1) / _chains(model, m)) - 1).bit_length()
+    levels = [np.r_[0:m - 1:s, m - 1]]
+    while s > 1:
+        s //= 2
+        levels.append(np.arange(s, m - 1, 2 * s))
+    # a level's rows share one batch within the memory budget, which also
+    # holds each row's Anderson rings and Gram matrix, or Newton derivative
+    w = _ANDERSON_WINDOW
+    batch = model._rows_within_budget(16 * (k * (2 * w + k) + w * w))
+    solved = np.zeros(m, dtype=bool)
+    for idx in levels:
+        known = np.flatnonzero(solved)
+        for rows in np.split(idx, range(batch, idx.size, batch)):
+            x, cold = _starts(zs, lam, known, rows)
+            lam[rows], *info = _stage(model, zs[rows, None], x, cold, opts, labels=rows)
+            stats[rows] = np.column_stack(info)
+        solved[idx] = True
     return zs, lam, stats
+
+
+def _starts(zs: NDArray, lam: NDArray, known: NDArray, idx: NDArray
+            ) -> tuple[NDArray, NDArray]:
+    """Starts (m, k) for the nodes idx of the path zs from the solutions lam
+    at the sorted solved nodes known (none: every start cold), and which of
+    them are cold: the interpolant through the _PREDICTOR_POINTS solved nodes
+    around each node, else its nearest solved node, lifted at Im z."""
+    z = zs[idx, None]
+    if not known.size:
+        return np.empty((idx.size, lam.shape[1]), dtype=np.complex128), np.ones(idx.size, bool)
+    pos = np.searchsorted(known, idx)  # known[pos - 1] < idx < known[pos]
+    q = min(_PREDICTOR_POINTS, known.size)
+    lo = np.clip(pos - q // 2, 0, known.size - q)
+    around = known[lo[:, None] + np.arange(q)]
+    x = _lift(_extrapolate(zs[around], lam[around], z), z)
+    out = ~_in_domain(x, z, axis=1)
+    left, right = known[pos - 1], known[pos]
+    near = np.where(idx - left <= right - idx, left, right)
+    x[out] = _lift(lam[near[out]], z[out])
+    return x, ~_in_domain(x, z, axis=1)
 
 
 def _lift(x: NDArray, z: NDArray) -> NDArray:

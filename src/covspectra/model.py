@@ -15,14 +15,18 @@ the class sums of the weights, one row per node of a grid or a contour:
 resolvents (I_p - mixture)^-1, and ``class_traces`` the map's traces, where
 diagonal classes cost two real GEMMs, the Woodbury path one stacked r x r
 inverse with no p x p matrix, and dense classes one GEMM each way against
-their stack plus a stacked LU.  ``functional_traces`` gives tr(A Q) for
-fixed real matrices A, the contour projections' functionals, by the same
-branches: with no dense class from r x r blocks Y^T A Y, never forming Q.
+their stack plus a stacked LU.  With no dense class the kernels read
+coordinate classes, the coordinates whose diagonal entries agree in every
+class, on which the resolvent's diagonal is constant: a row of the map costs
+arrays of one entry per coordinate class, never p-long ones.
+``functional_traces`` gives tr(A Q) for fixed real matrices A, the contour
+projections' functionals, by the same branches: with no dense class from
+r x r blocks Y^T A Y, never forming Q.
 ``class_pair_traces`` gives tr(Sigma_c Q Sigma_c' Q'), the stability matrix
 Psi on class values, and the map's traces from the same Q for Newton steps:
 on a diagonal model from one product of the diagonals of Q and Q' against
 the rows d_c d_c'.  The kernels batch their rows within one budget,
-_CHAIN_BYTES, which also bounds the solver's continuation chains.
+_CHAIN_BYTES, which also bounds the batches of the solver's continuation.
 Each dense class is stored once, as the packed upper triangle of its
 symmetric part (p(p+1)/2 entries), and every product reads that stack once:
 the real and imaginary rows of the complex operand are stacked into one real
@@ -57,14 +61,18 @@ _MIN_EIG_FLOOR = 1e-8  # warn below it: lower-bounded-covariance assumption
 # class_pair_traces chunk.  tracemalloc reads 3.1 per node at the peak of a
 # batched evaluation (the factor, its inverse and the half-size packed
 # products and folds; p = 80), so 5 is a cap, not a count: it keeps B = 8
-# chains at p = 80, and a sweep of B = 4, 6, 8, 11, 15 there (fig1-rotated,
-# predicted starts) read B = 8 fastest on the support scan and within 6% of
-# the fastest on the 120-node grid.  Chunks of 8 classes raise psi_matrix's
-# peak from 15 to 26 arrays, below the 33 of that grid
+# rows a batch at p = 80, and a sweep of B = 4, 6, 8, 11, 15 there
+# (fig1-rotated, lockstep chains with predicted starts) read B = 8 fastest on
+# the support scan and within 6% of the fastest on the 120-node grid.
+# Chunks of 8 classes raise psi_matrix's peak from 15 to 26 arrays, below the
+# 33 of that grid.  With no dense class a row's arrays have one entry per
+# coordinate class, vector pair and class instead of p^2, and as many of them
+# are budgeted
 _NODE_TEMPORARIES = 5
 _CHAIN_BYTES = 4 << 20
-# nodes per functional_traces pass: the stacked products A Y grow with it,
-# and at 64 nodes at once they raise the Figure-2 projection's peak memory
+# nodes per functional_traces pass: the p x p resolvents with a dense class,
+# and otherwise the products Y W K^-1, grow with it; at 64 nodes at once the
+# products A Y of the Woodbury path raised the Figure-2 projection's peak
 _FUNCTIONAL_ROWS = 8
 
 
@@ -205,8 +213,11 @@ class EnsembleModel:
     ``mixtures``, ``factor_inverses``, ``class_traces`` and
     ``functional_traces`` take class sums of the weights, shaped (m, k), as
     ``_class_weights`` gives them for a weight per column.  With no dense
-    class the resolvent needs an r x r inverse instead of a p x p one.  The
-    classes are the model's only description of its columns: the per-column
+    class the resolvent needs an r x r inverse instead of a p x p one, and
+    the model also stores its U coordinate classes (``_coordinate_classes``):
+    the (k, U) block of distinct diagonal entries, the class sizes n_u and
+    one r x r Gram block of the vectors per class.  The classes are the
+    model's only description of its columns: the per-column
     methods ``realize_sigma``, ``mixture_matrix``, ``traces_against_all`` and
     ``column_root_matvec`` are views of the class storage, and the columns
     passed in are not kept.
@@ -229,33 +240,17 @@ class EnsembleModel:
         self.warnings: list[str] = []
 
         # keyed by content, but dense specs by identity: hashing their
-        # realised p x p matrices would cost more than it saves
+        # realised p x p matrices would cost more than it saves.  A column
+        # object passed again takes its class from its first occurrence
         classes: dict[tuple, int] = {}
         parts: list[tuple] = []  # (diagonal part, dense spec, vector) per class
+        seen: dict[int, int] = {}
         self.column_class = np.empty(n, dtype=np.intp)
         for i, col in enumerate(columns):
-            spec = col.cov
-            d = spec.dim()
-            if d is not None and d != p:
-                raise ModelError(f"column {i}: covariance dimension {d} != p={p}")
-            mu = None if col.mean is None else np.asarray(col.mean, dtype=np.float64).ravel()
-            if mu is not None and mu.size != p:
-                raise ModelError(f"column {i}: mean has wrong length")
-            mu = mu if mu is not None and mu.any() else None
-            dense = None
-            if isinstance(spec, Diagonal):
-                diag = spec.entries
-            elif isinstance(spec, ScaledIdentity):
-                diag = spec.sigma2
-            elif isinstance(spec, RotatedFamily) and spec.rotations == 0:
-                diag = spec.base
-            else:
-                diag, dense = 0.0, spec
-            key = (diag.tobytes() if isinstance(diag, np.ndarray) else diag, id(dense),
-                   None if mu is None else mu.tobytes())
-            c = self.column_class[i] = classes.setdefault(key, len(parts))
-            if c == len(parts):
-                parts.append((diag, dense, mu))
+            c = seen.get(id(col))
+            if c is None:
+                c = seen[id(col)] = self._classify(i, col, classes, parts)
+            self.column_class[i] = c
 
         self._diag = np.zeros((len(parts), p))
         self._offsets = np.zeros((len(parts), p))  # the class's vector, or zero
@@ -279,6 +274,8 @@ class EnsembleModel:
         self._class_size = np.bincount(self.column_class).astype(np.float64)
         if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._offsets)):
             raise ModelError("covariances and means must be finite")
+        if not self._dense_rows.size:
+            self._coordinate_classes()
         # one warning per column whose class breaks an assumption of the paper
         norms = np.linalg.norm(self._offsets, axis=1)[self.column_class]
         min_eig = self._diag.min(axis=1)
@@ -298,6 +295,60 @@ class EnsembleModel:
                     f"{_MIN_EIG_FLOOR:.3g} (lower-bounded-covariance assumption)"
                 )
 
+    def _classify(self, i: int, col: Column, classes: dict[tuple, int], parts: list[tuple]
+                  ) -> int:
+        """The class of column i, appended to parts if it is new; a zero mean
+        is no mean, tested once per distinct mean of a class."""
+        spec, p = col.cov, self.p
+        d = spec.dim()
+        if d is not None and d != p:
+            raise ModelError(f"column {i}: covariance dimension {d} != p={p}")
+        mu = None if col.mean is None else np.asarray(col.mean, dtype=np.float64).ravel()
+        if mu is not None and mu.size != p:
+            raise ModelError(f"column {i}: mean has wrong length")
+        dense = None
+        if isinstance(spec, Diagonal):
+            diag = spec.entries
+        elif isinstance(spec, ScaledIdentity):
+            diag = spec.sigma2
+        elif isinstance(spec, RotatedFamily) and spec.rotations == 0:
+            diag = spec.base
+        else:
+            diag, dense = 0.0, spec
+        key = (diag.tobytes() if isinstance(diag, np.ndarray) else diag, id(dense),
+               None if mu is None else mu.tobytes())
+        c = classes.get(key)
+        if c is None:
+            if mu is not None and not mu.any():
+                mu = None
+            c = classes.setdefault(key[:2] + (None,) if mu is None else key, len(parts))
+            if c == len(parts):
+                parts.append((diag, dense, mu))
+            classes[key] = c
+        return c
+
+    def _coordinate_classes(self) -> None:
+        """With no dense class: coordinates whose diagonal entries agree in
+        every class form one coordinate class, coordinate j in class
+        _coord[j], on which the resolvent's diagonal factor is constant.  Stores
+        the (k, U) block _coord_diag of their distinct entries, their sizes
+        _coord_size n_u, and the Gram blocks B_u = sum_{j in u} v_j v_j^T of
+        the vectors, flattened to (U, r^2): one sort of the coordinates by
+        their entries, each class a run of it."""
+        p = self.p
+        order = np.lexsort(self._diag)
+        d = self._diag[:, order]
+        first = np.ones(p, dtype=bool)
+        np.any(d[:, 1:] != d[:, :-1], axis=0, out=first[1:])
+        runs = np.cumsum(first) - 1
+        self._coord = np.empty(p, dtype=np.intp)
+        self._coord[order] = runs
+        self._coord_diag = d[:, first]
+        self._coord_size = np.bincount(runs).astype(np.float64)
+        V = self._V[order]
+        self._coord_gram = np.add.reduceat(
+            np.einsum("ja,jb->jab", V, V).reshape(p, -1), np.flatnonzero(first), axis=0)
+
     # -- core operations --------------------------------------------------
 
     @property
@@ -312,6 +363,16 @@ class EnsembleModel:
         """True when every Sigma_i is diagonal: no dense class and no vector,
         so each resolvent factor is a diagonal matrix."""
         return not (self._dense_rows.size or self._vec_rows.size)
+
+    def _rows_within_budget(self, row_bytes: int) -> int:
+        """How many rows one batched class-kernel evaluation may take, each
+        with row_bytes of the caller's own, for its temporaries to stay within
+        _CHAIN_BYTES: _rows_within_chain_bytes(p) with a dense class, else
+        _NODE_TEMPORARIES complex arrays of U + r^2 + k entries per row."""
+        if self._dense_rows.size:
+            return _rows_within_chain_bytes(self.p)
+        row = self._coord_size.size + self._V.shape[1] ** 2 + self._class_size.size
+        return max(1, _CHAIN_BYTES // (_NODE_TEMPORARIES * 16 * row + row_bytes))
 
     def _class_weights(self, w: NDArray) -> NDArray:
         """For each class, the sum of w_i over its n columns; real weights give
@@ -363,24 +424,31 @@ class EnsembleModel:
             np.negative(F, out=F)
             F.reshape(-1, p * p)[:, :: p + 1] += 1.0
             return np.linalg.inv(F)
-        inv_d, Y, M, _ = self._woodbury(Wc)
-        Q = (np.zeros((len(Wc), p, p), dtype=np.complex128) if Y is None
-             else (Y @ M) @ Y.transpose(0, 2, 1))
+        q, M, _ = self._woodbury(Wc)
+        inv_d = q[:, self._coord]
+        if M is None:
+            Q = np.zeros((len(Wc), p, p), dtype=np.complex128)
+        else:
+            Y = inv_d[:, :, None] * self._V
+            Q = (Y @ M) @ Y.transpose(0, 2, 1)
         Q.reshape(-1, p * p)[:, :: p + 1] += inv_d
         return Q
 
     def class_traces(self, Wc: NDArray) -> NDArray[np.complex128]:
         """tr(Sigma_c Q[row]) for every class c and every row of the class
         sums Wc (m, k), Q being factor_inverses(Wc).  Without a dense class no
-        p x p matrix is formed: Q's diagonal is D^-1 plus Woodbury's
-        correction sum((Y W K^-1) * Y, -1), and v_c^T Q v_c = n (K^-1 G)_cc
-        with G = V^T D^-1 V."""
+        p-long array is formed: D^-1 is q_u on coordinate class u, and Q's
+        diagonal there is q_u + q_u^2 v_j^T (W K^-1) v_j, so that
+        tr(D_c Q) = sum_u d_cu (n_u q_u + q_u^2 tr(W K^-1 B_u)); and
+        v_c^T Q v_c = n (K^-1 G)_cc with G = V^T D^-1 V."""
         if self._dense_rows.size:
             return self.class_traces_of(self.factor_inverses(Wc))
-        diag_q, Y, M, KG = self._woodbury(Wc)
-        if Y is None:
-            return _times_real(diag_q, self._diag.T)
-        t = _times_real(diag_q + np.sum((Y @ M) * Y, axis=2), self._diag.T)
+        q, M, KG = self._woodbury(Wc)
+        x = q * self._coord_size
+        if M is None:
+            return _times_real(x, self._coord_diag.T)
+        x += q * q * _times_real(M.reshape(len(M), -1), self._coord_gram.T)
+        t = _times_real(x, self._coord_diag.T)
         t[:, self._vec_rows] += self.n * np.diagonal(KG, axis1=1, axis2=2)
         return t
 
@@ -396,7 +464,8 @@ class EnsembleModel:
         if self.is_diagonal:
             q = self._woodbury(Wc)[0]
             qp = q if Wcp is None else self._woodbury(Wcp)[0]
-            return _times_real(q, self._diag.T), self._diagonal_pairs(q, qp)
+            t = _times_real(q * self._coord_size, self._coord_diag.T)
+            return t, self._diagonal_pairs(q, qp)
         m, k, p = len(Wc), self._diag.shape[0], self.p
         Q = self.factor_inverses(Wc)[:, None]
         Qp = Q if Wcp is None else self.factor_inverses(Wcp)[:, None]
@@ -409,61 +478,75 @@ class EnsembleModel:
 
     def _diagonal_pairs(self, q: NDArray, qp: NDArray) -> NDArray[np.complex128]:
         """sum_j d_cj d_c'j q_j qp_j for the diagonal rows d_c and every row of
-        q and qp (m, p), as (m, k, k): q qp against the rows d_c d_c', two
+        the values q and qp (m, U) of two diagonals on the coordinate classes,
+        as (m, k, k): n_u q qp against the rows d_c d_c' of _coord_diag, two
         real GEMMs per block of at most _CHAIN_BYTES / 16 = 2^18 of their entries."""
-        (m, p), k = q.shape, self._diag.shape[0]
-        qq = q * qp
+        (m, U), d = q.shape, self._coord_diag
+        k = len(d)
+        qq = q * qp * self._coord_size
         out = np.empty((m, k, k), dtype=np.complex128)
-        b = max(1, _CHAIN_BYTES // (16 * k * p))
+        b = max(1, _CHAIN_BYTES // (16 * k * U))
         for c in range(0, k, b):
-            rows = (self._diag[c:c + b, None] * self._diag).reshape(-1, p)
+            rows = (d[c:c + b, None] * d).reshape(-1, U)
             out[:, c:c + b] = _times_real(qq, rows.T).reshape(m, -1, k)
         return out
 
     def functional_traces(self, Wc: NDArray, As: NDArray) -> NDArray[np.complex128]:
         """tr(A_a Q[row]) for every real matrix A_a of the (a, p, p) stack As
         and every row of the class sums Wc (m, k), Q being
-        factor_inverses(Wc), as an (m, a) array, _FUNCTIONAL_ROWS rows a pass
-        (fewer with a dense class, within _CHAIN_BYTES).  Q is symmetric, so
+        factor_inverses(Wc), as an (m, a) array.  Q is symmetric, so
         tr(A Q) = sum(A * Q).  With a dense class that is one GEMM of the
-        resolvents against the flattened stack.  Without one no p x p matrix
-        is formed: tr(A D^-1) plus sum((Y^T A Y) * (W K^-1)^T), summed as
+        resolvents against the flattened stack, _FUNCTIONAL_ROWS rows a pass
+        (fewer, within _CHAIN_BYTES).  Without one no p x p matrix is formed:
+        D^-1 is q_u on coordinate class u, P_u the projection on its
+        coordinates, so tr(A D^-1) = sum_u q_u tr(P_u A), and Woodbury's
+        correction sum((Y^T A Y) * (W K^-1)^T) is summed as
         sum((A Y) * (Y W K^-1)) since W K^-1 = (n W^-1 - G)^-1 is symmetric,
-        with A Y for every matrix and row from one pair of real GEMMs."""
-        b = (_FUNCTIONAL_ROWS if self.is_diagonal_plus_low_rank
-             else min(_FUNCTIONAL_ROWS, _rows_within_chain_bytes(self.p)))
-        return np.concatenate([self._functionals(Wc[i:i + b], As) for i in range(0, len(Wc), b)])
-
-    def _functionals(self, Wc: NDArray, As: NDArray) -> NDArray[np.complex128]:
-        """functional_traces on the rows of one pass, a call each so that one
-        pass's temporaries are freed before the next pass forms its own."""
+        with A Y = sum_u q_u (A P_u V).  The products A P_u V are formed once
+        per call, in chunks of coordinate classes within _CHAIN_BYTES, and
+        every row reads them."""
         a, p, m = len(As), self.p, len(Wc)
         A = As.reshape(a, p * p)
         if self._dense_rows.size:
-            return _times_real(self.factor_inverses(Wc).reshape(m, p * p), A.T)
-        inv_d, Y, M, _ = self._woodbury(Wc)
-        t = _times_real(inv_d, A[:, :: p + 1].T)
-        if Y is not None:
-            A = A.reshape(a * p, p)
-            Yb = Y.transpose(1, 0, 2).reshape(p, -1)
-            AY = (A @ Yb.real + 1j * (A @ Yb.imag)).reshape(a, p, m, -1)
-            t += np.einsum("aimb,mib->ma", AY, Y @ M)
+            b = min(_FUNCTIONAL_ROWS, _rows_within_chain_bytes(p))
+            return np.concatenate([
+                _times_real(self.factor_inverses(Wc[i:i + b]).reshape(-1, p * p), A.T)
+                for i in range(0, m, b)])
+        q, M, _ = self._woodbury(Wc)
+        U = q.shape[1]
+        t = _times_real(q, np.array([np.bincount(self._coord, d, U) for d in A[:, :: p + 1]]).T)
+        if M is None:
+            return t
+        V = self._V
+        r = V.shape[1]
+        # each chunk's P_u V (p, c, r) and A P_u V (a, c, p r)
+        chunk = max(1, _CHAIN_BYTES // (8 * p * r * (1 + 2 * a)))
+        for u in np.split(np.arange(U), range(chunk, U, chunk)):
+            PV = (self._coord[:, None] == u)[:, :, None] * V[:, None]
+            APV = (As.reshape(a * p, p) @ PV.reshape(p, -1)).reshape(a, p, u.size, r)
+            APV = APV.transpose(0, 2, 1, 3).reshape(a * u.size, p * r)
+            for i in range(0, m, _FUNCTIONAL_ROWS):
+                rows = slice(i, i + _FUNCTIONAL_ROWS)
+                YM = (q[rows][:, self._coord, None] * (V @ M[rows])).reshape(-1, p * r)
+                AYM = _times_real(YM, APV.T).reshape(-1, a, u.size)
+                t[rows] += np.einsum("rau,ru->ra", AYM, q[rows][:, u])
         return t
 
     def _woodbury(self, Wc: NDArray) -> tuple[NDArray | None, ...]:
         """Without a dense class each factor is D - V W V^T / n, D diagonal and
         W the class sums of the r vectors, and its inverse is
         D^-1 + Y W K^-1 Y^T for Y = D^-1 V, G = V^T Y and K = nI - G W: one
-        stacked r x r inverse.  Per row of Wc: the diagonal of D^-1, and
-        (Y, W K^-1, K^-1 G), or three None if r = 0."""
-        inv_d = 1.0 / (1.0 - _times_real(Wc, self._diag) / self.n)
-        if not self._vec_rows.size:
-            return inv_d, None, None, None
-        V, wv = self._V, Wc[:, self._vec_rows]
-        Y = inv_d[:, :, None] * V
-        G = _times_real(Y.transpose(0, 2, 1), V)
-        Kinv = np.linalg.inv(self.n * np.eye(V.shape[1]) - G * wv[:, None, :])
-        return inv_d, Y, wv[:, :, None] * Kinv, Kinv @ G
+        stacked r x r inverse.  D^-1 is constant on coordinate classes, so
+        G = sum_u q_u B_u.  Per row of Wc: the values q (m, U) of D^-1 on the
+        coordinate classes, and (W K^-1, K^-1 G), or two None if r = 0."""
+        q = 1.0 / (1.0 - _times_real(Wc, self._coord_diag) / self.n)
+        r = self._V.shape[1]
+        if not r:
+            return q, None, None
+        wv = Wc[:, self._vec_rows]
+        G = _times_real(q, self._coord_gram).reshape(-1, r, r)
+        Kinv = np.linalg.inv(self.n * np.eye(r) - G * wv[:, None, :])
+        return q, wv[:, :, None] * Kinv, Kinv @ G
 
     def class_traces_of(self, M: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """tr(Sigma_c M[row]) for every class c and every matrix of the

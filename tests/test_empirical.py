@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,16 @@ def test_empirical_stieltjes_oracle():
     assert empirical_stieltjes(eigs, z) == pytest.approx(want)
     with pytest.raises(ValueError):
         empirical_stieltjes(eigs, 1.0 + 0j)
+
+
+@pytest.mark.parametrize("z", [complex(np.nan, 1.0), complex(np.inf, 1.0),
+                               complex(1.0, np.inf), complex(1.0, np.nan)])
+def test_empirical_stieltjes_rejects_non_finite_z(z):
+    # a ValueError, not nan with a RuntimeWarning or a silent 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            empirical_stieltjes(np.array([1.0, 2.0]), z)
 
 
 def test_empirical_stieltjes_converges_to_mp():

@@ -318,7 +318,8 @@ def test_continuation_matches_cold(rng):
 
 @pytest.mark.parametrize("kind", ["woodbury", "dense"])
 def test_lockstep_continuation_matches_cold(rng, kind):
-    # 23 nodes: 5 segments of 5, 5, 5, 4, 4 nodes, walked in 5 stages
+    # 23 nodes, _chains 5: level 0 solves nodes 0, 8, 16 and 22 from cold
+    # starts, and three levels of halving the rest from interpolants
     cols = structured_columns(6, 18, rng)
     if kind == "woodbury":
         cols = [c for c in cols if isinstance(c.cov, (Diagonal, ScaledIdentity))]
@@ -343,9 +344,10 @@ def assert_matches_cold(m: EnsembleModel, zs: np.ndarray) -> None:
 
 @pytest.mark.parametrize("path", ["rotated-grid", "woodbury-grid", "contour", "repeated"])
 def test_predicted_starts_match_cold(rng, path):
-    # 40, 32 or 30 nodes in 7, 6 or 6 chains, so most nodes start from the
-    # quadratic through three solved nodes; the contour's chains turn its
-    # corners, and a path that repeats its nodes has no interpolant there
+    # 40, 32 or 30 nodes, 7, 6 or 6 of them from cold starts, so most nodes
+    # start from the cubic through four solved nodes around them; the
+    # contour's interpolants span its corners, and on a path that repeats its
+    # nodes coincident nodes leave no interpolant
     if path == "rotated-grid":
         P = random_orthogonal(10, seed=3)
         base = np.r_[[4.0] * 3, [1.0] * 7]
@@ -367,8 +369,9 @@ def test_predicted_starts_match_cold(rng, path):
 
 
 def test_extrapolated_start_outside_domain_falls_back(monkeypatch):
-    # a zigzag between 0.1 + 0.5i and 1.9 + 1e-3i, inside the Marchenko-Pastur
-    # bulk: the quadratic through three nodes overshoots out of the domain
+    # a zigzag between 1.9 + 0.5i and 0.1 + 1e-3i, inside the Marchenko-Pastur
+    # bulk: the interpolants through solved nodes, two of them at one z, fall
+    # out of the domain, and the nearest solved node takes their place
     outside = []
 
     def recording(zp, xp, z):
@@ -387,8 +390,9 @@ def test_extrapolated_start_outside_domain_falls_back(monkeypatch):
 def test_predicted_starts_save_iterations():
     # 60 nodes on 0.01..4 + 1e-3i.  Under Anderson steps: 661 iterations in
     # all when every warm node started from its predecessor, 518 from the
-    # three-point extrapolation.  Under the Newton steps that this one-class
-    # model now takes: 344 and 293
+    # three-point extrapolation of lockstep chains.  Under the Newton steps
+    # that this one-class model now takes: 344, 293, and 274 from the
+    # four-point interpolants of coarse-to-fine levels
     zs = np.linspace(0.01, 4.0, 60) + 1e-3j
     assert sum(r.iterations for r in continuation_solve(mp_model(20, 40), zs)) < 590
 
@@ -402,11 +406,30 @@ def test_chains_capped_by_dense_temporaries():
     assert (_chains(diag, 1), _chains(diag, 4), _chains(diag, 5)) == (1, 2, 3)
 
 
+def test_dense_batches_stay_within_the_budget(monkeypatch):
+    # a budget shrunk to three 10 x 10 rows' temporaries: every batched
+    # _contract of a dense model's path takes at most three rows, each of the
+    # 30 nodes in one of them, and the answers match cold solves
+    m = dense_model(10, 20, seed=3)
+    monkeypatch.setattr(model_module, "_CHAIN_BYTES", 3 * 5 * 16 * 10 * 10)
+    assert _rows_within_chain_bytes(10) == 3 and _chains(m, 30) == 3
+    rows = []
+    contract = fixedpoint._contract
+    monkeypatch.setattr(fixedpoint, "_contract",
+                        lambda f, x0, *a, **k: rows.append(len(x0)) or contract(f, x0, *a, **k))
+    zs = np.linspace(0.01, 4.0, 30) + 1e-2j
+    results = continuation_solve(m, zs)
+    assert max(rows) == 3 and sum(rows) == 30
+    for z, r in zip(zs, results):
+        cold = solve_lambda(m, complex(z)).lam.values
+        assert np.max(np.abs(r.lam.values - cold)) < 1e-11 * np.max(np.abs(cold))
+
+
 @pytest.mark.parametrize("hard", [0, 4, 7, 9])
 def test_continuation_error_names_path_index(hard):
-    # 10 nodes in segments [0-2], [3-5], [6, 7], [8, 9]; Picard at 1 + 1e-7i,
-    # inside the Marchenko-Pastur bulk, needs far more than 200 steps, and
-    # every other node fewer than 30
+    # 10 nodes: level 0 solves 0, 4, 8 and 9, then 2 and 6, then the odd
+    # ones; Picard at 1 + 1e-7i, inside the Marchenko-Pastur bulk, needs far
+    # more than 200 steps, and every other node fewer than 30
     zs = np.linspace(0.5, 3.0, 10) + 1.0j
     zs[hard] = 1.0 + 1e-7j
     with pytest.raises(NonConvergenceError) as exc:
@@ -562,7 +585,10 @@ def test_figure1_density_grid_iterations(monkeypatch):
     # Figure-1 left, d = k = 1.  Under Anderson steps: 2,209 row iterations
     # with lstsq's min-norm step, 2,208 with the ridge; without the ridge every
     # history of two or more differences makes the solve singular, and
-    # Picard steps there took 8,199.  Under Newton steps: 1,411
+    # Picard steps there took 8,199.  Under Newton steps: 1,411 in 20 lockstep
+    # chains, 1,280 in 6 coarse-to-fine levels.  A batched evaluation serves
+    # every row of a _contract at once, so a call costs its largest iteration
+    # count: 135 in all for the chains, 54 for the levels, each level one call
     total = []
     contract = fixedpoint._contract
     monkeypatch.setattr(fixedpoint, "_contract",
@@ -570,6 +596,8 @@ def test_figure1_density_grid_iterations(monkeypatch):
     density_grid(figure1_left(), 0.01, 16.0, 400, y=1e-3)
     assert sum(int(out[1].sum()) for out in total) <= 2320
     assert sum(int(out[1].sum()) for out in total) <= 1550
+    assert sum(int(out[1].max()) for out in total) <= 60
+    assert len(total) == 6
 
 
 def diagonal_model(p: int, n: int, k: int, seed: int) -> EnsembleModel:
@@ -676,11 +704,13 @@ def test_newton_jacobian_matches_finite_difference(rng):
 
 
 @pytest.mark.parametrize("name, path, single", [
-    ("k=5", 303, 13), ("mixture", 383, 15), ("dense", 272, 11)])
+    ("k=5", 271, 13), ("mixture", 314, 15), ("dense", 228, 11)])
 def test_anderson_models_keep_their_iterations(name, path, single):
     # five diagonal classes are one more than _NEWTON_CLASSES, and mean
-    # vectors or dense classes take Anderson steps at any k: the counts
-    # these models had before Newton steps existed
+    # vectors or dense classes take Anderson steps at any k: the single
+    # solves take the counts these models had before Newton steps existed,
+    # and the path those of coarse-to-fine levels (303, 383 and 272 in
+    # lockstep chains)
     m = {"k=5": lambda: diagonal_model(10, 20, 5, seed=5),
          "mixture": lambda: mixture_model(10, 20, 3),
          "dense": lambda: dense_model(10, 20, seed=3)}[name]()

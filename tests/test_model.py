@@ -622,3 +622,92 @@ def test_specs_compare_by_identity():
         assert a == a and a != b
         assert hash(a) == hash(a)
     assert len(set(specs + twins)) == 8
+
+
+@pytest.mark.parametrize("vectors", [False, True], ids=["diagonal", "woodbury"])
+@pytest.mark.parametrize("U", [1, 2, 6])
+def test_coordinate_class_kernels_oracle(rng, U, vectors):
+    # the kernels on U coordinate classes against the explicit resolvent of
+    # the realised Sigma_i: one (scaled identities), two (a permuted two-level
+    # diagonal, as Figure-1 left) and p = 6 (random entries)
+    p = 6
+    if U == 1:
+        covs = [ScaledIdentity(1.0), ScaledIdentity(2.5)]
+    elif U == 2:
+        base = rng.permutation(np.r_[[4.0] * 2, [1.0] * 4])
+        covs = [Diagonal(base), ScaledIdentity(2.0), Diagonal(0.5 + base / 4)]
+    else:
+        covs = [Diagonal(rng.uniform(0.2, 3.0, p)), ScaledIdentity(1.5)]
+    means = [None] + ([rng.standard_normal(p) / 2 for _ in range(2)] if vectors else [])
+    cols = [Column(c, mean=mu) for c in covs for mu in means] * 2
+    m = EnsembleModel(p, len(cols), cols)
+    assert m._coord_size.size == U and m._coord_size.sum() == p
+    np.testing.assert_array_equal(m._coord_diag[:, m._coord], m._diag)
+    assert m.is_diagonal != vectors
+    k = m._class_size.size
+    W = rng.uniform(0.05, 0.6, (5, k)) * np.exp(1j * rng.uniform(-2.5, -0.1, (5, k)))
+    Wc = W * m._class_size
+    B = rng.standard_normal((p, p))
+    As = np.stack([np.eye(p), B @ B.T, B])
+    traces, (traces2, pairs) = m.class_traces(Wc), m.class_pair_traces(Wc)
+    functionals, factors = m.functional_traces(Wc, As), m.factor_inverses(Wc)
+    sigmas = sigma_oracle(cols, p)
+    S = [sigmas[i] for i in np.unique(m.column_class, return_index=True)[1]]
+    for row, t, t2, pair, f, Q in zip(W, traces, traces2, pairs, functionals, factors):
+        w = row[m.column_class]
+        want = np.linalg.inv(np.eye(p) - sum(wi * s for wi, s in zip(w, sigmas)) / m.n)
+        for got, oracle in ((Q, want), (t, [np.trace(s @ want) for s in S]),
+                            (t2, [np.trace(s @ want) for s in S]),
+                            (f, [np.trace(A @ want) for A in As]),
+                            (pair, [[np.trace(a @ want @ b @ want) for b in S] for a in S])):
+            oracle = np.asarray(oracle)
+            np.testing.assert_allclose(got, oracle, rtol=1e-13, atol=1e-13 * np.abs(oracle).max())
+
+
+def test_functional_traces_coordinate_class_chunks(rng, monkeypatch):
+    # a budget shrunk to two coordinate classes' A P_u V products: the
+    # functionals on p = 6 coordinate classes, over three chunks and more
+    # rows than one pass, still match the explicit resolvent
+    p, n = 6, 12
+    cols = [Column(Diagonal(rng.uniform(0.2, 3.0, p)), mean=rng.standard_normal(p))
+            for _ in range(2)] * (n // 2)
+    m = EnsembleModel(p, n, cols)
+    a, r = 2, m._V.shape[1]
+    monkeypatch.setattr(model_module, "_CHAIN_BYTES", 2 * 8 * p * r * (1 + 2 * a))
+    W = rng.uniform(0.05, 0.6, (11, 2)) * np.exp(1j * rng.uniform(-2.5, -0.1, (11, 2)))
+    B = rng.standard_normal((p, p))
+    As = np.stack([B @ B.T, B])
+    got = m.functional_traces(W * m._class_size, As)
+    want = [[np.trace(A @ Q) for A in As] for Q in m.factor_inverses(W * m._class_size)]
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "woodbury", "dense"])
+def test_repeated_column_object_matches_equal_columns(rng, kind, monkeypatch):
+    # [col] * n is classified once, and gives the classes and, bit for bit,
+    # the kernels of n distinct columns equal to col (sharing a dense spec
+    # object, which is how dense classes are told apart)
+    p, n = 5, 12
+    spec = {"diagonal": Diagonal(rng.uniform(0.2, 3.0, p)),
+            "woodbury": ScaledIdentity(1.5),
+            "dense": RotatedFamily(rng.uniform(0.2, 3.0, p), random_orthogonal(p, 5), 2)}[kind]
+    mu = None if kind == "diagonal" else rng.standard_normal(p)
+    other = Column(Diagonal(rng.uniform(0.2, 3.0, p)))
+    calls = []
+    classify = EnsembleModel._classify
+    monkeypatch.setattr(EnsembleModel, "_classify",
+                        lambda self, i, *a: calls.append(i) or classify(self, i, *a))
+    col = Column(spec, mean=mu)
+    one = EnsembleModel(p, n, [col, other] * (n // 2))
+    assert calls == [0, 1]
+    copies = [Column(spec, mean=None if mu is None else mu.copy()) for _ in range(n // 2)]
+    many = EnsembleModel(p, n, [c for pair in zip(copies, [other] * (n // 2)) for c in pair])
+    np.testing.assert_array_equal(one.column_class, many.column_class)
+    W = rng.uniform(0.05, 0.6, (3, 2)) * np.exp(1j * rng.uniform(-2.5, -0.1, (3, 2)))
+    Wc = W * one._class_size
+    As = rng.standard_normal((1, p, p))
+    for a, b in ((one.class_traces(Wc), many.class_traces(Wc)),
+                 (one.factor_inverses(Wc), many.factor_inverses(Wc)),
+                 (one.functional_traces(Wc, As), many.functional_traces(Wc, As)),
+                 *zip(one.class_pair_traces(Wc), many.class_pair_traces(Wc))):
+        np.testing.assert_array_equal(a, b)
