@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .equivalent import SupportEstimate, _write_csv
-from .fixedpoint import FixedPointResult, SolverOptions, _class_sums, _kernel, continuation_solve
+from .fixedpoint import FixedPointResult, SolverOptions, _kernel, continuation_solve
 from .model import EnsembleModel
 
 __all__ = [
@@ -112,8 +112,10 @@ def project_functionals(
     """Cauchy-integral projections tr(Pi A) for several real matrices A
     sharing one contour.  With tr(A R(z)) = -tr(A Q)/z, every functional at
     every node comes from one call of the model's ``functional_traces`` on
-    the nodes' class sums, which batches the nodes itself: with no dense
-    class from r x r blocks, never forming a p x p resolvent.
+    the nodes' class sums n_c / Lambda_c, which batches the nodes itself:
+    with no dense class from r x r blocks, never forming a p x p resolvent.
+    ``solves``, one result of this model per upper node (``contour_solves``),
+    shares the nodes' solves between calls.
 
     Each node's mirror at conj(z) contributes the conjugate of its term, since
     tr(A conj(R)) = conj(tr(A R)) for real A, so ``imag_residue`` is zero by
@@ -126,9 +128,13 @@ def project_functionals(
     nodes, weights = contour.upper_nodes()
     if solves is None:
         solves = continuation_solve(model, nodes, opts)
+    elif len(solves) != nodes.size or any(r.column_class is not model.column_class
+                                           for r in solves):
+        raise ValueError(f"solves must be {nodes.size} results of this model, "
+                         "one per upper contour node")
 
     As = np.asarray(As, dtype=np.float64).reshape(len(As), model.p, model.p)
-    Wc = np.concatenate([_class_sums(model, res.lam) for res in solves])
+    Wc = model._class_size / np.array([res.class_values for res in solves])
     traces = _kernel(lambda W: model.functional_traces(W, As), Wc)
     up = -(weights / nodes) @ traces
     # mirror node at conj(z) carries weight -conj(w)
@@ -141,24 +147,17 @@ def project_functionals(
 
 
 def project_functional(
-    model: EnsembleModel,
-    A: NDArray,
-    contour: ContourSpec,
-    opts: SolverOptions | None = None,
-    solves: list[FixedPointResult] | None = None,
+    model: EnsembleModel, A: NDArray, contour: ContourSpec, opts: SolverOptions | None = None
 ) -> ProjectionResult:
     """tr(Pi A) for the eigenvalues enclosed by the contour."""
-    return project_functionals(model, [A], contour, opts, solves)[0]
+    return project_functionals(model, [A], contour, opts)[0]
 
 
 def eigenvalue_count(
-    model: EnsembleModel,
-    contour: ContourSpec,
-    opts: SolverOptions | None = None,
-    solves: list[FixedPointResult] | None = None,
+    model: EnsembleModel, contour: ContourSpec, opts: SolverOptions | None = None
 ) -> float:
     """Predicted number of eigenvalues of (1/n) X X^T inside the contour."""
-    return project_functional(model, np.eye(model.p), contour, opts, solves).value
+    return project_functional(model, np.eye(model.p), contour, opts).value
 
 
 def write_projection_csv(

@@ -21,7 +21,7 @@ from typing import Callable, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from .contour import ContourSpec, contour_solves, project_functionals
+from .contour import ContourSpec, project_functionals
 from .equivalent import DensityGrid, _path_g, _write_csv, density_grid
 from .fixedpoint import SolverOptions
 from .model import EnsembleModel
@@ -285,8 +285,7 @@ def compare(
         on_contour.setdefault(spec.contour, []).append(k)
     predicted_values = np.empty(len(specs))
     for c, ks in on_contour.items():
-        results = project_functionals(model, [specs[k].matrix for k in ks], c,
-                                      solves=contour_solves(model, c, opts))
+        results = project_functionals(model, [specs[k].matrix for k in ks], c, opts)
         predicted_values[ks] = [r.value for r in results]
     rows: list[FunctionalRow] = []
     for k, spec in enumerate(specs):

@@ -34,6 +34,7 @@ memory budget; ``lambda_derivative`` solves its k x k system on class values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -41,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import EnsembleModel, _rows_within_chain_bytes
+from .model import EnsembleModel
 from .semimetric import DomainError, UpperDiagonal, _domain_values, _ds, _in_domain, _upper_z
 
 __all__ = [
@@ -111,11 +112,19 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    lam: UpperDiagonal
+    """A solved node: the k class values of Lambda and the model's
+    column_class, which expands them to the n-long ``lam`` on first read."""
+
+    class_values: NDArray[np.complex128]
+    column_class: NDArray[np.intp]
     iterations: int
     residual_ds: float
     contraction_estimate: float  # the ratio of the last two d_s residuals
     phi: float
+
+    @functools.cached_property
+    def lam(self) -> UpperDiagonal:
+        return UpperDiagonal(self.class_values[self.column_class])
 
 
 def _class_sums(model: EnsembleModel, L: UpperDiagonal, z: complex | None = None) -> NDArray:
@@ -286,28 +295,19 @@ def solve_lambda(
         x = np.empty((1, model._class_size.size), dtype=np.complex128)
     x, k, residual, contraction = (a[0] for a in _stage(
         model, np.array([[z]]), x, np.array([warm is None]), opts))
-    return _result(z, x[model.column_class], k, residual, contraction)
+    return _result(model, z, x, k, residual, contraction)
 
 
-def _result(z: complex, x: NDArray, k: int, residual: float, contraction: float
-            ) -> FixedPointResult:
+def _result(model: EnsembleModel, z: complex, x: NDArray, k: int, residual: float,
+            contraction: float) -> FixedPointResult:
     return FixedPointResult(
-        lam=UpperDiagonal(x),
+        class_values=x,
+        column_class=model.column_class,
         iterations=int(k),
         residual_ds=float(residual),
         contraction_estimate=min(float(contraction), 1.0 - 1e-16),
         phi=z.imag / float(x.imag.max()),
     )
-
-
-def _chains(model: EnsembleModel, m: int) -> int:
-    """How many nodes of a path of m nodes are solved from cold starts, about:
-    ceil(sqrt(m)) balances cold starts against levels; with a dense class,
-    one batch's p x p temporaries stay within the model's _CHAIN_BYTES."""
-    b = min(m, math.isqrt(m - 1) + 1)
-    if not model.is_diagonal_plus_low_rank:
-        b = min(b, _rows_within_chain_bytes(model.p))
-    return b
 
 
 def continuation_solve(
@@ -320,7 +320,8 @@ def continuation_solve(
 
     The path is solved coarse to fine.  Level 0 solves every s-th node and
     the last one from cold starts (one map application at z*ones), s the
-    power of two at or above (m - 1) / ``_chains``.  Each later level halves
+    power of two at or above (m - 1) / b: b = ceil(sqrt(m)) balances cold
+    starts against levels, capped at one batch.  Each later level halves
     s and solves the nodes halfway between solved ones.  Such a node starts
     from the Lagrange polynomial in z through the 4 solved nodes around it,
     two on each side where there are (weights from the actual z's, which
@@ -331,12 +332,11 @@ def continuation_solve(
     budget.  Only the start changes with the prediction: the fixed point is
     unique, so the answers agree to the tolerance.  The unknowns are the k
     class values of Lambda (equal within a class), which ``_solve_path``
-    returns and the grids read; only these results expand them to n.  A
-    NonConvergenceError's index is the path index of the failing node (the
-    lowest one, if several nodes of a batch fail)."""
+    returns and the grids read; a result expands them to n when its ``lam``
+    is first read.  A NonConvergenceError's index is the path index of the
+    failing node (the lowest one, if several nodes of a batch fail)."""
     zs, lam, stats = _solve_path(model, zs, opts)
-    return [_result(z, row[model.column_class], *st)
-            for z, row, st in zip(zs, lam, stats)]
+    return [_result(model, z, row, *st) for z, row, st in zip(zs, lam, stats)]
 
 
 def _solve_path(model: EnsembleModel, zs: Sequence[complex], opts: SolverOptions | None
@@ -351,18 +351,18 @@ def _solve_path(model: EnsembleModel, zs: Sequence[complex], opts: SolverOptions
     m, k = zs.size, model._class_size.size
     lam = np.empty((m, k), dtype=np.complex128)
     stats = np.empty((m, 3))  # iterations, residual, ratio
-    # level 0: every s-th node and the last, s the least power of two at or
-    # above (m - 1) / _chains; then the odd multiples of s / 2, s / 4, ..., 1
-    # below the last node, each halfway between solved ones
-    s = 1 << max(0, math.ceil((m - 1) / _chains(model, m)) - 1).bit_length()
-    levels = [np.r_[0:m - 1:s, m - 1]]
-    while s > 1:
-        s //= 2
-        levels.append(np.arange(s, m - 1, 2 * s))
     # a level's rows share one batch within the memory budget, which also
     # holds each row's Anderson rings and Gram matrix, or Newton derivative
     w = _ANDERSON_WINDOW
     batch = model._rows_within_budget(16 * (k * (2 * w + k) + w * w))
+    # level 0: every s-th node and the last, s the least power of two at or
+    # above (m - 1) / min(ceil(sqrt(m)), batch); then the odd multiples of
+    # s / 2, s / 4, ..., 1 below the last node, each halfway between solved ones
+    s = 1 << max(0, math.ceil((m - 1) / min(math.isqrt(m - 1) + 1, batch)) - 1).bit_length()
+    levels = [np.r_[0:m - 1:s, m - 1]]
+    while s > 1:
+        s //= 2
+        levels.append(np.arange(s, m - 1, 2 * s))
     solved = np.zeros(m, dtype=bool)
     for idx in levels:
         known = np.flatnonzero(solved)
@@ -466,11 +466,11 @@ def lambda_derivative(
 ) -> NDArray[np.complex128]:
     """d(lambda)/dz at a converged fixed point: solves (I - Psi) x = ones.
     Lambda is constant on column classes, and so is x: it comes from the
-    k x k system of Psi on the class values, expanded through column_class."""
+    k x k system of Psi on the class values n_c / W_c, W_c the class sums of
+    1/lambda_i, expanded through column_class."""
     _upper_z(z)
     Wc = _class_sums(model, lam)
-    x = lam.values[np.unique(model.column_class, return_index=True)[1]][None]
-    psi = _class_psi(model, x, _pair_traces(model, Wc, None)[None])[0]
+    psi = _class_psi(model, model._class_size / Wc, _pair_traces(model, Wc, None)[None])[0]
     A = np.eye(len(psi), dtype=np.complex128) - psi
     try:
         y = np.linalg.solve(A, np.ones(len(psi), dtype=np.complex128))

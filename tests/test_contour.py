@@ -8,9 +8,15 @@ from covspectra import (
     ContourSpec,
     Diagonal,
     EnsembleModel,
+    FunctionalSpec,
     SupportEstimate,
+    compare,
+    contour,
     contour_solves,
     eigenvalue_count,
+    empirical,
+    equivalent,
+    fixedpoint,
     project_functional,
     project_functionals,
     r_tilde,
@@ -100,6 +106,41 @@ def test_shared_solves_match_separate(rng):
     single_b = project_functional(m, B, spec)
     assert both[0].value == pytest.approx(single_a.value, abs=1e-10)
     assert both[1].value == pytest.approx(single_b.value, abs=1e-10)
+
+
+@pytest.mark.parametrize("case", ["short", "other-model"])
+def test_solves_must_be_this_models_upper_nodes(rng, case):
+    # a list one node short, or the solves of another model with the same n
+    m = mp_model(10, 20)
+    spec = ContourSpec(0.01, 4.0, 0.5, 32)
+    if case == "short":
+        solves = contour_solves(m, spec)[:-1]
+    else:
+        solves = contour_solves(random_model(10, 20, rng), spec)
+    with pytest.raises(ValueError, match="one per upper contour node"):
+        project_functionals(m, [np.eye(10)], spec, solves=solves)
+
+
+def test_projections_read_class_values(monkeypatch):
+    # the nodes' class sums come from their class values: no n-long diagonal
+    # is built and summed back into classes, with or without shared solves,
+    # for a count, or for compare's projection
+    m = mixture_model(12, 30, 3)
+    spec = ContourSpec(0.01, 40.0, 0.5, 16)
+    solves = contour_solves(m, spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("n-long diagonal")
+
+    monkeypatch.setattr(fixedpoint, "UpperDiagonal", forbidden)
+    for module in (contour, empirical, equivalent, fixedpoint):
+        if hasattr(module, "_class_sums"):
+            monkeypatch.setattr(module, "_class_sums", forbidden)
+    project_functionals(m, [np.eye(12)], spec)
+    project_functionals(m, [np.eye(12)], spec, solves=solves)
+    eigenvalue_count(m, spec)
+    compare(m, trials=2, seed=1,
+            functionals=[FunctionalSpec("identity", np.eye(12), spec, (0.0, 40.0))])
 
 
 def test_imag_residue_small_for_real_functional():

@@ -39,7 +39,7 @@ from covspectra import (
 )
 from covspectra import fixedpoint
 from covspectra import model as model_module
-from covspectra.fixedpoint import _anderson_coefficients, _chains, _contract
+from covspectra.fixedpoint import _anderson_coefficients, _contract
 from covspectra.model import _rows_within_chain_bytes
 from covspectra.semimetric import _in_domain
 
@@ -316,22 +316,51 @@ def test_continuation_matches_cold(rng):
         assert np.max(np.abs(r.lam.values - cold.lam.values)) < 1e-8
 
 
+def record_levels(monkeypatch) -> list[list[int]]:
+    """The path indices of the nodes of each batched _contract, in order: a
+    continuation's first is its level 0, the nodes solved from cold starts."""
+    calls = []
+    contract = fixedpoint._contract
+    monkeypatch.setattr(fixedpoint, "_contract", lambda *a, labels=None, **k: calls.append(
+        None if labels is None else labels.tolist()) or contract(*a, labels=labels, **k))
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["woodbury", "dense"])
-def test_lockstep_continuation_matches_cold(rng, kind):
-    # 23 nodes, _chains 5: level 0 solves nodes 0, 8, 16 and 22 from cold
-    # starts, and three levels of halving the rest from interpolants
+def test_lockstep_continuation_matches_cold(rng, kind, monkeypatch):
+    # 23 nodes, ceil(sqrt(23)) = 5 within one batch: level 0 solves nodes 0,
+    # 8, 16 and 22 from cold starts, and three levels of halving the rest
+    # from interpolants
     cols = structured_columns(6, 18, rng)
     if kind == "woodbury":
         cols = [c for c in cols if isinstance(c.cov, (Diagonal, ScaledIdentity))]
     m = EnsembleModel(6, len(cols), cols)
     assert m.is_diagonal_plus_low_rank == (kind == "woodbury")
     zs = np.linspace(-0.5, 4.0, 23) + 0.05j
-    assert _chains(m, zs.size) == 5
+    levels = record_levels(monkeypatch)
     chained = continuation_solve(m, zs)
+    assert levels == [[0, 8, 16, 22], [4, 12, 20], [2, 6, 10, 14, 18],
+                      [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21]]
     for z, r in zip(zs, chained):
         cold = solve_lambda(m, complex(z))
         assert len(r.lam) == m.n
         assert np.max(np.abs(r.lam.values - cold.lam.values)) < 1e-8
+
+
+@pytest.mark.parametrize("build", [lambda: dense_model(10, 20, seed=3),
+                                   lambda: mixture_model(12, 30, 3)], ids=["dense", "woodbury"])
+def test_results_expand_class_values_once(build):
+    # lam is the k class values expanded through the model's column_class, bit
+    # for bit, built on first read and kept
+    m = build()
+    assert m._class_size.size < m.n
+    results = [solve_lambda(m, 1.0 + 0.1j),
+               *continuation_solve(m, np.linspace(0.5, 3.0, 5) + 0.1j)]
+    for res in results:
+        assert res.class_values.shape == m._class_size.shape
+        assert res.column_class is m.column_class
+        assert res.lam is res.lam
+        np.testing.assert_array_equal(res.lam.values, res.class_values[m.column_class])
 
 
 def assert_matches_cold(m: EnsembleModel, zs: np.ndarray) -> None:
@@ -397,29 +426,38 @@ def test_predicted_starts_save_iterations():
     assert sum(r.iterations for r in continuation_solve(mp_model(20, 40), zs)) < 590
 
 
-def test_chains_capped_by_dense_temporaries():
-    # ceil(sqrt(120)) = 11 chains; a dense p = 80 class caps them at
-    # 4 MiB / (5 complex 80 x 80 arrays) = 8
-    diag = EnsembleModel(80, 1, [Column(Diagonal(np.ones(80)))])
-    dense = EnsembleModel(80, 1, [Column(Dense(np.eye(80)))])
-    assert (_chains(diag, 120), _chains(dense, 120)) == (11, 8)
-    assert (_chains(diag, 1), _chains(diag, 4), _chains(diag, 5)) == (1, 2, 3)
+def test_chains_capped_by_dense_temporaries(monkeypatch):
+    # level 0, one batch of cold starts, spaces its nodes by the power of two
+    # at or above (m - 1) / min(ceil(sqrt(m)), batch).  201 nodes:
+    # ceil(sqrt(201)) = 15, every 16th node and the last, 14 cold nodes; a
+    # dense p = 80 class caps the batch at 4 MiB / (5 complex 80 x 80 arrays)
+    # = 8, every 32nd node and the last, 8 cold nodes.  1, 4 and 5 nodes: 1,
+    # 3 and 3 cold nodes
+    diag = EnsembleModel(80, 160, [Column(Diagonal(np.ones(80)))] * 160)
+    dense = EnsembleModel(80, 160, [Column(Dense(np.eye(80)))] * 160)
+    levels = record_levels(monkeypatch)
+    cold = []
+    for m, size in ((diag, 201), (dense, 201), (diag, 1), (diag, 4), (diag, 5)):
+        levels.clear()
+        continuation_solve(m, np.linspace(0.5, 3.0, size) + 1j)
+        cold.append(levels[0])
+    assert cold == [[*range(0, 200, 16), 200], [*range(0, 200, 32), 200], [0], [0, 2, 3],
+                    [0, 2, 4]]
 
 
 def test_dense_batches_stay_within_the_budget(monkeypatch):
-    # a budget shrunk to three 10 x 10 rows' temporaries: every batched
-    # _contract of a dense model's path takes at most three rows, each of the
-    # 30 nodes in one of them, and the answers match cold solves
+    # a budget shrunk to three 10 x 10 rows' temporaries: level 0 solves
+    # three nodes from cold starts, every batched _contract of a dense model's
+    # path takes at most three rows, each of the 30 nodes in one of them, and
+    # the answers match cold solves
     m = dense_model(10, 20, seed=3)
     monkeypatch.setattr(model_module, "_CHAIN_BYTES", 3 * 5 * 16 * 10 * 10)
-    assert _rows_within_chain_bytes(10) == 3 and _chains(m, 30) == 3
-    rows = []
-    contract = fixedpoint._contract
-    monkeypatch.setattr(fixedpoint, "_contract",
-                        lambda f, x0, *a, **k: rows.append(len(x0)) or contract(f, x0, *a, **k))
+    assert _rows_within_chain_bytes(10) == 3
+    batches = record_levels(monkeypatch)
     zs = np.linspace(0.01, 4.0, 30) + 1e-2j
     results = continuation_solve(m, zs)
-    assert max(rows) == 3 and sum(rows) == 30
+    rows = [len(b) for b in batches]
+    assert batches[0] == [0, 16, 29] and max(rows) == 3 and sum(rows) == 30
     for z, r in zip(zs, results):
         cold = solve_lambda(m, complex(z)).lam.values
         assert np.max(np.abs(r.lam.values - cold)) < 1e-11 * np.max(np.abs(cold))

@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import re
 
@@ -9,8 +10,16 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_quick_start_runs():
+    # the quick start runs, and its comments quote the support intervals to
+    # two decimals and the eigenvalue count to 0.05
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
-    exec(compile(block, "README.md", "exec"), {})
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    support = re.search(r"^(support_scan\(model\)\.intervals)\s+# (.*)$", block, re.M)
+    count = re.search(r"^(eigenvalue_count\(.*\))\s+# ~(\S+)$", block, re.M)
+    np.testing.assert_allclose(eval(support[1], scope), ast.literal_eval(support[2]),
+                               rtol=0, atol=0.005)
+    assert abs(eval(count[1], scope) - float(count[2])) <= 0.05
 
 
 def test_readme_figure1_left_counts(monkeypatch):

@@ -33,3 +33,33 @@ def test_every_imported_name_is_used():
 def test_unused_import_is_found():
     source = "from __future__ import annotations\nimport os.path\nfrom a import b, c as d\nd()\n"
     assert _unused_imports(source) == ["b", "os"]
+
+
+# the model's memory budget: only model.py sizes batches from these
+BUDGET_NAMES = {"_CHAIN_BYTES", "_NODE_TEMPORARIES", "_FUNCTIONAL_ROWS", "_rows_within_chain_bytes"}
+
+
+def _names(source: str) -> set[str]:
+    """Every name the module's code reads, binds, imports or takes as an
+    attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_memory_budget_stays_in_the_model():
+    named = {path.name: sorted(BUDGET_NAMES & _names(path.read_text()))
+             for path in sorted(SRC.glob("*.py")) if path.name != "model.py"}
+    assert {name: found for name, found in named.items() if found} == {}
+    assert BUDGET_NAMES <= _names((SRC / "model.py").read_text())
+
+
+def test_budget_name_is_found():
+    source = "from .model import _CHAIN_BYTES as c\nimport m\nm._FUNCTIONAL_ROWS\n"
+    assert BUDGET_NAMES & _names(source) == {"_CHAIN_BYTES", "_FUNCTIONAL_ROWS"}
