@@ -21,7 +21,6 @@ from .equivalent import (
     support_scan,
 )
 from .fixedpoint import (
-    DomainError,
     FixedPointResult,
     NonConvergenceError,
     SolverOptions,
@@ -44,7 +43,7 @@ from .model import (
     random_orthogonal,
 )
 from .qve import QveProblem, qve_residual, solve_qve
-from .semimetric import UpperDiagonal, d_s, in_solver_domain, stieltjes_lipschitz_check
+from .semimetric import DomainError, UpperDiagonal, d_s, in_solver_domain, stieltjes_lipschitz_check
 from .empirical import (
     ComparisonReport,
     FunctionalRow,

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .equivalent import SupportEstimate, _write_csv
-from .fixedpoint import FixedPointResult, SolverOptions, _kernel, continuation_solve
+from .fixedpoint import FixedPointResult, SolverOptions, continuation_solve
 from .model import EnsembleModel
 
 __all__ = [
@@ -40,6 +40,8 @@ class ContourSpec:
     nodes_per_side: int = 64
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.a, self.b, self.h]).all():
+            raise ValueError("contour a, b and h must be finite")
         if not self.a < self.b:
             raise ValueError("contour requires a < b")
         if not self.h > 0.0:
@@ -135,7 +137,7 @@ def project_functionals(
 
     As = np.asarray(As, dtype=np.float64).reshape(len(As), model.p, model.p)
     Wc = model._class_size / np.array([res.class_values for res in solves])
-    traces = _kernel(lambda W: model.functional_traces(W, As), Wc)
+    traces = model.functional_traces(Wc, As)
     up = -(weights / nodes) @ traces
     # mirror node at conj(z) carries weight -conj(w)
     totals = up - np.conj(up)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .fixedpoint import SolverOptions, _class_sums, _kernel, _solve_path
+from .fixedpoint import SolverOptions, _class_sums, _solve_path
 from .model import EnsembleModel
 from .semimetric import UpperDiagonal, _upper_z
 
@@ -69,7 +69,7 @@ def r_tilde(
     -(1/z) (I_p - (1/n) sum_i Sigma_i / lambda_i)^{-1}; DomainError unless
     z is finite with Im z > 0."""
     z = _upper_z(z)
-    return -_kernel(model.factor_inverses, _class_sums(model, lam))[0] / z
+    return -model.factor_inverses(_class_sums(model, lam))[0] / z
 
 
 def stieltjes_g(model: EnsembleModel, z: complex, lam: UpperDiagonal) -> complex:

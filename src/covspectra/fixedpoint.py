@@ -43,12 +43,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .model import EnsembleModel
-from .semimetric import DomainError, UpperDiagonal, _domain_values, _ds, _in_domain, _upper_z
+from .semimetric import UpperDiagonal, _domain_values, _ds, _in_domain, _upper_z
 
 __all__ = [
     "SolverOptions",
     "FixedPointResult",
-    "DomainError",
     "NonConvergenceError",
     "apply_Iz",
     "contraction_factor",
@@ -133,18 +132,10 @@ def _class_sums(model: EnsembleModel, L: UpperDiagonal, z: complex | None = None
     return model._class_weights(1.0 / _domain_values(L, model.n, z))[None]
 
 
-def _kernel(kernel: Callable[[NDArray], NDArray], Wc: NDArray) -> NDArray:
-    """kernel(Wc), a singular resolvent factor raised as DomainError."""
-    try:
-        return kernel(Wc)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(f"singular resolvent factor: {exc}") from exc
-
-
 def _class_map(model: EnsembleModel, z: NDArray | complex, Wc: NDArray) -> NDArray:
     """The map at the class sums Wc (m, k) of the weights 1/L_i, row by row:
     z - tr(Sigma_c Q)/n for each class c."""
-    return z - _kernel(model.class_traces, Wc) / model.n
+    return z - model.class_traces(Wc) / model.n
 
 
 def apply_Iz(model: EnsembleModel, z: complex, L: UpperDiagonal) -> UpperDiagonal:
@@ -452,13 +443,8 @@ def psi_matrix(
     This is the transfer matrix of the fixed-point map: at a solved point,
     d(lambda)/dz = (I - Psi)^{-1} ones and ||Psi|| < 1."""
     n, cc = model.n, model.column_class
-    pair = _pair_traces(model, _class_sums(model, D), _class_sums(model, Dp))
+    pair = model.class_pair_traces(_class_sums(model, D), _class_sums(model, Dp))[1][0]
     return pair[np.ix_(cc, cc)] / (n * n * D.values * Dp.values)
-
-
-def _pair_traces(model: EnsembleModel, Wc: NDArray, Wcp: NDArray | None) -> NDArray:
-    """class_pair_traces' pairs at the class sums Wc and Wcp (1, k), as (k, k)."""
-    return _kernel(lambda W: model.class_pair_traces(W, Wcp)[1], Wc)[0]
 
 
 def lambda_derivative(
@@ -470,7 +456,7 @@ def lambda_derivative(
     1/lambda_i, expanded through column_class."""
     _upper_z(z)
     Wc = _class_sums(model, lam)
-    psi = _class_psi(model, model._class_size / Wc, _pair_traces(model, Wc, None)[None])[0]
+    psi = _class_psi(model, model._class_size / Wc, model.class_pair_traces(Wc)[1])[0]
     A = np.eye(len(psi), dtype=np.complex128) - psi
     try:
         y = np.linalg.solve(A, np.ones(len(psi), dtype=np.complex128))

@@ -42,6 +42,8 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from .semimetric import DomainError
+
 __all__ = [
     "ModelError",
     "Dense",
@@ -78,6 +80,15 @@ _FUNCTIONAL_ROWS = 8
 
 class ModelError(ValueError):
     """Fatal model configuration problem (parse error, non-PSD covariance...)."""
+
+
+def _inv(F: NDArray) -> NDArray:
+    """The inverses of the stacked matrices F; a singular one is the
+    DomainError of a singular resolvent factor."""
+    try:
+        return np.linalg.inv(F)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"singular resolvent factor: {exc}") from exc
 
 
 def _rows_within_chain_bytes(p: int) -> int:
@@ -352,13 +363,6 @@ class EnsembleModel:
     # -- core operations --------------------------------------------------
 
     @property
-    def is_diagonal_plus_low_rank(self) -> bool:
-        """True when no column has a dense class, so every Sigma_i is diagonal
-        plus v v^T terms over the r stored vectors and the resolvent factor is
-        a diagonal matrix plus a rank-r correction (r = 0: diagonal)."""
-        return not self._dense_rows.size
-
-    @property
     def is_diagonal(self) -> bool:
         """True when every Sigma_i is diagonal: no dense class and no vector,
         so each resolvent factor is a diagonal matrix."""
@@ -417,13 +421,13 @@ class EnsembleModel:
         """(I_p - mixtures(Wc)[row])^{-1} for every row of the class sums Wc
         (m, k), by one stacked LU with a dense class and otherwise as
         D^-1 + (Y W K^-1) Y^T from _woodbury (no W^-1, no p x p solve);
-        np.linalg.LinAlgError if a factor is singular."""
+        a DomainError if a factor is singular."""
         p = self.p
         if self._dense_rows.size:
             F = self.mixtures(Wc)
             np.negative(F, out=F)
             F.reshape(-1, p * p)[:, :: p + 1] += 1.0
-            return np.linalg.inv(F)
+            return _inv(F)
         q, M, _ = self._woodbury(Wc)
         inv_d = q[:, self._coord]
         if M is None:
@@ -545,7 +549,7 @@ class EnsembleModel:
             return q, None, None
         wv = Wc[:, self._vec_rows]
         G = _times_real(q, self._coord_gram).reshape(-1, r, r)
-        Kinv = np.linalg.inv(self.n * np.eye(r) - G * wv[:, None, :])
+        Kinv = _inv(self.n * np.eye(r) - G * wv[:, None, :])
         return q, wv[:, :, None] * Kinv, Kinv @ G
 
     def class_traces_of(self, M: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -589,10 +593,6 @@ class EnsembleModel:
         return _times_packed(v, self._dense.T)
 
     # -- sampling support --------------------------------------------------
-
-    def column_mean(self, i: int) -> NDArray[np.float64]:
-        """Deterministic offset of column i: its declared mean, or zero."""
-        return self._offsets[self.column_class[i]]
 
     def column_root_matvec(self, i: int, g: NDArray[np.float64]) -> NDArray[np.float64]:
         """C_i^{1/2} g for a vector g, or for each column of a (p, m) block."""

@@ -117,6 +117,8 @@ def stieltjes_lipschitz_check(
         raise ValueError("atom list must be nonempty")
     locs = np.asarray([a[0] for a in atoms], dtype=np.float64)
     masses = np.asarray([a[1] for a in atoms], dtype=np.float64)
+    if not (np.isfinite(locs).all() and np.isfinite(masses).all()):
+        raise ValueError("atom locations and masses must be finite")
     if masses.min() < 0.0 or masses.sum() <= 0.0:
         raise ValueError("atom masses must be nonnegative with positive total")
     z, zp = _upper_z(z), _upper_z(zp)

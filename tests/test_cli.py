@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,16 @@ def test_project_bad_contour(mp_config, capsys):
     assert rc == 1
 
 
+def test_project_non_finite_contour(mp_config, capsys):
+    # h = inf warned twice from upper_nodes, then failed on a z of nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["project", "--model", mp_config, "--functional", "identity",
+                   "--contour", "3,15,inf,64"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: contour a, b and h must be finite\n"
+
+
 def test_project_uuT_file(mp_config, tmp_path, capsys):
     upath = tmp_path / "u.json"
     u = np.zeros(40)
@@ -124,7 +135,6 @@ def test_project_uuT_file(mp_config, tmp_path, capsys):
 
 def test_project_closes_functional_files(mp_config, tmp_path, capsys):
     import gc
-    import warnings
 
     upath, apath = tmp_path / "u.json", tmp_path / "a.json"
     upath.write_text(json.dumps(np.eye(40)[0].tolist()))

@@ -31,6 +31,10 @@ def test_contour_spec_validation():
         ContourSpec(1.0, 2.0, 0.0)
     with pytest.raises(ValueError):
         ContourSpec(1.0, 2.0, 0.1, nodes_per_side=4)
+    # h = inf made nan nodes and a RuntimeWarning in upper_nodes
+    for args in ((0.5, 5.0, np.inf), (0.5, np.inf, 0.5), (np.nan, 5.0, 0.5)):
+        with pytest.raises(ValueError, match="contour a, b and h must be finite"):
+            ContourSpec(*args)
 
 
 def test_upper_nodes_stay_off_axis():

@@ -330,9 +330,9 @@ def test_sample_matrix_matches_per_column_roots(rng):
     order = rng.permutation(len(cols))
     m = EnsembleModel(p, len(cols), [cols[i] for i in order])
     X = sample_matrix(m, seed=5, trial=2)
+    means = [np.zeros(p) if cols[j].mean is None else cols[j].mean for j in order]
     want = np.column_stack([
-        m.column_mean(i)
-        + m.column_root_matvec(i, empirical._column_rng(5, 2, i).standard_normal(p))
+        means[i] + m.column_root_matvec(i, empirical._column_rng(5, 2, i).standard_normal(p))
         for i in range(m.n)])
     is_exact = np.isin(order, [j for j, c in enumerate(cols) if c in exact])
     np.testing.assert_array_equal(X[:, is_exact], want[:, is_exact])

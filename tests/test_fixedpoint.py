@@ -180,7 +180,7 @@ def test_contraction_factor_below_one(rng):
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
 def test_contraction_factor_rejects_wrong_length(rng, dense):
     m = random_model(4, 6, rng) if dense else mp_model(4, 6)
-    assert m.is_diagonal_plus_low_rank != dense
+    assert bool(m._dense_rows.size) == dense
     z = 1.0 + 0.5j
     L = solve_lambda(m, z).lam
     short = UpperDiagonal(L.values[:-1])
@@ -266,7 +266,7 @@ def test_q_tilde_diagonal_model_oracle(rng):
     cols = [Column(Diagonal(rng.uniform(0.2, 3.0, 5))) for _ in range(4)]
     cols += [Column(ScaledIdentity(1.5), mean=np.zeros(5))] * 3
     m = EnsembleModel(5, 7, cols)
-    assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 0
+    assert not m._dense_rows.size and m._V.shape[1] == 0
     assert_q_tilde_oracle(m, cols, rng)
 
 
@@ -284,7 +284,7 @@ def test_q_tilde_woodbury_oracle(rng):
     ]
     m = EnsembleModel(p, 7, cols)
     # one vector per class: mu under two covariances is stored twice
-    assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 5
+    assert not m._dense_rows.size and m._V.shape[1] == 5
     assert_q_tilde_oracle(m, cols, rng)
 
 
@@ -335,7 +335,7 @@ def test_lockstep_continuation_matches_cold(rng, kind, monkeypatch):
     if kind == "woodbury":
         cols = [c for c in cols if isinstance(c.cov, (Diagonal, ScaledIdentity))]
     m = EnsembleModel(6, len(cols), cols)
-    assert m.is_diagonal_plus_low_rank == (kind == "woodbury")
+    assert (not m._dense_rows.size) == (kind == "woodbury")
     zs = np.linspace(-0.5, 4.0, 23) + 0.05j
     levels = record_levels(monkeypatch)
     chained = continuation_solve(m, zs)
@@ -386,7 +386,7 @@ def test_predicted_starts_match_cold(rng, path):
         cols = [c for c in structured_columns(6, 18, rng)
                 if isinstance(c.cov, (Diagonal, ScaledIdentity))]
         m = EnsembleModel(6, len(cols), cols)
-        assert m.is_diagonal_plus_low_rank
+        assert not m._dense_rows.size
         zs = np.linspace(-0.5, 4.0, 40) + 1e-2j
     elif path == "contour":
         m = structured_model(6, 18, rng)

@@ -7,6 +7,7 @@ from covspectra import (
     Column,
     Dense,
     Diagonal,
+    DomainError,
     EnsembleModel,
     ModelError,
     QveProblem,
@@ -129,6 +130,7 @@ def test_mixture_structured_oracle(rng, kind):
 
 
 def test_is_diagonal_plus_low_rank():
+    # no dense class: every factor is diagonal plus a rank-r correction
     P = random_orthogonal(2, seed=3)
     diagonal = [
         Column(Diagonal(np.array([1.0, 2.0]))),
@@ -136,18 +138,18 @@ def test_is_diagonal_plus_low_rank():
         Column(RotatedFamily(np.array([1.0, 2.0]), P, 0)),
     ]
     m = EnsembleModel(2, 3, diagonal)
-    assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 0  # diagonal
+    assert not m._dense_rows.size and m._V.shape[1] == 0  # diagonal
     for extra in (
         Column(ScaledIdentity(1.0), mean=np.array([0.0, 1.0])),
         Column(Diagonal(np.array([1.0, 3.0])), mean=np.array([1.0, 0.0])),
     ):
         m = EnsembleModel(2, 4, diagonal + [extra])
-        assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 1
+        assert not m._dense_rows.size and m._V.shape[1] == 1
     for extra in (
         Column(RotatedFamily(np.array([1.0, 2.0]), P, 1)),
         Column(Dense(np.eye(2))),
     ):
-        assert not EnsembleModel(2, 4, diagonal + [extra]).is_diagonal_plus_low_rank
+        assert EnsembleModel(2, 4, diagonal + [extra])._dense_rows.size
 
 
 def test_vectors_stored_once_by_content(rng):
@@ -200,7 +202,7 @@ def test_column_classes(rng):
     m = EnsembleModel(p, 4, [Column(c, mean=mu) for c in covs])
     assert n_classes(m) == 4 and m._V.shape == (p, 4)
     for i in range(4):
-        np.testing.assert_array_equal(m.column_mean(i), mu)
+        np.testing.assert_array_equal(m._offsets[m.column_class[i]], mu)
 
 
 def test_dense_class_realised_once(monkeypatch):
@@ -313,7 +315,7 @@ def test_column_root_and_mean_oracle(rng):
         R = np.column_stack([m.column_root_matvec(i, e) for e in np.eye(p)])
         np.testing.assert_allclose(R @ R.T, covariance_oracle(col.cov, p), rtol=0, atol=1e-12)
         want = np.zeros(p) if col.mean is None else col.mean
-        np.testing.assert_array_equal(m.column_mean(i), want)
+        np.testing.assert_array_equal(m._offsets[m.column_class[i]], want)
 
 
 def test_realize_sigma_is_a_view_of_the_classes(rng):
@@ -515,7 +517,7 @@ def _class_traces_model(kind: str, rng) -> tuple[EnsembleModel, list[Column]]:
 @pytest.mark.parametrize("kind", ["diagonal", "woodbury", "dense"])
 def test_class_traces_oracle(rng, kind):
     m, cols = _class_traces_model(kind, rng)
-    assert m.is_diagonal_plus_low_rank == (kind != "dense")
+    assert (not m._dense_rows.size) == (kind != "dense")
     assert (m._V.shape[1] == 0) == (kind == "diagonal")
     k = m.column_class.max() + 1
     assert (m._class_size == 2).all()
@@ -597,7 +599,7 @@ def test_woodbury_kernels_near_the_axis():
     U = np.random.Generator(np.random.Philox(key=[3, 0])).standard_normal((p, 3))
     cols = [Column(ScaledIdentity(1.0 + (i % 2)), mean=U[:, i % 3]) for i in range(n)]
     m = EnsembleModel(p, n, cols, mean_norm_bound=1e9)
-    assert m.is_diagonal_plus_low_rank and m._V.shape[1] == 6
+    assert not m._dense_rows.size and m._V.shape[1] == 6
     lam = solve_lambda(m, 1.5 + 1e-6j).lam.values
     Wc = m._class_weights(1.0 / lam)[None]
     sigmas = sigma_oracle(cols, p)
@@ -607,6 +609,22 @@ def test_woodbury_kernels_near_the_axis():
     want = np.array([np.trace(s @ Q) for s in sigmas])
     np.testing.assert_allclose(m.class_traces(Wc)[0, m.column_class], want, rtol=1e-13,
                                atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", ["dense", "woodbury"])
+def test_kernels_raise_domain_error_on_singular_factor(kind):
+    # dense: I - Sigma / 1 = 0 at the class sum 1.  Woodbury: Sigma = I + e1 e1^T
+    # at the class sum 1/2, where D = I / 2 and K = 1 - 2 / 2 = 0
+    if kind == "dense":
+        m, Wc = EnsembleModel(2, 1, [Column(Dense(np.eye(2)))]), np.array([[1.0]])
+    else:
+        m = EnsembleModel(2, 1, [Column(ScaledIdentity(1.0), mean=np.array([1.0, 0.0]))])
+        Wc = np.array([[0.5]])
+    assert bool(m._dense_rows.size) == (kind == "dense")
+    for kernel in (m.factor_inverses, m.class_traces, m.class_pair_traces,
+                   lambda W: m.functional_traces(W, np.eye(2)[None])):
+        with pytest.raises(DomainError, match="singular"):
+            kernel(Wc)
 
 
 def test_specs_compare_by_identity():

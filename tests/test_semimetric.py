@@ -128,6 +128,23 @@ def test_z_outside_the_domain_is_one_domain_error(name, z, message):
     assert str(exc.value) == message
 
 
+def test_diagonal_domain_checked_where_it_is_iterated():
+    # Im(D/z) < 0 at z = 1 + i: the functions that iterate or map a diagonal
+    # reject it, those that only read a resolvent from it answer
+    m, z = mp_model(3, 4), 1.0 + 1.0j
+    D = UpperDiagonal(np.full(4, 5.0 + 0.1j))
+    assert not in_solver_domain(D, z)
+    for check in (lambda: apply_Iz(m, z, D), lambda: contraction_factor(m, z, D, D),
+                  lambda: solve_lambda(m, z, warm=D)):
+        with pytest.raises(DomainError, match="outside the solver domain"):
+            check()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(r_tilde(m, z, D)).all()
+        assert np.isfinite(stieltjes_g(m, z, D))
+        assert np.isfinite(lambda_derivative(m, z, D)).all()
+
+
 def test_in_solver_domain():
     z = 1.0 + 1.0j
     good = UpperDiagonal(np.array([1.0 + 2.0j]))
@@ -165,6 +182,17 @@ def test_lipschitz_check_rejects_bad_input():
         stieltjes_lipschitz_check([(0.0, 1.0)], 1j, 1.0 - 1j)
     with pytest.raises(ValueError):
         stieltjes_lipschitz_check([(0.0, -1.0)], 1j, 2j)
+
+
+@pytest.mark.parametrize("atom", [(np.inf, 1.0), (1.0, np.nan), (np.nan, 1.0)],
+                         ids=["inf-location", "nan-mass", "nan-location"])
+def test_lipschitz_check_rejects_non_finite_atoms(atom):
+    # (inf, 1) returned (0, 0), which passes lhs <= rhs vacuously; (1, nan)
+    # returned (nan, nan); (nan, 1) warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            stieltjes_lipschitz_check([atom], 1.0 + 1.0j, 2.0 + 1.0j)
 
 
 def test_solver_stieltjes_obeys_lipschitz(rng):

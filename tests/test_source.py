@@ -63,3 +63,40 @@ def test_memory_budget_stays_in_the_model():
 def test_budget_name_is_found():
     source = "from .model import _CHAIN_BYTES as c\nimport m\nm._FUNCTIONAL_ROWS\n"
     assert BUDGET_NAMES & _names(source) == {"_CHAIN_BYTES", "_FUNCTIONAL_ROWS"}
+
+
+def _inv_calls(source: str) -> list[str]:
+    """The enclosing function of each np.linalg.inv call, outermost first
+    ("" at module level)."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, where or child.name)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "np.linalg.inv":
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_one_inverse_converts_a_singular_factor():
+    # resolvent_identity_check, the Monte Carlo oracle, inverts its own
+    # sample matrices; every other inverse goes through model._inv, which
+    # alone turns a singular resolvent factor into a DomainError
+    calls = {path.name: found for path in sorted(SRC.glob("*.py"))
+             if (found := [f for f in _inv_calls(path.read_text())
+                           if f != "resolvent_identity_check"])}
+    assert calls == {"model.py": ["_inv"]}
+    said = [path.name for path in sorted(SRC.glob("*.py"))
+            if "singular resolvent factor" in path.read_text()]
+    assert said == ["model.py"]
+
+
+def test_inverse_call_is_found():
+    source = ("import numpy as np\nnp.linalg.inv(a)\n"
+              "def f(a):\n    def g():\n        return np.linalg.inv(a)\n    return g\n")
+    assert _inv_calls(source) == ["", "f"]
