@@ -30,6 +30,10 @@ path) iterate the k class values through one batched evaluation,
 Every map, resolvent and Psi goes through the model's class kernels, which
 take the class sums of the weights 1/L_i and batch them within the model's
 memory budget; ``lambda_derivative`` solves its k x k system on class values.
+A cold row starts from one map application at z*ones, or on a model with a
+dense class at the fixed point of the model's mean field, the one-class
+diagonal model of the average second moment's eigenvalues, solved by Newton
+steps at O(p) each.
 """
 
 from __future__ import annotations
@@ -271,10 +275,11 @@ def solve_lambda(
 ) -> FixedPointResult:
     """Solve the fixed-point equation at z (Im z > 0).
 
-    Starts from one application of the map at the boundary point z*ones
-    (which lands strictly inside the domain), or from a warm start.  Stops
-    when consecutive iterates are closer than tol_ds in the d_s semi-metric,
-    or than their roundoff floor.
+    Starts from one application of the map, which lands strictly inside the
+    domain, at the boundary point z*ones (on a model with a dense class, at
+    its mean field's fixed point: _mean_field_values), or from a warm start.
+    Stops when consecutive iterates are closer than tol_ds in the d_s
+    semi-metric, or than their roundoff floor.
     """
     z = _upper_z(z)
     opts = opts or SolverOptions()
@@ -310,11 +315,12 @@ def continuation_solve(
     interpolant through solved points around it.
 
     The path is solved coarse to fine.  Level 0 solves every s-th node and
-    the last one from cold starts (one map application at z*ones), s the
-    power of two at or above (m - 1) / b: b = ceil(sqrt(m)) balances cold
-    starts against levels, capped at one batch.  Each later level halves
-    s and solves the nodes halfway between solved ones.  Such a node starts
-    from the Lagrange polynomial in z through the 4 solved nodes around it,
+    the last one from cold starts (one map application at z*ones or, with a
+    dense class, at the mean field's fixed point), s the power of two at or
+    above (m - 1) / b: b = ceil(sqrt(m)) balances cold starts against
+    levels, capped at one batch.  Each later level halves s and solves the
+    nodes halfway between solved ones.  Such a node starts from the
+    Lagrange polynomial in z through the 4 solved nodes around it,
     two on each side where there are (weights from the actual z's, which
     handles corners and uneven steps), its imaginary parts floored at Im z.
     Where that start leaves the domain, the nearest solved node's solution so
@@ -406,9 +412,9 @@ def _stage(model: EnsembleModel, z: NDArray, x: NDArray, cold: NDArray,
            opts: SolverOptions, labels: NDArray | None = None) -> tuple[NDArray, ...]:
     """Solve the map on class values at each z[row] (m, 1) from the starts x
     (m, k) in one batched _contract; a row marked cold starts instead from
-    one map application at z*ones, which lands strictly inside the domain.
-    A diagonal model of at most _NEWTON_CLASSES classes gives _contract the
-    map's derivative, so its accelerated steps are Newton's."""
+    one map application at _mean_field_values, which lands strictly inside
+    the domain.  A diagonal model of at most _NEWTON_CLASSES classes gives
+    _contract the map's derivative, so its accelerated steps are Newton's."""
     size = model._class_size
 
     def step(v: NDArray, r: NDArray) -> NDArray:
@@ -419,11 +425,29 @@ def _stage(model: EnsembleModel, z: NDArray, x: NDArray, cold: NDArray,
         return z[r] - t / model.n, _class_psi(model, v, pair)
 
     if cold.any():
-        x[cold] = step(np.repeat(z[cold], x.shape[1], axis=1), cold)
+        start = _mean_field_values(model, z[cold], opts)
+        x[cold] = step(np.repeat(start, x.shape[1], axis=1), cold)
     newton = (opts.acceleration == "anderson" and model.is_diagonal
               and size.size <= _NEWTON_CLASSES)
     return _contract(newton_step if newton else step, x, opts,
                      lambda v, r: _in_domain(v, z[r], axis=1), labels=labels, newton=newton)
+
+
+def _mean_field_values(model: EnsembleModel, z: NDArray, opts: SolverOptions) -> NDArray:
+    """Where the cold rows at z (m, 1) take their first map application, as
+    (m, 1): on a model with a dense class the fixed point of its mean field
+    (EnsembleModel._mean_field), and z, the boundary point, elsewhere or
+    where that solve does not converge.  The mean field is one diagonal
+    class, so it takes Newton steps whatever opts.acceleration says: only
+    the start depends on them.  Without a dense class it would cost a p x p
+    eigensolve the model never otherwise pays."""
+    if not model._dense_rows.size:
+        return z
+    try:
+        return _stage(model._mean_field, z, np.empty_like(z), np.ones(len(z), dtype=bool),
+                      SolverOptions(opts.tol_ds, opts.max_iter))[0]
+    except NonConvergenceError:
+        return z
 
 
 def _class_psi(model: EnsembleModel, x: NDArray, pair: NDArray) -> NDArray:

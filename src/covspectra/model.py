@@ -35,6 +35,7 @@ GEMM.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -76,6 +77,8 @@ _CHAIN_BYTES = 4 << 20
 # and otherwise the products Y W K^-1, grow with it; at 64 nodes at once the
 # products A Y of the Woodbury path raised the Figure-2 projection's peak
 _FUNCTIONAL_ROWS = 8
+# the least modulus of an entry of a diagonal factor D that 1/D keeps finite
+_SMALLEST_PIVOT = 4.0 / np.finfo(np.float64).max
 
 
 class ModelError(ValueError):
@@ -542,8 +545,13 @@ class EnsembleModel:
         D^-1 + Y W K^-1 Y^T for Y = D^-1 V, G = V^T Y and K = nI - G W: one
         stacked r x r inverse.  D^-1 is constant on coordinate classes, so
         G = sum_u q_u B_u.  Per row of Wc: the values q (m, U) of D^-1 on the
-        coordinate classes, and (W K^-1, K^-1 G), or two None if r = 0."""
-        q = 1.0 / (1.0 - _times_real(Wc, self._coord_diag) / self.n)
+        coordinate classes, and (W K^-1, K^-1 G), or two None if r = 0; a
+        DomainError where an entry of D is too small to invert."""
+        D = 1.0 - _times_real(Wc, self._coord_diag) / self.n
+        smallest = np.abs(D).min()
+        if not smallest >= _SMALLEST_PIVOT:
+            raise DomainError(f"singular resolvent factor: |D| down to {smallest:.3g}")
+        q = 1.0 / D
         r = self._V.shape[1]
         if not r:
             return q, None, None
@@ -633,10 +641,24 @@ class EnsembleModel:
 
     # -- derived scalars ---------------------------------------------------
 
+    @functools.cached_property
+    def _mean_spectrum(self) -> NDArray[np.float64]:
+        """The eigenvalues of the average second moment (1/n) sum_i Sigma_i."""
+        avg = self.mixtures(self._class_size[None])[0].real
+        return np.linalg.eigvalsh((avg + avg.T) / 2)
+
+    @functools.cached_property
+    def _mean_field(self) -> EnsembleModel:
+        """The model's mean field: n columns of one Diagonal covariance whose
+        entries are the eigenvalues of (1/n) sum_i Sigma_i, clipped at 0.  It
+        is exact when every column has the same Sigma_i, and as a one-class
+        diagonal model its fixed point costs O(p) per Newton step."""
+        spec = Column(Diagonal(np.clip(self._mean_spectrum, 0.0, None)))
+        return EnsembleModel(self.p, self.n, [spec] * self.n)
+
     def nu_hat(self) -> float:
         """Deterministic proxy ||(1/n) sum Sigma_i|| (spectral norm)."""
-        avg = self.mixtures(self._class_size[None])[0].real
-        return float(np.linalg.eigvalsh((avg + avg.T) / 2).max())
+        return float(self._mean_spectrum.max())
 
     def max_trace(self) -> float:
         """max_i tr(Sigma_i)."""

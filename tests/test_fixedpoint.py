@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,21 @@ def test_q_tilde_singular_factor_raises():
         r_tilde(m, 1j, UpperDiagonal(np.array([2.0 + 5e-324j])))
 
 
+def test_singular_diagonal_factor_raises():
+    # [DERIVED] Sigma = I with no mean, L = 1 + 5e-324i: the factor's
+    # diagonal 1 - 1/L has modulus 5e-324, whose inverse overflows; a
+    # DomainError, not a warning and NaN, from every entry point that inverts it
+    m = EnsembleModel(2, 1, [Column(ScaledIdentity(1.0))])
+    L = UpperDiagonal(np.array([1.0 + 5e-324j]))
+    calls = (lambda: r_tilde(m, 1j, L), lambda: psi_matrix(m, L, L),
+             lambda: lambda_derivative(m, 1j, L))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError, match="singular resolvent factor"):
+                call()
+
+
 def test_continuation_matches_cold(rng):
     m = random_model(5, 8, rng)
     zs = np.linspace(0.5, 3.0, 7) + 0.05j
@@ -316,13 +333,20 @@ def test_continuation_matches_cold(rng):
         assert np.max(np.abs(r.lam.values - cold.lam.values)) < 1e-8
 
 
-def record_levels(monkeypatch) -> list[list[int]]:
-    """The path indices of the nodes of each batched _contract, in order: a
-    continuation's first is its level 0, the nodes solved from cold starts."""
+def record_levels(monkeypatch, *models: EnsembleModel) -> list[list[int]]:
+    """The path indices of the nodes of each batched _contract on one of
+    models, in order: a continuation's first is its level 0, the nodes solved
+    from cold starts.  The solves of a model's mean field, which start those
+    nodes, are not recorded."""
     calls = []
-    contract = fixedpoint._contract
-    monkeypatch.setattr(fixedpoint, "_contract", lambda *a, labels=None, **k: calls.append(
-        None if labels is None else labels.tolist()) or contract(*a, labels=labels, **k))
+    stage = fixedpoint._stage
+
+    def recording(model, *a, labels=None, **k):
+        if any(model is m for m in models):
+            calls.append(None if labels is None else labels.tolist())
+        return stage(model, *a, labels=labels, **k)
+
+    monkeypatch.setattr(fixedpoint, "_stage", recording)
     return calls
 
 
@@ -337,7 +361,7 @@ def test_lockstep_continuation_matches_cold(rng, kind, monkeypatch):
     m = EnsembleModel(6, len(cols), cols)
     assert (not m._dense_rows.size) == (kind == "woodbury")
     zs = np.linspace(-0.5, 4.0, 23) + 0.05j
-    levels = record_levels(monkeypatch)
+    levels = record_levels(monkeypatch, m)
     chained = continuation_solve(m, zs)
     assert levels == [[0, 8, 16, 22], [4, 12, 20], [2, 6, 10, 14, 18],
                       [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21]]
@@ -435,7 +459,7 @@ def test_chains_capped_by_dense_temporaries(monkeypatch):
     # 3 and 3 cold nodes
     diag = EnsembleModel(80, 160, [Column(Diagonal(np.ones(80)))] * 160)
     dense = EnsembleModel(80, 160, [Column(Dense(np.eye(80)))] * 160)
-    levels = record_levels(monkeypatch)
+    levels = record_levels(monkeypatch, diag, dense)
     cold = []
     for m, size in ((diag, 201), (dense, 201), (diag, 1), (diag, 4), (diag, 5)):
         levels.clear()
@@ -453,7 +477,7 @@ def test_dense_batches_stay_within_the_budget(monkeypatch):
     m = dense_model(10, 20, seed=3)
     monkeypatch.setattr(model_module, "_CHAIN_BYTES", 3 * 5 * 16 * 10 * 10)
     assert _rows_within_chain_bytes(10) == 3
-    batches = record_levels(monkeypatch)
+    batches = record_levels(monkeypatch, m)
     zs = np.linspace(0.01, 4.0, 30) + 1e-2j
     results = continuation_solve(m, zs)
     rows = [len(b) for b in batches]
@@ -742,19 +766,58 @@ def test_newton_jacobian_matches_finite_difference(rng):
 
 
 @pytest.mark.parametrize("name, path, single", [
-    ("k=5", 271, 13), ("mixture", 314, 15), ("dense", 228, 11)])
+    ("k=5", 271, 13), ("mixture", 314, 15), ("dense", 198, 8)])
 def test_anderson_models_keep_their_iterations(name, path, single):
     # five diagonal classes are one more than _NEWTON_CLASSES, and mean
     # vectors or dense classes take Anderson steps at any k: the single
     # solves take the counts these models had before Newton steps existed,
     # and the path those of coarse-to-fine levels (303, 383 and 272 in
-    # lockstep chains)
+    # lockstep chains).  The dense model's cold nodes start from its mean
+    # field's fixed point, where a start from z took 228 and 11
     m = {"k=5": lambda: diagonal_model(10, 20, 5, seed=5),
          "mixture": lambda: mixture_model(10, 20, 3),
          "dense": lambda: dense_model(10, 20, seed=3)}[name]()
     zs = np.linspace(0.01, 4.0, 30) + 1e-2j
     assert sum(r.iterations for r in continuation_solve(m, zs)) == path
     assert solve_lambda(m, 1.0 + 0.05j).iterations == single
+
+
+def test_shared_dense_covariance_starts_at_its_mean_field():
+    # every column shares one Dense Sigma, so the model is its mean field, the
+    # Diagonal model of Sigma's eigenvalues, rotated: a cold solve starts at
+    # the fixed point and stops within 3 iterations
+    B = np.random.Generator(np.random.Philox(key=4)).standard_normal((12, 12))
+    sigma = B @ B.T / 12 + 0.1 * np.eye(12)
+    m = EnsembleModel(12, 30, [Column(Dense(sigma))] * 30)
+    oracle = EnsembleModel(12, 30, [Column(Diagonal(np.linalg.eigvalsh(sigma)))] * 30)
+    assert m._mean_field is m._mean_field and m._dense_rows.size
+    for z in (1.0 + 0.05j, 0.2 + 1e-3j, 3.0 + 1e-2j, -1.0 + 0.5j):
+        res = solve_lambda(m, z)
+        want = solve_lambda(oracle, z).class_values
+        assert res.iterations <= 3
+        np.testing.assert_allclose(res.class_values, want, rtol=1e-11)
+
+
+def test_mean_field_failure_starts_from_z(monkeypatch):
+    # a mean-field solve that raises NonConvergenceError leaves its rows the
+    # start from z: the counts and answers of that start, 228 row iterations
+    # on the path and 11 for the single solve
+    m = dense_model(10, 20, seed=3)
+    zs = np.linspace(0.01, 4.0, 30) + 1e-2j
+    want = [r.class_values for r in continuation_solve(m, zs)]
+    stage = fixedpoint._stage
+
+    def failing(model, *a, **k):
+        if model is m._mean_field:
+            raise NonConvergenceError(1, 1.0)
+        return stage(model, *a, **k)
+
+    monkeypatch.setattr(fixedpoint, "_stage", failing)
+    results = continuation_solve(m, zs)
+    assert sum(r.iterations for r in results) == 228
+    assert solve_lambda(m, 1.0 + 0.05j).iterations == 11
+    for r, w in zip(results, want):
+        assert np.max(np.abs(r.class_values - w)) < 1e-11 * np.max(np.abs(w))
 
 
 def test_psi_matrix_scalar_oracle():

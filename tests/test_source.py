@@ -85,8 +85,9 @@ def _inv_calls(source: str) -> list[str]:
 
 def test_one_inverse_converts_a_singular_factor():
     # resolvent_identity_check, the Monte Carlo oracle, inverts its own
-    # sample matrices; every other inverse goes through model._inv, which
-    # alone turns a singular resolvent factor into a DomainError
+    # sample matrices; every other inverse goes through model._inv, and only
+    # model.py (_inv, and _woodbury for a diagonal part it cannot invert)
+    # turns a singular resolvent factor into a DomainError
     calls = {path.name: found for path in sorted(SRC.glob("*.py"))
              if (found := [f for f in _inv_calls(path.read_text())
                            if f != "resolvent_identity_check"])}
