@@ -63,8 +63,9 @@ __all__ = [
 
 _ANDERSON_WINDOW = 5  # Anderson mixes this many latest differences of iterates
 _RIDGE = 1e-13  # the Anderson solve's ridge, relative to max diag of the Gram matrix
-# a row stops once its d_s step is below this many ulps of max|x|/Im x, the
-# roundoff floor of d_s, even where that is above tol_ds
+# a row stops once its d_s step is below this many ulps of max|x - anchor|/Im x,
+# the roundoff floor of d_s, even where that is above tol_ds: only the map's
+# computed term x - anchor rounds, the anchor (z, or z + a for the QVE) is exact
 _FLOOR_ULPS = 16
 _EPS = np.finfo(np.float64).eps
 # a warm node starts from the polynomial in z through this many solved
@@ -174,11 +175,13 @@ def _contract(
     in_domain: Callable[[NDArray, NDArray], NDArray],
     labels: NDArray | None = None,
     newton: bool = False,
+    anchor: NDArray | complex = 0.0,
 ) -> tuple[NDArray, NDArray, NDArray, NDArray]:
     """Iterate every row of x <- step(x) from the rows of x0 (m, d) until
     consecutive iterates are closer in d_s than opts.tol_ds or than the row's
-    roundoff floor _FLOOR_ULPS * eps * max|x|/Im x, with a per-row
-    accelerated step unless opts.acceleration is "none".
+    roundoff floor _FLOOR_ULPS * eps * max|x - anchor|/Im x, anchor (m, 1) or
+    (m, d) the exact part of each row's map, with a per-row accelerated step
+    unless opts.acceleration is "none".
 
     With newton, step(x, rows) returns (gx, Psi), Psi (m, d, d) the
     derivative of the map at x, and the accelerated step is Newton's on
@@ -212,6 +215,7 @@ def _contract(
     dg, dfc = np.zeros((2, m, w, d), dtype=np.complex128)
     gram = np.zeros((m, w, w), dtype=np.complex128)
     g_prev = f_prev = x0
+    anchor = np.zeros((m, 1)) + anchor
 
     def failure(k: int, rows: NDArray, residual: NDArray) -> NonConvergenceError:
         index = None if labels is None else int(labels[active[rows[0]]])
@@ -225,7 +229,7 @@ def _contract(
         prev, residual = residual, _ds(gx, x, axis=1)
         if not np.isfinite(residual).all():
             raise failure(k, np.flatnonzero(~np.isfinite(residual)), residual)
-        floor = _FLOOR_ULPS * _EPS * (np.abs(gx) / gx.imag).max(axis=1)
+        floor = _FLOOR_ULPS * _EPS * (np.abs(gx - anchor) / gx.imag).max(axis=1)
         done = residual < np.maximum(opts.tol_ds, floor)
         if done.any():
             rows = active[done]
@@ -236,8 +240,8 @@ def _contract(
             if done.all():
                 return out, iterations, residuals, ratios
             keep = ~done
-            active, x, gx, f, residual, prev = (
-                a[keep] for a in (active, x, gx, f, residual, prev))
+            active, x, gx, f, residual, prev, anchor = (
+                a[keep] for a in (active, x, gx, f, residual, prev, anchor))
             psi = psi if psi is None else psi[keep]
             dg, dfc, gram, g_prev, f_prev = (a[keep] for a in (dg, dfc, gram, g_prev, f_prev))
 
@@ -429,8 +433,11 @@ def _stage(model: EnsembleModel, z: NDArray, x: NDArray, cold: NDArray,
         x[cold] = step(np.repeat(start, x.shape[1], axis=1), cold)
     newton = (opts.acceleration == "anderson" and model.is_diagonal
               and size.size <= _NEWTON_CLASSES)
+    # classes of zero second moment sit at z, on the domain's boundary: unguarded
+    live = ~model._zero_classes
     return _contract(newton_step if newton else step, x, opts,
-                     lambda v, r: _in_domain(v, z[r], axis=1), labels=labels, newton=newton)
+                     lambda v, r: _in_domain(v[:, live], z[r], axis=1), labels=labels,
+                     newton=newton, anchor=z)
 
 
 def _mean_field_values(model: EnsembleModel, z: NDArray, opts: SolverOptions) -> NDArray:

@@ -77,8 +77,6 @@ _CHAIN_BYTES = 4 << 20
 # and otherwise the products Y W K^-1, grow with it; at 64 nodes at once the
 # products A Y of the Woodbury path raised the Figure-2 projection's peak
 _FUNCTIONAL_ROWS = 8
-# the least modulus of an entry of a diagonal factor D that 1/D keeps finite
-_SMALLEST_PIVOT = 4.0 / np.finfo(np.float64).max
 
 
 class ModelError(ValueError):
@@ -86,12 +84,17 @@ class ModelError(ValueError):
 
 
 def _inv(F: NDArray) -> NDArray:
-    """The inverses of the stacked matrices F; a singular one is the
-    DomainError of a singular resolvent factor."""
+    """The inverses of the factors F, entry by entry for diagonal values (m, U)
+    and matrix by matrix for a stack (m, s, s): where numpy raises or an inverse
+    is not finite, the model's one DomainError of a singular resolvent factor."""
     try:
-        return np.linalg.inv(F)
+        with np.errstate(all="ignore"):
+            inv = 1.0 / F if F.ndim == 2 else np.linalg.inv(F)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"singular resolvent factor: {exc}") from exc
+    if not np.isfinite(inv).all():
+        raise DomainError("singular resolvent factor: its inverse is not finite")
+    return inv
 
 
 def _rows_within_chain_bytes(p: int) -> int:
@@ -288,6 +291,9 @@ class EnsembleModel:
         self._class_size = np.bincount(self.column_class).astype(np.float64)
         if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._offsets)):
             raise ModelError("covariances and means must be finite")
+        # the classes of zero second moment, whose map value is z for every L
+        self._zero_classes = ~(self._diag.any(axis=1) | self._offsets.any(axis=1))
+        self._zero_classes[self._dense_rows] &= ~self._dense.any(axis=1)
         if not self._dense_rows.size:
             self._coordinate_classes()
         # one warning per column whose class breaks an assumption of the paper
@@ -424,7 +430,7 @@ class EnsembleModel:
         """(I_p - mixtures(Wc)[row])^{-1} for every row of the class sums Wc
         (m, k), by one stacked LU with a dense class and otherwise as
         D^-1 + (Y W K^-1) Y^T from _woodbury (no W^-1, no p x p solve);
-        a DomainError if a factor is singular."""
+        either way _inv judges the factors, a DomainError if one is singular."""
         p = self.p
         if self._dense_rows.size:
             F = self.mixtures(Wc)
@@ -545,13 +551,9 @@ class EnsembleModel:
         D^-1 + Y W K^-1 Y^T for Y = D^-1 V, G = V^T Y and K = nI - G W: one
         stacked r x r inverse.  D^-1 is constant on coordinate classes, so
         G = sum_u q_u B_u.  Per row of Wc: the values q (m, U) of D^-1 on the
-        coordinate classes, and (W K^-1, K^-1 G), or two None if r = 0; a
-        DomainError where an entry of D is too small to invert."""
-        D = 1.0 - _times_real(Wc, self._coord_diag) / self.n
-        smallest = np.abs(D).min()
-        if not smallest >= _SMALLEST_PIVOT:
-            raise DomainError(f"singular resolvent factor: |D| down to {smallest:.3g}")
-        q = 1.0 / D
+        coordinate classes, and (W K^-1, K^-1 G), or two None if r = 0.  D^-1
+        and K^-1 are _inv's, a DomainError where either is singular."""
+        q = _inv(1.0 - _times_real(Wc, self._coord_diag) / self.n)
         r = self._V.shape[1]
         if not r:
             return q, None, None

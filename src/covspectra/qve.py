@@ -64,7 +64,7 @@ def solve_qve(prob: QveProblem, opts: SolverOptions | None = None) -> NDArray[np
     Sc = S.astype(np.complex128)
     x, *_ = _contract(
         lambda x, _: (z + a - Sc @ (1.0 / x[0]))[None], _row_sum_start(z, a, S)[None],
-        opts or SolverOptions(), lambda x, _: _in_upper(x, axis=1),
+        opts or SolverOptions(), lambda x, _: _in_upper(x, axis=1), anchor=(z + a)[None],
     )
     return -1.0 / x[0]
 

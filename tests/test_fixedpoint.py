@@ -30,6 +30,7 @@ from covspectra import (
     apply_Iz,
     contraction_factor,
     continuation_solve,
+    contour_solves,
     density_grid,
     lambda_derivative,
     psi_matrix,
@@ -309,12 +310,9 @@ def test_q_tilde_singular_factor_raises():
         r_tilde(m, 1j, UpperDiagonal(np.array([2.0 + 5e-324j])))
 
 
-def test_singular_diagonal_factor_raises():
-    # [DERIVED] Sigma = I with no mean, L = 1 + 5e-324i: the factor's
-    # diagonal 1 - 1/L has modulus 5e-324, whose inverse overflows; a
-    # DomainError, not a warning and NaN, from every entry point that inverts it
-    m = EnsembleModel(2, 1, [Column(ScaledIdentity(1.0))])
-    L = UpperDiagonal(np.array([1.0 + 5e-324j]))
+def assert_inverting_calls_raise(m: EnsembleModel, L: UpperDiagonal) -> None:
+    """r_tilde, psi_matrix and lambda_derivative at L each raise the
+    DomainError of a singular resolvent factor, with warnings as errors."""
     calls = (lambda: r_tilde(m, 1j, L), lambda: psi_matrix(m, L, L),
              lambda: lambda_derivative(m, 1j, L))
     with warnings.catch_warnings():
@@ -322,6 +320,23 @@ def test_singular_diagonal_factor_raises():
         for call in calls:
             with pytest.raises(DomainError, match="singular resolvent factor"):
                 call()
+
+
+def test_singular_diagonal_factor_raises():
+    # [DERIVED] Sigma = I with no mean, L = 1 + 5e-324i: the factor's
+    # diagonal 1 - 1/L has modulus 5e-324, whose inverse overflows; a
+    # DomainError, not a warning and NaN, from every entry point that inverts it
+    m = EnsembleModel(2, 1, [Column(ScaledIdentity(1.0))])
+    assert_inverting_calls_raise(m, UpperDiagonal(np.array([1.0 + 5e-324j])))
+
+
+def test_dense_near_singular_factor_raises():
+    # the same factor 5e-324i I from a Dense identity: the stacked LU finds
+    # a nonzero pivot, so numpy raises nothing, and its inverse overflows to
+    # NaN; the model's one rule turns that into the DomainError
+    m = EnsembleModel(2, 1, [Column(Dense(np.eye(2)))])
+    assert m._dense_rows.size
+    assert_inverting_calls_raise(m, UpperDiagonal(np.array([1.0 + 5e-324j])))
 
 
 def test_continuation_matches_cold(rng):
@@ -638,6 +653,15 @@ def test_newton_makes_one_solve_per_iteration(monkeypatch):
     assert calls == [(1, 1, 1)] * (res.iterations - 1)
 
 
+def count_contracts(monkeypatch) -> list:
+    """The outputs of every fixedpoint._contract call from here on."""
+    calls = []
+    contract = fixedpoint._contract
+    monkeypatch.setattr(fixedpoint, "_contract",
+                        lambda *a, **k: calls.append(contract(*a, **k)) or calls[-1])
+    return calls
+
+
 def figure1_left() -> EnsembleModel:
     base = np.r_[[8.0] * 20, [1.0] * 60]
     return EnsembleModel(80, 160, [Column(Diagonal(base))] * 160)
@@ -648,18 +672,43 @@ def test_figure1_density_grid_iterations(monkeypatch):
     # with lstsq's min-norm step, 2,208 with the ridge; without the ridge every
     # history of two or more differences makes the solve singular, and
     # Picard steps there took 8,199.  Under Newton steps: 1,411 in 20 lockstep
-    # chains, 1,280 in 6 coarse-to-fine levels.  A batched evaluation serves
-    # every row of a _contract at once, so a call costs its largest iteration
-    # count: 135 in all for the chains, 54 for the levels, each level one call
-    total = []
-    contract = fixedpoint._contract
-    monkeypatch.setattr(fixedpoint, "_contract",
-                        lambda *a, **k: total.append(contract(*a, **k)) or total[-1])
+    # chains, 1,280 in 6 coarse-to-fine levels, and 1,284 with the floor from
+    # |x - z|.  A batched evaluation serves every row of a _contract at once,
+    # so a call costs its largest iteration count: 135 in all for the chains,
+    # 54 for the levels and 55 with that floor, each level one call
+    total = count_contracts(monkeypatch)
     density_grid(figure1_left(), 0.01, 16.0, 400, y=1e-3)
     assert sum(int(out[1].sum()) for out in total) <= 2320
     assert sum(int(out[1].sum()) for out in total) <= 1550
     assert sum(int(out[1].max()) for out in total) <= 60
     assert len(total) == 6
+
+
+def test_figure1_right_grid_iterations(monkeypatch):
+    # the dense path's work without a clock: Figure-1 right, 160 distinct
+    # rotations of one diagonal (p = 80), on the 120-node grid at y = 1e-3.
+    # Its row iterations, mean-field stages included, are 755, and its
+    # batched evaluations (each call's largest iteration count) 153
+    P = random_orthogonal(80, 314)
+    base = np.r_[[8.0] * 20, [1.0] * 60]
+    m = EnsembleModel(80, 160, [Column(RotatedFamily(base, P, i)) for i in range(160)])
+    calls = count_contracts(monkeypatch)
+    density_grid(m, 1e-12, 10.0, 120, y=1e-3, opts=SolverOptions(max_iter=500))
+    assert sum(int(out[1].sum()) for out in calls) <= 830
+    assert sum(int(out[1].max()) for out in calls) <= 168
+
+
+def test_figure2_contour_iterations(monkeypatch):
+    # the Woodbury path's work without a clock: Figure 2's ten mean vectors of
+    # twenty columns each (p = n = 200) on its 32-node contour, 785 row
+    # iterations and 96 batched evaluations
+    U = np.random.Generator(np.random.Philox(key=[7, 0])).standard_normal((200, 10))
+    m = EnsembleModel(200, 200, [Column(ScaledIdentity(1.0), mean=U[:, i % 10])
+                                 for i in range(200)], mean_norm_bound=1e9)
+    calls = count_contracts(monkeypatch)
+    contour_solves(m, ContourSpec(6.0, 45.0, 0.5, 32))
+    assert sum(int(out[1].sum()) for out in calls) <= 864
+    assert sum(int(out[1].max()) for out in calls) <= 106
 
 
 def diagonal_model(p: int, n: int, k: int, seed: int) -> EnsembleModel:

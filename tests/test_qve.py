@@ -92,11 +92,11 @@ def test_solve_matches_per_step_product_bit_for_bit(banded):
         prob = QveProblem(z=0.4 + 1e-2j, a=np.linspace(-0.5, 0.5, 60)[::-1], S=S)
     else:
         prob = QveProblem(z=-1.2 + 1e-3j, a=np.zeros(1), S=np.ones((1, 1)))
-    # from the start solve_qve takes
+    # from the start and with the floor's anchor solve_qve takes
     z, a, S = prob.z, prob.a, prob.S
     x0 = _row_sum_start(z, a, S)[None]
     x, *_ = _contract(lambda x, _: (z + a - S @ (1.0 / x[0]))[None], x0,
-                      SolverOptions(), lambda x, _: _in_upper(x, axis=1))
+                      SolverOptions(), lambda x, _: _in_upper(x, axis=1), anchor=(z + a)[None])
     np.testing.assert_array_equal(solve_qve(prob), -1.0 / x[0])
 
 
@@ -153,7 +153,7 @@ def test_banded_sweep_iterations(monkeypatch):
     # a count of the QVE loop's work that needs no clock: 21 points at
     # Im z = 1e-3 across the spectrum of a banded profile of side 120.  The
     # solves took 541 iterations in all from z + a, the solution for S = 0,
-    # and take 345 from the row-sum start
+    # and take 347 from the row-sum start
     idx = np.arange(120)
     S = (np.abs(np.subtract.outer(idx, idx)) <= 30) / 61.0
     rng = np.random.Generator(np.random.Philox(key=[0, 1]))
