@@ -179,9 +179,9 @@ def _contract(
 ) -> tuple[NDArray, NDArray, NDArray, NDArray]:
     """Iterate every row of x <- step(x) from the rows of x0 (m, d) until
     consecutive iterates are closer in d_s than opts.tol_ds or than the row's
-    roundoff floor _FLOOR_ULPS * eps * max|x - anchor|/Im x, anchor (m, 1) or
-    (m, d) the exact part of each row's map, with a per-row accelerated step
-    unless opts.acceleration is "none".
+    roundoff floor _FLOOR_ULPS * eps * max|x - anchor|/Im x, the anchor being
+    the exact part of each row's map, (m, 1) or (m, d); with a per-row
+    accelerated step unless opts.acceleration is "none".
 
     With newton, step(x, rows) returns (gx, Psi), Psi (m, d, d) the
     derivative of the map at x, and the accelerated step is Newton's on
