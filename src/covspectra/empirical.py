@@ -175,7 +175,7 @@ class FunctionalRow:
     predicted: float
     empirical_mean: float
     empirical_std: float | None
-    contour: ContourSpec | None = None
+    contour: ContourSpec
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,7 @@ class ComparisonReport:
              "empirical_mean", "empirical_std", "trials"),
             (
                 (row.name,
-                 *((c.a, c.b, c.h, c.nodes_per_side) if (c := row.contour) is not None
-                   else (None,) * 4),
+                 row.contour.a, row.contour.b, row.contour.h, row.contour.nodes_per_side,
                  row.predicted, row.empirical_mean, row.empirical_std, self.trials)
                 for row in self.functionals
             ),

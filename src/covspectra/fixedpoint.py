@@ -433,10 +433,8 @@ def _stage(model: EnsembleModel, z: NDArray, x: NDArray, cold: NDArray,
         x[cold] = step(np.repeat(start, x.shape[1], axis=1), cold)
     newton = (opts.acceleration == "anderson" and model.is_diagonal
               and size.size <= _NEWTON_CLASSES)
-    # classes of zero second moment sit at z, on the domain's boundary: unguarded
-    live = ~model._zero_classes
     return _contract(newton_step if newton else step, x, opts,
-                     lambda v, r: _in_domain(v[:, live], z[r], axis=1), labels=labels,
+                     lambda v, r: _in_domain(v, z[r], axis=1), labels=labels,
                      newton=newton, anchor=z)
 
 

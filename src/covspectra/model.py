@@ -291,9 +291,6 @@ class EnsembleModel:
         self._class_size = np.bincount(self.column_class).astype(np.float64)
         if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._offsets)):
             raise ModelError("covariances and means must be finite")
-        # the classes of zero second moment, whose map value is z for every L
-        self._zero_classes = ~(self._diag.any(axis=1) | self._offsets.any(axis=1))
-        self._zero_classes[self._dense_rows] &= ~self._dense.any(axis=1)
         if not self._dense_rows.size:
             self._coordinate_classes()
         # one warning per column whose class breaks an assumption of the paper

@@ -5,7 +5,9 @@ Semi-metric on complex diagonals with positive imaginary parts.
 in which the deterministic-equivalent fixed-point map contracts.  It is not a
 metric (no triangle inequality) and must not be fed to generic metric-space
 algorithms.  The solver domain (z finite with Im z > 0, Im D_i > 0 and
-Im(D_i / z) > 0) and its checks live here alone: outside it is a DomainError.
+Im(D_i / z) > 0, or D_i = z) and its checks live here alone: outside it is a
+DomainError.  D_i = z is the one boundary point an entry reaches: the map's
+value for a column of zero second moment, or one whose trace rounds away.
 """
 
 from __future__ import annotations
@@ -75,9 +77,10 @@ def _in_upper(values, axis=None):
 
 
 def _in_domain(values, z, axis=None):
-    """The solver domain on unchecked arrays: Im(v_i) > 0 and Im(v_i/z) > 0;
-    with an axis, one answer per row (z then broadcasts against the rows)."""
-    return _in_upper(values, axis) & _in_upper(values / z, axis)
+    """The solver domain on unchecked arrays: Im(v_i) > 0 and either
+    Im(v_i/z) > 0 or v_i = z, judged from the values alone; with an axis,
+    one answer per row (z then broadcasts against the rows)."""
+    return _in_upper(values, axis) & (((values / z).imag > 0.0) | (values == z)).all(axis=axis)
 
 
 def _domain_values(D: UpperDiagonal, n: int, z: complex | None = None) -> NDArray:
@@ -99,7 +102,8 @@ def d_s(D: UpperDiagonal, Dp: UpperDiagonal) -> float:
 
 
 def in_solver_domain(D: UpperDiagonal, z: complex) -> bool:
-    """True iff every entry satisfies Im(D_i) > 0 and Im(D_i / z) > 0."""
+    """True iff every entry satisfies Im(D_i) > 0 and either Im(D_i / z) > 0
+    or D_i = z."""
     return bool(_in_domain(D.values, _upper_z(z)))
 
 

@@ -17,6 +17,8 @@ from covspectra import (
     RotatedFamily,
     ScaledIdentity,
     SolverOptions,
+    apply_Iz,
+    contraction_factor,
     density_grid,
     random_orthogonal,
     solve_lambda,
@@ -71,8 +73,7 @@ def map_move(model: EnsembleModel, z: complex, x: np.ndarray) -> tuple[float, fl
     floor at x.  The map contracts in d_s, so one more application moves x
     by at most that step, plus its own rounding, which the floor bounds: the
     bound is 2 max(tol_ds, F).  The map is applied on class values, as the
-    solver iterates it: apply_Iz would refuse a zero class's exact value z,
-    which lies on the boundary of the open solver domain."""
+    solver iterates it."""
     x = x[None]
     gx = fixedpoint._class_map(model, z, model._class_size / x)
     floor = fixedpoint._FLOOR_ULPS * fixedpoint._EPS * float((np.abs(x - z) / x.imag).max())
@@ -88,7 +89,8 @@ def test_hard_input_sweep():
     outcomes, kinds = collections.Counter(), collections.Counter()
     for i in range(150):
         model, z = hard_draw(rng)
-        kinds.update(zero=int(model._zero_classes.any()), dense=int(model._dense_rows.size > 0),
+        zero = model.class_traces_of(np.eye(model.p)[None])[0] == 0
+        kinds.update(zero=int(zero.any()), dense=int(model._dense_rows.size > 0),
                      vectors=int(model._V.shape[1] > 0), diagonal=int(model.is_diagonal))
         try:
             res = solve_lambda(model, z, OPTS)
@@ -125,15 +127,48 @@ def test_zero_column_solves_in_few_iterations(zero):
     # zero class's value is z for any L, and the identity class's x solves
     # x = z - 3x / (4x - 3), i.e. 4x^2 - 4zx + 3z = 0.  The zero class sits
     # on the domain's boundary Im(x/z) = 0, where the guard refused every
-    # accelerated step: the diagonal model took 19,580 iterations
+    # accelerated step: the diagonal model took 19,580 iterations.  x = z is
+    # the one boundary point the domain admits, so the map, the contraction
+    # factor and a warm start all take the answer back
     z = 1.0 + 1e-3j
     m = EnsembleModel(3, 4, [Column(Diagonal(np.ones(3)))] * 3 + [Column(zero)])
-    assert list(m._zero_classes) == [False, True]
+    assert list(m.class_traces_of(np.eye(3)[None])[0] == 0) == [False, True]
     res = solve_lambda(m, z, OPTS)
     assert res.iterations <= 30
     roots = (z + np.array([1, -1]) * np.sqrt(z * z - 3 * z)) / 2
     want = roots[(roots.imag > 0) & ((roots / z).imag > 0)]
     assert res.class_values[1] == z
     np.testing.assert_allclose(res.class_values[:1], want, rtol=1e-12)
+    again = apply_Iz(m, z, res.lam)
+    assert _ds(again.values, res.lam.values) <= map_move(m, z, res.class_values)[1]
+    assert 0.0 <= contraction_factor(m, z, res.lam, res.lam) < 1.0
+    assert solve_lambda(m, z, OPTS, warm=res.lam).iterations <= 30
     density = density_grid(m, 0.01, 4.0, 50, y=1e-3).density
     assert np.isfinite(density).all() and density.min() >= 0.0
+
+
+def _tiny_class(kind: str, moment: float) -> Column:
+    """A column of second moment moment * e3 e3^T, as a Diagonal, a Dense or
+    a mean vector."""
+    e3 = np.array([0.0, 0.0, 1.0])
+    if kind == "diagonal":
+        return Column(Diagonal(moment * e3))
+    if kind == "dense":
+        return Column(Dense(moment * np.outer(e3, e3)))
+    return Column(Diagonal(np.zeros(3)), np.sqrt(moment) * e3)
+
+
+@pytest.mark.parametrize("z", [1 + 1e-3j, -0.5 + 1e-6j, 5 + 0.5j, 1e3 + 1e-8j])
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "vector"])
+@pytest.mark.parametrize("moment", [1e-20, 1e-30])
+def test_tiny_class_solves_in_few_iterations(moment, kind, z):
+    # three identity columns and one of a tiny second moment: the tiny
+    # class's map value rounds to exactly z, the domain's one boundary point
+    # an entry reaches.  A guard that left out only the classes of zero
+    # moment stalled here: the diagonal case at 1e-20 and z = 1 + 1e-3i took
+    # 20,477 iterations
+    m = EnsembleModel(3, 4, [Column(Diagonal(np.ones(3)))] * 3 + [_tiny_class(kind, moment)])
+    res = solve_lambda(m, z, OPTS)
+    assert res.iterations <= 30
+    move, bound = map_move(m, z, res.class_values)
+    assert move <= bound

@@ -86,8 +86,7 @@ def _inv_calls(source: str) -> list[str]:
 def test_one_inverse_converts_a_singular_factor():
     # resolvent_identity_check, the Monte Carlo oracle, inverts its own
     # sample matrices; every other inverse goes through model._inv, and only
-    # model.py (_inv, and _woodbury for a diagonal part it cannot invert)
-    # turns a singular resolvent factor into a DomainError
+    # _inv in model.py turns a singular resolvent factor into a DomainError
     calls = {path.name: found for path in sorted(SRC.glob("*.py"))
              if (found := [f for f in _inv_calls(path.read_text())
                            if f != "resolvent_identity_check"])}
@@ -101,3 +100,26 @@ def test_inverse_call_is_found():
     source = ("import numpy as np\nnp.linalg.inv(a)\n"
               "def f(a):\n    def g():\n        return np.linalg.inv(a)\n    return g\n")
     assert _inv_calls(source) == ["", "f"]
+
+
+def _domain_calls(source: str) -> tuple[int, list[str]]:
+    """How many _in_domain calls the module makes, and, as source text, each
+    one whose first argument takes a subscript, sorted: a slice would judge
+    part of the values by the domain rule and leave the rest unjudged."""
+    calls = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_in_domain")]
+    return len(calls), sorted(ast.unparse(call) for call in calls
+                              if any(isinstance(a, ast.Subscript) for a in ast.walk(call.args[0])))
+
+
+def test_domain_rule_judges_every_value():
+    found = {path.name: _domain_calls(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert sum(count for count, _ in found.values()) >= 5
+    assert {name: sliced for name, (_, sliced) in found.items() if sliced} == {}
+
+
+def test_sliced_domain_call_is_found():
+    source = ("f(lambda v, r: _in_domain(v[:, live], z[r], axis=1))\n"
+              "_in_domain(x, z, axis=1)\nsemimetric._in_domain(D.values[1:], z)\n")
+    assert _domain_calls(source) == (3, ["_in_domain(v[:, live], z[r], axis=1)",
+                                         "semimetric._in_domain(D.values[1:], z)"])
