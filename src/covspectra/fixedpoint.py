@@ -352,10 +352,7 @@ def _solve_path(model: EnsembleModel, zs: Sequence[complex], opts: SolverOptions
     m, k = zs.size, model._class_size.size
     lam = np.empty((m, k), dtype=np.complex128)
     stats = np.empty((m, 3))  # iterations, residual, ratio
-    # a level's rows share one batch within the memory budget, which also
-    # holds each row's Anderson rings and Gram matrix, or Newton derivative
-    w = _ANDERSON_WINDOW
-    batch = model._rows_within_budget(16 * (k * (2 * w + k) + w * w))
+    batch = model._rows_within_budget()
     # level 0: every s-th node and the last, s the least power of two at or
     # above (m - 1) / min(ceil(sqrt(m)), batch); then the odd multiples of
     # s / 2, s / 4, ..., 1 below the last node, each halfway between solved ones

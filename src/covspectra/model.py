@@ -59,18 +59,18 @@ __all__ = [
 
 _PSD_TOL = 1e-10
 _MIN_EIG_FLOOR = 1e-8  # warn below it: lower-bounded-covariance assumption
-# complex p x p arrays budgeted per node within _CHAIN_BYTES, for
-# continuation on a model with a dense class and per class of a
-# class_pair_traces chunk.  tracemalloc reads 3.1 per node at the peak of a
-# batched evaluation (the factor, its inverse and the half-size packed
-# products and folds; p = 80), so 5 is a cap, not a count: it keeps B = 8
-# rows a batch at p = 80, and a sweep of B = 4, 6, 8, 11, 15 there
-# (fig1-rotated, lockstep chains with predicted starts) read B = 8 fastest on
-# the support scan and within 6% of the fastest on the 120-node grid.
-# Chunks of 8 classes raise psi_matrix's peak from 15 to 26 arrays, below the
-# 33 of that grid.  With no dense class a row's arrays have one entry per
-# coordinate class, vector pair and class instead of p^2, and as many of them
-# are budgeted
+# complex kernel arrays budgeted per row within _CHAIN_BYTES, a row being a
+# node of a batched evaluation or a class of a class_pair_traces chunk.  With
+# a dense class each array is p x p: tracemalloc reads 3.1 per node at the
+# peak of a batched evaluation (the factor, its inverse and the half-size
+# packed products and folds; p = 80), so 5 is a cap, not a count: it keeps
+# B = 8 rows a batch at p = 80, and a sweep of B = 4, 6, 8, 11, 15 there
+# (fig1-rotated paths, predicted starts) read B = 8 fastest on the support
+# scan and within 6% of the fastest on the 120-node grid.  Chunks of 8
+# classes raise psi_matrix's peak from 15 to 26 arrays, below the 33 of that
+# grid.  With no dense class a row's arrays have one entry per coordinate
+# class, vector pair and class instead of p^2.  The solver's own state per
+# row, its Anderson rings and step temporaries, is not charged
 _NODE_TEMPORARIES = 5
 _CHAIN_BYTES = 4 << 20
 # nodes per functional_traces pass: the p x p resolvents with a dense class,
@@ -97,10 +97,10 @@ def _inv(F: NDArray) -> NDArray:
     return inv
 
 
-def _rows_within_chain_bytes(p: int) -> int:
-    """How many p x p matrices one batched dense evaluation may take at once
-    for its complex temporaries to stay within _CHAIN_BYTES."""
-    return max(1, _CHAIN_BYTES // (_NODE_TEMPORARIES * 16 * p * p))
+def _per_batch(nbytes: int) -> int:
+    """How many items of nbytes each one batch may take within _CHAIN_BYTES:
+    the one rule that sizes every batch, at least one item."""
+    return max(1, _CHAIN_BYTES // nbytes)
 
 
 def random_orthogonal(p: int, seed: int) -> NDArray[np.float64]:
@@ -374,15 +374,13 @@ class EnsembleModel:
         so each resolvent factor is a diagonal matrix."""
         return not (self._dense_rows.size or self._vec_rows.size)
 
-    def _rows_within_budget(self, row_bytes: int) -> int:
-        """How many rows one batched class-kernel evaluation may take, each
-        with row_bytes of the caller's own, for its temporaries to stay within
-        _CHAIN_BYTES: _rows_within_chain_bytes(p) with a dense class, else
-        _NODE_TEMPORARIES complex arrays of U + r^2 + k entries per row."""
-        if self._dense_rows.size:
-            return _rows_within_chain_bytes(self.p)
-        row = self._coord_size.size + self._V.shape[1] ** 2 + self._class_size.size
-        return max(1, _CHAIN_BYTES // (_NODE_TEMPORARIES * 16 * row + row_bytes))
+    def _rows_within_budget(self) -> int:
+        """How many rows one batched class-kernel evaluation may take for its
+        _NODE_TEMPORARIES complex arrays per row to stay within _CHAIN_BYTES:
+        arrays of p^2 entries with a dense class, else of U + r^2 + k."""
+        row = (self.p * self.p if self._dense_rows.size else
+               self._coord_size.size + self._V.shape[1] ** 2 + self._class_size.size)
+        return _per_batch(_NODE_TEMPORARIES * 16 * row)
 
     def _class_weights(self, w: NDArray) -> NDArray:
         """For each class, the sum of w_i over its n columns; real weights give
@@ -479,7 +477,7 @@ class EnsembleModel:
         m, k, p = len(Wc), self._diag.shape[0], self.p
         Q = self.factor_inverses(Wc)[:, None]
         Qp = Q if Wcp is None else self.factor_inverses(Wcp)[:, None]
-        chunk = max(1, _rows_within_chain_bytes(p) // m)
+        chunk = _per_batch(m * _NODE_TEMPORARIES * 16 * p * p)
         E = self.n * np.eye(k)
         t = np.concatenate([
             self.class_traces_of((Q @ self.mixtures(rows) @ Qp).reshape(-1, p, p)).reshape(m, -1, k)
@@ -490,12 +488,13 @@ class EnsembleModel:
         """sum_j d_cj d_c'j q_j qp_j for the diagonal rows d_c and every row of
         the values q and qp (m, U) of two diagonals on the coordinate classes,
         as (m, k, k): n_u q qp against the rows d_c d_c' of _coord_diag, two
-        real GEMMs per block of at most _CHAIN_BYTES / 16 = 2^18 of their entries."""
+        real GEMMs per block of classes c within _CHAIN_BYTES, each class
+        charged its k rows of U entries and its m rows of k products."""
         (m, U), d = q.shape, self._coord_diag
         k = len(d)
         qq = q * qp * self._coord_size
         out = np.empty((m, k, k), dtype=np.complex128)
-        b = max(1, _CHAIN_BYTES // (16 * k * U))
+        b = _per_batch(16 * k * (U + m))
         for c in range(0, k, b):
             rows = (d[c:c + b, None] * d).reshape(-1, U)
             out[:, c:c + b] = _times_real(qq, rows.T).reshape(m, -1, k)
@@ -518,7 +517,7 @@ class EnsembleModel:
         a, p, m = len(As), self.p, len(Wc)
         A = As.reshape(a, p * p)
         if self._dense_rows.size:
-            b = min(_FUNCTIONAL_ROWS, _rows_within_chain_bytes(p))
+            b = min(_FUNCTIONAL_ROWS, self._rows_within_budget())
             return np.concatenate([
                 _times_real(self.factor_inverses(Wc[i:i + b]).reshape(-1, p * p), A.T)
                 for i in range(0, m, b)])
@@ -530,7 +529,7 @@ class EnsembleModel:
         V = self._V
         r = V.shape[1]
         # each chunk's P_u V (p, c, r) and A P_u V (a, c, p r)
-        chunk = max(1, _CHAIN_BYTES // (8 * p * r * (1 + 2 * a)))
+        chunk = _per_batch(8 * p * r * (1 + 2 * a))
         for u in np.split(np.arange(U), range(chunk, U, chunk)):
             PV = (self._coord[:, None] == u)[:, :, None] * V[:, None]
             APV = (As.reshape(a * p, p) @ PV.reshape(p, -1)).reshape(a, p, u.size, r)

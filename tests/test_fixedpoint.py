@@ -43,7 +43,7 @@ from covspectra import (
 from covspectra import fixedpoint
 from covspectra import model as model_module
 from covspectra.fixedpoint import _anderson_coefficients, _contract
-from covspectra.model import _rows_within_chain_bytes
+from covspectra.model import _per_batch
 from covspectra.semimetric import _in_domain
 
 
@@ -491,7 +491,7 @@ def test_dense_batches_stay_within_the_budget(monkeypatch):
     # the answers match cold solves
     m = dense_model(10, 20, seed=3)
     monkeypatch.setattr(model_module, "_CHAIN_BYTES", 3 * 5 * 16 * 10 * 10)
-    assert _rows_within_chain_bytes(10) == 3
+    assert m._rows_within_budget() == 3
     batches = record_levels(monkeypatch, m)
     zs = np.linspace(0.01, 4.0, 30) + 1e-2j
     results = continuation_solve(m, zs)
@@ -711,6 +711,24 @@ def test_figure2_contour_iterations(monkeypatch):
     assert sum(int(out[1].max()) for out in calls) <= 106
 
 
+def test_many_class_path_batches(monkeypatch):
+    # 600 distinct diagonal columns (p = 60, k = 600, no dense class): a row
+    # is charged its kernel arrays alone, so the 64-node grid is solved in a
+    # few batched _contract calls, 4 calls and 54 batched evaluations; a row
+    # charged a k x k Newton derivative besides took one node per call, 64
+    # calls and 424 evaluations.  The answers are those of per-node solves
+    d = np.random.Generator(np.random.Philox(key=11)).uniform(0.2, 3.0, (600, 60))
+    m = EnsembleModel(60, 600, [Column(Diagonal(row)) for row in d])
+    assert m._class_size.size == 600 and not m._dense_rows.size
+    calls = count_contracts(monkeypatch)
+    grid = density_grid(m, 0.05, 6.0, 64, y=1e-2)
+    assert len(calls) <= 8
+    assert sum(int(out[1].max()) for out in calls) <= 80
+    want = np.array([stieltjes_g(m, z, solve_lambda(m, z).lam) for z in grid.xs + 1e-2j])
+    np.testing.assert_allclose(grid.density, np.maximum(want.imag / np.pi, 0.0), rtol=0,
+                               atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
 def diagonal_model(p: int, n: int, k: int, seed: int) -> EnsembleModel:
     """k seeded diagonal classes, column i in class i mod k."""
     d = np.random.Generator(np.random.Philox(key=seed)).uniform(0.2, 3.0, (k, p))
@@ -902,7 +920,7 @@ def chunked_model(rng: np.random.Generator) -> tuple[EnsembleModel, list[Column]
     holds, rotation counts shuffled, next to a diagonal and a mean class.
     The model and its columns."""
     p = 80
-    b = _rows_within_chain_bytes(p)
+    b = _per_batch(5 * 16 * p * p)
     P = random_orthogonal(p, 5)
     base = rng.uniform(0.2, 3.0, p)
     B = rng.standard_normal((p, p))

@@ -546,7 +546,7 @@ def test_class_pair_traces_class_chunks(rng, monkeypatch):
     k, p, c = m._class_size.size, m.p, 5
     assert k > c and k % c
     monkeypatch.setattr(model_module, "_CHAIN_BYTES", c * 5 * 16 * p * p)
-    assert model_module._rows_within_chain_bytes(p) == c
+    assert model_module._per_batch(5 * 16 * p * p) == c
     calls = []
     mixtures = m.mixtures
     monkeypatch.setattr(m, "mixtures", lambda Wc: calls.append(Wc) or mixtures(Wc))
@@ -580,7 +580,7 @@ def test_functional_traces_oracle(rng, kind, monkeypatch):
     rows = []
     if kind == "dense":
         monkeypatch.setattr(model_module, "_CHAIN_BYTES", 3 * 5 * 16 * 7 * 7)
-        assert model_module._rows_within_chain_bytes(7) == 3
+        assert m._rows_within_budget() == 3
         factor = m.factor_inverses
         monkeypatch.setattr(m, "factor_inverses", lambda Wr: rows.append(len(Wr)) or factor(Wr))
     T = m.functional_traces(Wc, As)

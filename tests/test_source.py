@@ -36,7 +36,7 @@ def test_unused_import_is_found():
 
 
 # the model's memory budget: only model.py sizes batches from these
-BUDGET_NAMES = {"_CHAIN_BYTES", "_NODE_TEMPORARIES", "_FUNCTIONAL_ROWS", "_rows_within_chain_bytes"}
+BUDGET_NAMES = {"_CHAIN_BYTES", "_NODE_TEMPORARIES", "_FUNCTIONAL_ROWS", "_per_batch"}
 
 
 def _names(source: str) -> set[str]:
@@ -63,6 +63,28 @@ def test_memory_budget_stays_in_the_model():
 def test_budget_name_is_found():
     source = "from .model import _CHAIN_BYTES as c\nimport m\nm._FUNCTIONAL_ROWS\n"
     assert BUDGET_NAMES & _names(source) == {"_CHAIN_BYTES", "_FUNCTIONAL_ROWS"}
+
+
+def _budget_calls_with_arguments(source: str) -> tuple[int, list[str]]:
+    """How many _rows_within_budget calls the module makes, and, as source
+    text, each one that passes an argument: the model sizes a batch from its
+    own arrays, so a caller that charges it more has a second batch rule."""
+    calls = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).endswith("_rows_within_budget")]
+    return len(calls), sorted(ast.unparse(c) for c in calls if c.args or c.keywords)
+
+
+def test_batch_rule_takes_no_argument():
+    found = {path.name: _budget_calls_with_arguments(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert sum(count for count, _ in found.values()) >= 1
+    assert {name: given for name, (_, given) in found.items() if given} == {}
+
+
+def test_budget_call_with_argument_is_found():
+    source = "b = model._rows_within_budget(16 * k)\nc = self._rows_within_budget()\n"
+    assert _budget_calls_with_arguments(source) == (2, ["model._rows_within_budget(16 * k)"])
 
 
 def _inv_calls(source: str) -> list[str]:

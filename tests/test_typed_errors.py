@@ -1,0 +1,76 @@
+"""Input checks that raise a typed error before any work is done: each call
+below is malformed, and each must fail with its own exception and message."""
+
+import numpy as np
+import pytest
+
+from covspectra import (
+    Column,
+    Dense,
+    Diagonal,
+    EnsembleModel,
+    RotatedFamily,
+    ScaledIdentity,
+    SolverOptions,
+    UpperDiagonal,
+    continuation_solve,
+    support_scan,
+)
+from covspectra.empirical import sample_batch
+from covspectra.equivalent import DensityGrid
+from covspectra.model import ModelError, model_from_config
+from covspectra.semimetric import d_s
+
+
+def small_model() -> EnsembleModel:
+    return EnsembleModel(3, 4, [Column(ScaledIdentity(1.0))] * 4)
+
+
+def config(entry: dict, n: int = 2) -> dict:
+    return {"p": 2, "n": n, "columns": [entry]}
+
+
+CASES = {
+    "tol_ds zero": (ValueError, "tol_ds", lambda: SolverOptions(tol_ds=0)),
+    "max_iter zero": (ValueError, "max_iter", lambda: SolverOptions(max_iter=0)),
+    "unknown acceleration": (ValueError, "acceleration",
+                             lambda: SolverOptions(acceleration="newton")),
+    "empty path": (ValueError, "empty z path", lambda: continuation_solve(small_model(), [])),
+    "d_s lengths": (ValueError, "length mismatch",
+                    lambda: d_s(UpperDiagonal(np.full(2, 1j)), UpperDiagonal(np.full(3, 1j)))),
+    "2-d diagonal": (ValueError, "1-d", lambda: UpperDiagonal(np.full((2, 2), 1j))),
+    "empty diagonal": (ValueError, "nonempty", lambda: UpperDiagonal(np.array([], complex))),
+    "threshold zero": (ValueError, "threshold", lambda: support_scan(small_model(), threshold=0)),
+    "grid lengths": (ValueError, "equal length",
+                     lambda: DensityGrid(np.arange(3.0), 1e-3, np.zeros(2))),
+    "trace shape": (ModelError, "dimension mismatch",
+                    lambda: small_model().class_traces_of(np.zeros((1, 2, 2), complex))),
+    "weight count": (ModelError, "weight vector has length 3",
+                     lambda: small_model().mixture_matrix(np.ones(3, complex))),
+    "p zero": (ModelError, "positive", lambda: EnsembleModel(0, 1, [Column(ScaledIdentity(1.0))])),
+    "too few columns": (ModelError, "expected 4 columns",
+                        lambda: EnsembleModel(3, 4, [Column(ScaledIdentity(1.0))] * 3)),
+    "covariance dimension": (ModelError, "dimension 2 != p=3",
+                             lambda: EnsembleModel(3, 1, [Column(Diagonal(np.ones(2)))])),
+    "mean length": (ModelError, "mean has wrong length",
+                    lambda: EnsembleModel(3, 1, [Column(ScaledIdentity(1.0), mean=np.ones(2))])),
+    "dense not square": (ModelError, "square", lambda: Dense(np.ones((2, 3)))),
+    "dense not symmetric": (ModelError, "symmetric", lambda: Dense(np.array([[1.0, 0.5], [0.0, 1.0]]))),
+    "diagonal empty": (ModelError, "at least one entry", lambda: Diagonal(np.array([]))),
+    "rotated negative base": (ModelError, "nonnegative",
+                              lambda: RotatedFamily(np.array([1.0, -1.0]), np.eye(2))),
+    "rotated P shape": (ModelError, "wrong shape", lambda: RotatedFamily(np.ones(2), np.eye(3))),
+    "unknown kind": (ModelError, "unknown covariance kind",
+                     lambda: model_from_config(config({"cov": {"kind": "banded"}}))),
+    "repeat zero": (ModelError, "repeat must be >= 1",
+                    lambda: model_from_config(config({"cov": {"kind": "scaled_identity",
+                                                              "sigma2": 1.0}, "repeat": 0}))),
+    "no trials": (ValueError, "trials must be >= 1", lambda: sample_batch(small_model(), 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_malformed_input_raises_its_typed_error(name):
+    error, message, call = CASES[name]
+    with pytest.raises(error, match=message):
+        call()
