@@ -46,6 +46,8 @@ class ContourSpec:
             raise ValueError("contour requires a < b")
         if not self.h > 0.0:
             raise ValueError("contour half-height must be positive")
+        if not isinstance(self.nodes_per_side, (int, np.integer)):
+            raise ValueError("nodes_per_side must be an integer")
         if self.nodes_per_side < 8:
             raise ValueError("nodes_per_side must be >= 8")
 
@@ -70,7 +72,7 @@ class ContourSpec:
         axis for any node count.
         """
         N = self.nodes_per_side
-        half = max(N // 2, 4)
+        half = N // 2
         ys = (np.arange(half) + 0.5) * (self.h / half)  # ascending, all > 0
         dy = 1j * (self.h / half)
         right = self.b + 1j * ys
@@ -88,8 +90,6 @@ class ContourSpec:
 @dataclass(frozen=True)
 class ProjectionResult:
     value: float
-    imag_residue: float
-    nodes: int
 
     def __float__(self) -> float:
         return self.value
@@ -120,8 +120,9 @@ def project_functionals(
     shares the nodes' solves between calls.
 
     Each node's mirror at conj(z) contributes the conjugate of its term, since
-    tr(A conj(R)) = conj(tr(A R)) for real A, so ``imag_residue`` is zero by
-    construction; complex A is rejected."""
+    tr(A conj(R)) = conj(tr(A R)) for real A, so the integral is real and
+    the value is Im(sum_z (w/z) tr(A Q(z)))/pi over the upper nodes, w the
+    nodes' dz weights; complex A is rejected."""
     for A in As:
         if np.shape(A) != (model.p, model.p):
             raise ValueError("functional matrix dimension mismatch")
@@ -138,14 +139,7 @@ def project_functionals(
     As = np.asarray(As, dtype=np.float64).reshape(len(As), model.p, model.p)
     Wc = model._class_size / np.array([res.class_values for res in solves])
     traces = model.functional_traces(Wc, As)
-    up = -(weights / nodes) @ traces
-    # mirror node at conj(z) carries weight -conj(w)
-    totals = up - np.conj(up)
-
-    return [
-        ProjectionResult(float(v.real), float(v.imag), contour.nodes_per_side)
-        for v in -totals / (2j * np.pi)
-    ]
+    return [ProjectionResult(float(v)) for v in ((weights / nodes) @ traces).imag / np.pi]
 
 
 def project_functional(
@@ -165,11 +159,10 @@ def eigenvalue_count(
 def write_projection_csv(
     path: str, rows: list[tuple[str, ContourSpec, ProjectionResult]]
 ) -> None:
-    """Projection report: functional,contour_a,contour_b,contour_h,nodes,value,imag_residue."""
+    """Projection report: functional,contour_a,contour_b,contour_h,nodes,value."""
     _write_csv(
         path,
-        ("functional", "contour_a", "contour_b", "contour_h", "nodes", "value",
-         "imag_residue"),
-        ((name, spec.a, spec.b, spec.h, res.nodes, res.value, res.imag_residue)
+        ("functional", "contour_a", "contour_b", "contour_h", "nodes", "value"),
+        ((name, spec.a, spec.b, spec.h, spec.nodes_per_side, res.value)
          for name, spec, res in rows),
     )

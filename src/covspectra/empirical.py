@@ -6,8 +6,8 @@ spectra, Stieltjes transforms and eigenspace projections, and aggregates them
 into comparison reports against the solver's predictions.
 
 RNG contract: Philox (counter-based).  Column i of trial t is drawn from the
-generator keyed by (seed, t * 2^32 + i), Gaussians via numpy's ziggurat.
-Identical seed and config give bit-identical draws.
+generator keyed by the integers (seed, t * 2^32 + i), Gaussians via numpy's
+ziggurat.  Identical seed and config give bit-identical draws.
 """
 
 from __future__ import annotations
@@ -54,14 +54,18 @@ def _column_rng(seed: int, trial: int, i: int) -> np.random.Generator:
 def sample_matrix(model: EnsembleModel, seed: int, trial: int = 0) -> NDArray[np.float64]:
     """One p x n draw: column i is mu_i + C_i^{1/2} g, g standard normal from
     column i's own generator, the roots applied class by class
-    (``EnsembleModel.columns_from_normals``).  A seed outside [0, 2^64) or a
-    trial outside [0, 2^32) is a ValueError.
+    (``EnsembleModel.columns_from_normals``).  A seed or trial that is not
+    an integer (int or numpy integer) is a TypeError; a seed outside
+    [0, 2^64) or a trial outside [0, 2^32) is a ValueError.
 
     One generator serves the call: before each column its state is reset to
     the fresh state of column i's generator (key (seed, trial * 2^32 + i),
     counter 0, empty buffer), which draws what _column_rng(seed, trial, i)
     draws without building a generator per column.  It stays local, so
     threads drawing trials at once share nothing."""
+    if not (isinstance(seed, (int, np.integer)) and isinstance(trial, (int, np.integer))):
+        raise TypeError(f"seed {seed!r} and trial {trial!r} must be integers")
+    seed, trial = int(seed), int(trial)
     if not (0 <= seed < 1 << 64 and 0 <= trial < 1 << 32):
         raise ValueError(f"seed {seed} or trial {trial} outside [0, 2^64) x [0, 2^32)")
     rng = _column_rng(seed, trial, 0)
@@ -267,7 +271,7 @@ def compare(
     counts, _ = np.histogram(pooled, bins=edges)
     freq = counts / pooled.size
 
-    count = max(int(_GRID_POINTS_PER_BIN * (len(edges) - 1)), 2)
+    count = _GRID_POINTS_PER_BIN * (len(edges) - 1)
     grid = density_grid(model, 1e-12, float(edges[-1]), count, y, opts)
     predicted = _bin_masses(grid, edges)
     l1 = float(np.abs(freq - predicted).sum())

@@ -146,6 +146,6 @@ def support_scan(
         for (inside, mid), gm in zip(cross, g)
     )
     pts = [next(refined) if 0 <= b < len(xs) else xs[a] for a, b in ends]
-    edges = [(max(float(lo), 0.0), min(float(hi), x0)) for lo, hi in zip(pts[::2], pts[1::2])]
+    edges = [(float(lo), float(hi)) for lo, hi in zip(pts[::2], pts[1::2])]
     return SupportEstimate(intervals=edges, threshold=threshold, upper_bound_x0=x0)
 

@@ -292,9 +292,8 @@ def solve_lambda(
         # the domain is convex, so each class's average stays in it
         x = (model._class_weights(_domain_values(warm, model.n, z)) / model._class_size)[None]
     else:
-        x = np.empty((1, model._class_size.size), dtype=np.complex128)
-    x, k, residual, contraction = (a[0] for a in _stage(
-        model, np.array([[z]]), x, np.array([warm is None]), opts))
+        x = np.full((1, model._class_size.size), np.nan, dtype=np.complex128)
+    x, k, residual, contraction = (a[0] for a in _stage(model, np.array([[z]]), x, opts))
     return _result(model, z, x, k, residual, contraction)
 
 
@@ -365,22 +364,21 @@ def _solve_path(model: EnsembleModel, zs: Sequence[complex], opts: SolverOptions
     for idx in levels:
         known = np.flatnonzero(solved)
         for rows in np.split(idx, range(batch, idx.size, batch)):
-            x, cold = _starts(zs, lam, known, rows)
-            lam[rows], *info = _stage(model, zs[rows, None], x, cold, opts, labels=rows)
+            x = _starts(zs, lam, known, rows)
+            lam[rows], *info = _stage(model, zs[rows, None], x, opts, labels=rows)
             stats[rows] = np.column_stack(info)
         solved[idx] = True
     return zs, lam, stats
 
 
-def _starts(zs: NDArray, lam: NDArray, known: NDArray, idx: NDArray
-            ) -> tuple[NDArray, NDArray]:
+def _starts(zs: NDArray, lam: NDArray, known: NDArray, idx: NDArray) -> NDArray:
     """Starts (m, k) for the nodes idx of the path zs from the solutions lam
-    at the sorted solved nodes known (none: every start cold), and which of
-    them are cold: the interpolant through the _PREDICTOR_POINTS solved nodes
-    around each node, else its nearest solved node, lifted at Im z."""
+    at the sorted solved nodes known (none: NaN, which _stage starts cold):
+    the interpolant through the _PREDICTOR_POINTS solved nodes around each
+    node, else its nearest solved node, lifted at Im z."""
     z = zs[idx, None]
     if not known.size:
-        return np.empty((idx.size, lam.shape[1]), dtype=np.complex128), np.ones(idx.size, bool)
+        return np.full((idx.size, lam.shape[1]), np.nan, dtype=np.complex128)
     pos = np.searchsorted(known, idx)  # known[pos - 1] < idx < known[pos]
     q = min(_PREDICTOR_POINTS, known.size)
     lo = np.clip(pos - q // 2, 0, known.size - q)
@@ -390,7 +388,7 @@ def _starts(zs: NDArray, lam: NDArray, known: NDArray, idx: NDArray
     left, right = known[pos - 1], known[pos]
     near = np.where(idx - left <= right - idx, left, right)
     x[out] = _lift(lam[near[out]], z[out])
-    return x, ~_in_domain(x, z, axis=1)
+    return x
 
 
 def _lift(x: NDArray, z: NDArray) -> NDArray:
@@ -409,13 +407,13 @@ def _extrapolate(zp: NDArray, xp: NDArray, z: NDArray) -> NDArray:
     return np.where(np.isfinite(x), x, np.nan)
 
 
-def _stage(model: EnsembleModel, z: NDArray, x: NDArray, cold: NDArray,
-           opts: SolverOptions, labels: NDArray | None = None) -> tuple[NDArray, ...]:
+def _stage(model: EnsembleModel, z: NDArray, x: NDArray, opts: SolverOptions,
+           labels: NDArray | None = None) -> tuple[NDArray, ...]:
     """Solve the map on class values at each z[row] (m, 1) from the starts x
-    (m, k) in one batched _contract; a row marked cold starts instead from
-    one map application at _mean_field_values, which lands strictly inside
-    the domain.  A diagonal model of at most _NEWTON_CLASSES classes gives
-    _contract the map's derivative, so its accelerated steps are Newton's."""
+    (m, k) in one batched _contract; a start outside the domain (NaN: none)
+    is replaced by one map application at _mean_field_values, a cold start
+    strictly inside it.  A diagonal model of at most _NEWTON_CLASSES classes
+    gives _contract the map's derivative, so its accelerated steps are Newton's."""
     size = model._class_size
 
     def step(v: NDArray, r: NDArray) -> NDArray:
@@ -425,6 +423,7 @@ def _stage(model: EnsembleModel, z: NDArray, x: NDArray, cold: NDArray,
         t, pair = model.class_pair_traces(size / v)
         return z[r] - t / model.n, _class_psi(model, v, pair)
 
+    cold = ~_in_domain(x, z, axis=1)
     if cold.any():
         start = _mean_field_values(model, z[cold], opts)
         x[cold] = step(np.repeat(start, x.shape[1], axis=1), cold)
@@ -446,7 +445,7 @@ def _mean_field_values(model: EnsembleModel, z: NDArray, opts: SolverOptions) ->
     if not model._dense_rows.size:
         return z
     try:
-        return _stage(model._mean_field, z, np.empty_like(z), np.ones(len(z), dtype=bool),
+        return _stage(model._mean_field, z, np.full_like(z, np.nan),
                       SolverOptions(opts.tol_ds, opts.max_iter))[0]
     except NonConvergenceError:
         return z

@@ -308,3 +308,69 @@ def test_validate_bad_interval_is_a_usage_error(interval, mp_config, tmp_path, c
     ]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: expected LO,HI with LO < HI for --interval")
+
+
+def test_validate_functional_row(mp_config, tmp_path, capsys):
+    # every eigenvalue of the Marchenko-Pastur model (c = 1/2, support
+    # [0.086, 2.91]) lies inside the contour and the interval: 40 both ways
+    out = tmp_path / "report"
+    assert main([
+        "validate", "--model", mp_config, "--out", str(out), "--trials", "2",
+        "--seed", "1", "--y", "0.01", "--functional", "identity",
+        "--contour", "0.01,4.0,0.5,32", "--interval", "0,4",
+    ]) == 0
+    header, row, *rest = (out / "functionals.csv").read_text().splitlines()
+    assert not rest
+    assert header == ("functional,contour_a,contour_b,contour_h,nodes,value,"
+                      "empirical_mean,empirical_std,trials")
+    fields = row.split(",")
+    assert fields[:5] == ["identity", "0.01", "4.0", "0.5", "32"]
+    assert float(fields[5]) == pytest.approx(40.0, rel=0.01)
+    assert [float(f) for f in fields[6:]] == pytest.approx([40.0, 0.0, 2.0], abs=1e-9)
+
+
+@pytest.mark.parametrize("missing", ["--contour", "--interval"])
+def test_validate_functional_needs_contour_and_interval(missing, mp_config, tmp_path, capsys):
+    args = {"--functional": "identity", "--contour": "0.01,4.0,0.5,32", "--interval": "0,4"}
+    del args[missing]
+    assert main(["validate", "--model", mp_config, "--out", str(tmp_path / "r"),
+                 "--trials", "2", "--seed", "1",
+                 *[part for item in args.items() for part in item]]) == 1
+    assert capsys.readouterr().err == "error: --functional needs --contour and --interval\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_project_ones(mp_config, tmp_path, capsys):
+    # the contour encloses the whole spectrum, so Pi = I and tr(Pi 1 1^T) = p
+    assert main(["project", "--model", mp_config, "--out", str(tmp_path),
+                 "--functional", "ones", "--contour", "0.01,4.0,0.5,32"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(40.0, rel=0.01)
+    row = (tmp_path / "projection.csv").read_text().splitlines()[1].split(",")
+    assert row[0] == "ones" and row[4] == "32"
+
+
+@pytest.mark.parametrize("kind, shape, message", [
+    ("bogus", None, "unknown functional spec 'bogus'"),
+    ("uuT", (39,), "U must have 40 rows"),
+    ("file", (40, 39), "functional matrix must be 40x40"),
+], ids=["unknown", "uuT-rows", "file-shape"])
+def test_project_malformed_functional(kind, shape, message, mp_config, tmp_path, capsys):
+    spec = kind
+    if shape is not None:
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(np.ones(shape).tolist()))
+        spec = f"{kind}:{path}"
+    assert main(["project", "--model", mp_config, "--out", str(tmp_path),
+                 "--functional", spec, "--contour", "0.01,4.0,0.5,8"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" and "Traceback" not in err
+
+
+def test_model_validation_warning_logged(tmp_path, caplog):
+    # sigma2 below the lower-bounded-covariance floor: one warning per column
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"p": 2, "n": 2, "columns": [
+        {"cov": {"kind": "scaled_identity", "sigma2": 1e-9}, "repeat": 2}]}))
+    assert main(["solve", "--model", str(path), "--z", "1,1"]) == 0
+    logged = [r.getMessage() for r in caplog.records if r.name == "covspectra"]
+    assert len(logged) == 2 and all(m.startswith("model validation: column ") for m in logged)

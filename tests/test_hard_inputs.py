@@ -1,6 +1,7 @@
-"""A seeded sweep of hard models and points z through solve_lambda, and the
-regressions it found: every draw gives an answer within its stop rule's
-bound or a typed error, never a silent stall."""
+"""Seeded sweeps of hard models and points z through solve_lambda, the
+package's other entry points and solve_qve, and the regressions they found:
+every draw gives an answer within its stop rule's bound or a typed error,
+never a silent stall."""
 
 import collections
 
@@ -15,15 +16,23 @@ from covspectra import (
     EnsembleModel,
     NonConvergenceError,
     RotatedFamily,
+    ContourSpec,
+    QveProblem,
     ScaledIdentity,
     SolverOptions,
     apply_Iz,
     contraction_factor,
     density_grid,
+    eigenvalue_count,
+    lambda_derivative,
+    r_tilde,
     random_orthogonal,
     solve_lambda,
+    solve_qve,
+    support_scan,
 )
 from covspectra import fixedpoint
+from covspectra.model import ModelError
 from covspectra.semimetric import _ds
 
 SEED = 0
@@ -102,6 +111,93 @@ def test_hard_input_sweep():
         outcomes["answer"] += 1
     assert sum(outcomes.values()) == 150
     assert min(kinds[k] for k in ("zero", "dense", "vectors", "diagonal")) > 0
+
+
+TYPED = (DomainError, NonConvergenceError, ModelError)
+
+
+def _finite(value) -> bool:
+    return bool(np.isfinite(value).all())
+
+
+def _support_ok(est) -> bool:
+    edges = np.ravel(est.intervals)
+    return (_finite(edges) and bool(np.all(np.diff(edges) >= 0.0))
+            and (edges.size == 0 or 0.0 <= edges[0] and edges[-1] <= est.upper_bound_x0))
+
+
+def test_hard_inputs_through_the_other_entry_points():
+    # the first 20 draws of the sweep through a density grid around the
+    # draw's x, the support scan, an eigenvalue count, and the derivative and
+    # resolvent at its z: each call answers within range or raises a typed
+    # error.  At max_iter 5000 the support scan raised NonConvergenceError on
+    # 4 draws (8, 14, 16 and 19), each with its d_s residual stuck between
+    # 5e-12 and 2e-11 at the scan's first node, x = 1e-12; every other call
+    # answered
+    rng = np.random.default_rng(SEED)
+    outcomes = collections.defaultdict(collections.Counter)
+    for i in range(20):
+        model, z = hard_draw(rng)
+        nu = model.nu_hat()
+        half = 0.5 * max(abs(z.real), nu, 1.0)
+
+        def derivative_and_resolvent():
+            lam = solve_lambda(model, z, OPTS).lam
+            return lambda_derivative(model, z, lam), r_tilde(model, z, lam)
+
+        calls = {
+            "density_grid": (
+                lambda: density_grid(model, z.real - half, z.real + half, 20,
+                                     max(z.imag, 1e-6), OPTS),
+                lambda g: _finite(g.density) and g.density.min() >= 0.0),
+            "support_scan": (lambda: support_scan(model, opts=OPTS), _support_ok),
+            "eigenvalue_count": (
+                lambda: eigenvalue_count(model, ContourSpec(0.5 * nu, 2.0 * nu + 1.0, 0.3, 8),
+                                         OPTS),
+                _finite),
+            "derivative_and_resolvent": (derivative_and_resolvent,
+                                         lambda dr: _finite(dr[0]) and _finite(dr[1])),
+        }
+        for name, (call, check) in calls.items():
+            try:
+                value = call()
+            except TYPED as exc:
+                outcomes[name][type(exc).__name__] += 1
+                continue
+            assert check(value), f"draw {i}: {name} answered out of range"
+            outcomes[name]["answer"] += 1
+    for name, counts in outcomes.items():
+        assert sum(counts.values()) == 20 and counts["answer"] >= 10, (name, counts)
+
+
+def random_qve(rng: np.random.Generator) -> QveProblem:
+    """N in [1, 60); S with entries 10^U(-6, 3) on a random sparsity pattern,
+    symmetrised half the time; a in [-3, 3], or 0 (30% of the draws); z =
+    x + iy with x in [-3, 3] sqrt(max row sum of S) and y log-uniform in
+    [1e-9, 1]."""
+    N = int(rng.integers(1, 60))
+    S = 10.0 ** rng.uniform(-6, 3, (N, N)) * (rng.random((N, N)) < rng.random())
+    if rng.random() < 0.5:
+        S = (S + S.T) / 2.0
+    a = np.zeros(N) if rng.random() < 0.3 else rng.uniform(-3, 3, N)
+    x = rng.uniform(-3, 3) * np.sqrt(S.sum(axis=1).max())
+    return QveProblem(complex(x, 10.0 ** rng.uniform(-9, 0)), a, S)
+
+
+def test_hard_qve_sweep():
+    # 200 random problems, each a solution in the upper half-plane or a typed
+    # error; all 200 answered
+    rng = np.random.default_rng(SEED)
+    answered = 0
+    for i in range(200):
+        prob = random_qve(rng)
+        try:
+            m = solve_qve(prob, OPTS)
+        except TYPED:
+            continue
+        assert _finite(m) and m.imag.min() > 0.0, f"problem {i}"
+        answered += 1
+    assert answered >= 100
 
 
 def test_large_z_draw_stops_at_its_maps_rounding():

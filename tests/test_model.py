@@ -432,6 +432,31 @@ def test_load_figure1_style_config(tmp_path):
     )
 
 
+def _json_dense_case():
+    A = np.random.default_rng(3).standard_normal((3, 3))
+    C = A @ A.T
+    return ({"kind": "dense", "matrix": C.tolist()}, [Column(Dense(C))] * 2)
+
+
+def _json_orthogonal_case():
+    base, P = np.array([1.0, 2.0, 5.0]), random_orthogonal(3, 9)
+    return ({"kind": "rotated_family", "base": base.tolist(), "orthogonal": P.tolist(),
+             "rotations": 1, "rotation_step": 1},
+            [Column(RotatedFamily(base, P, 1 + j)) for j in range(2)])
+
+
+@pytest.mark.parametrize("case", [_json_dense_case, _json_orthogonal_case],
+                         ids=["dense", "orthogonal"])
+def test_json_model_matches_in_code_model(case, tmp_path):
+    cov, columns = case()
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"p": 3, "n": 2, "columns": [{"cov": cov, "repeat": 2}]}))
+    loaded, built = load_model(str(path)), EnsembleModel(3, 2, columns)
+    np.testing.assert_array_equal(loaded.column_class, built.column_class)
+    for i in range(2):
+        np.testing.assert_array_equal(loaded.realize_sigma(i), built.realize_sigma(i))
+
+
 def test_load_rejects_negative_diagonal(tmp_path):
     cfg = {"p": 2, "n": 1, "columns": [{"cov": {"kind": "diagonal", "entries": [1.0, -1.0]}}]}
     path = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ import pytest
 
 from covspectra import (
     Column,
+    ContourSpec,
     Dense,
     Diagonal,
     EnsembleModel,
@@ -16,7 +17,7 @@ from covspectra import (
     continuation_solve,
     support_scan,
 )
-from covspectra.empirical import sample_batch
+from covspectra.empirical import sample_batch, sample_matrix
 from covspectra.equivalent import DensityGrid
 from covspectra.model import ModelError, model_from_config
 from covspectra.semimetric import d_s
@@ -66,6 +67,13 @@ CASES = {
                     lambda: model_from_config(config({"cov": {"kind": "scaled_identity",
                                                               "sigma2": 1.0}, "repeat": 0}))),
     "no trials": (ValueError, "trials must be >= 1", lambda: sample_batch(small_model(), 0, 1)),
+    "config without p": (ModelError, "invalid model config: 'p'",
+                         lambda: model_from_config({"n": 2, "columns": []})),
+    # drew exactly what seed 1 draws
+    "float seed": (TypeError, "must be integers", lambda: sample_matrix(small_model(), 1.5)),
+    # constructed, then upper_nodes failed in numpy on a half count of 4.0
+    "float node count": (ValueError, "nodes_per_side must be an integer",
+                         lambda: ContourSpec(0, 1, 0.5, 8.5)),
 }
 
 
@@ -74,3 +82,13 @@ def test_malformed_input_raises_its_typed_error(name):
     error, message, call = CASES[name]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_numpy_integers_stay_accepted():
+    # a np.uint32 trial shifted in its own width, so trial 2 drew trial 0
+    m = small_model()
+    np.testing.assert_array_equal(sample_matrix(m, np.int64(1), np.uint32(2)),
+                                  sample_matrix(m, 1, 2))
+    for got, want in zip(ContourSpec(0, 1, 0.5, np.int64(9)).upper_nodes(),
+                         ContourSpec(0, 1, 0.5, 9).upper_nodes()):
+        np.testing.assert_array_equal(got, want)
