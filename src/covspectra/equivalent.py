@@ -123,29 +123,24 @@ def support_scan(
 
     The scan covers [0, x0] where x0 = 1.5 * max((8/n) max_i tr(Sigma_i),
     4 * nu_hat); the deterministic nu_hat proxy can undershoot the
-    probabilistic bound, hence the 1.5x inflation.  Coarse stride x0/200 with
-    one level of bisection refinement at threshold crossings.
+    probabilistic bound, hence the 1.5x inflation.  The grid's stride is
+    x0/200.  Each crossing of the threshold between adjacent grid points is
+    bisected once, every midpoint solved on one path: its edge is the
+    midpoint where the density there exceeds the threshold, and otherwise
+    halfway from the midpoint to the crossing's inside grid point.  A run
+    still above the threshold at the grid's first or last point ends there.
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     x0 = 1.5 * max(8.0 / model.n * model.max_trace(), 4.0 * model.nu_hat())
     grid = density_grid(model, 1e-12, x0, 201, y, opts)
     xs = grid.xs
-
-    # each maximal run of grid points above the threshold has two ends, as
-    # (inside, outside) grid indices; outside is off the grid at its edges
-    above = np.r_[False, grid.density > threshold, False]
-    starts = np.flatnonzero(above[1:] & ~above[:-1])
-    stops = np.flatnonzero(above[:-1] & ~above[1:]) - 1
-    ends = [end for i, j in zip(starts, stops) for end in ((i, i - 1), (j, j + 1))]
-    # one bisection level at every crossing, all midpoints solved on one path
-    cross = [(xs[a], 0.5 * (xs[a] + xs[b])) for a, b in ends if 0 <= b < len(xs)]
-    g = _path_g(model, [mid + 1j * y for _, mid in cross], opts) if cross else []
-    refined = iter(
-        mid if gm.imag / np.pi > threshold else 0.5 * (mid + inside)
-        for (inside, mid), gm in zip(cross, g)
-    )
-    pts = [next(refined) if 0 <= b < len(xs) else xs[a] for a, b in ends]
+    above = grid.density > threshold
+    c = np.flatnonzero(above[1:] != above[:-1])  # between xs[c] and xs[c + 1]
+    mid = 0.5 * (xs[c] + xs[c + 1])
+    if c.size:
+        passes = _path_g(model, mid + 1j * y, opts).imag / np.pi > threshold
+        mid = np.where(passes, mid, 0.5 * (mid + np.where(above[c], xs[c], xs[c + 1])))
+    pts = np.r_[xs[:1][above[:1]], mid, xs[-1:][above[-1:]]]
     edges = [(float(lo), float(hi)) for lo, hi in zip(pts[::2], pts[1::2])]
     return SupportEstimate(intervals=edges, threshold=threshold, upper_bound_x0=x0)
-

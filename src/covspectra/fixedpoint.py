@@ -106,10 +106,10 @@ class SolverOptions:
     acceleration: str = "anderson"
 
     def __post_init__(self) -> None:
-        if not self.tol_ds > 0.0:
-            raise ValueError("tol_ds must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not 0.0 < self.tol_ds < np.inf:
+            raise ValueError("tol_ds must be positive and finite")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ValueError("max_iter must be an integer >= 1")
         if self.acceleration not in ("anderson", "none"):
             raise ValueError("acceleration must be 'anderson' or 'none'")
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -523,7 +524,8 @@ class EnsembleModel:
                 for i in range(0, m, b)])
         q, M, _ = self._woodbury(Wc)
         U = q.shape[1]
-        t = _times_real(q, np.array([np.bincount(self._coord, d, U) for d in A[:, :: p + 1]]).T)
+        t = _times_real(q, np.array([np.bincount(self._coord, d, U) for d in A[:, :: p + 1]])
+                         .reshape(a, U).T)
         if M is None:
             return t
         V = self._V
@@ -537,7 +539,7 @@ class EnsembleModel:
             for i in range(0, m, _FUNCTIONAL_ROWS):
                 rows = slice(i, i + _FUNCTIONAL_ROWS)
                 YM = (q[rows][:, self._coord, None] * (V @ M[rows])).reshape(-1, p * r)
-                AYM = _times_real(YM, APV.T).reshape(-1, a, u.size)
+                AYM = _times_real(YM, APV.T).reshape(len(YM), a, u.size)
                 t[rows] += np.einsum("rau,ru->ra", AYM, q[rows][:, u])
         return t
 
@@ -709,13 +711,13 @@ def _parse_cov(spec: dict, p: int) -> CovarianceSpec:
     if kind == "rotated_family":
         orth = spec["orthogonal"]
         if isinstance(orth, dict):
-            P = random_orthogonal(p, int(orth["seed"]))
+            P = random_orthogonal(p, operator.index(orth["seed"]))
         else:
             P = np.asarray(orth, dtype=np.float64)
         return RotatedFamily(
             base=np.asarray(spec["base"], dtype=np.float64),
             orthogonal=P,
-            rotations=int(spec.get("rotations", 0)),
+            rotations=operator.index(spec.get("rotations", 0)),
         )
     raise ModelError(f"unknown covariance kind: {kind!r}")
 
@@ -724,12 +726,12 @@ def _parse_entry(entry: dict, p: int) -> list[Column]:
     """The ``repeat`` columns of one configuration entry."""
     if not isinstance(entry, dict) or not isinstance(entry.get("cov"), dict):
         raise ModelError("must be an object with a 'cov' object")
-    repeat = int(entry.get("repeat", 1))
+    repeat = operator.index(entry.get("repeat", 1))
     if repeat < 1:
         raise ModelError("repeat must be >= 1")
     mu = None if entry.get("mean") is None else np.asarray(entry["mean"], dtype=np.float64)
     cov = _parse_cov(entry["cov"], p)
-    step = int(entry["cov"].get("rotation_step", 0))
+    step = operator.index(entry["cov"].get("rotation_step", 0))
     if not (isinstance(cov, RotatedFamily) and step):
         return [Column(cov, mean=mu)] * repeat
     return [Column(RotatedFamily(cov.base, cov.orthogonal, cov.rotations + step * j), mean=mu)
@@ -739,8 +741,8 @@ def _parse_entry(entry: dict, p: int) -> list[Column]:
 def model_from_config(config: dict) -> EnsembleModel:
     """Build a model from a parsed JSON configuration document."""
     try:
-        p = int(config["p"])
-        n = int(config["n"])
+        p = operator.index(config["p"])
+        n = operator.index(config["n"])
         entries = config["columns"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"invalid model config: {exc}") from exc

@@ -273,6 +273,13 @@ def test_nonconvergence_exit_code(mp_config, capsys):
     assert rc == 2
 
 
+def test_solve_rejects_infinite_tol(mp_config, capsys):
+    # every row stopped after one map application and reported convergence
+    assert main(["solve", "--model", mp_config, "--z", "1,1", "--tol", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tol_ds" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
 def test_validate_rejects_nonpositive_bin_width(width, mp_config, tmp_path, capsys):
     # width 0 divided by zero and width -1 indexed an empty grid, each with a

@@ -211,3 +211,12 @@ def test_projection_forms_no_resolvent_without_dense_class(monkeypatch):
 
     monkeypatch.setattr(m, "factor_inverses", no_resolvent)
     assert project_functionals(m, [np.eye(12)], spec, solves=solves)[0].value == want
+
+
+@pytest.mark.parametrize("build", [lambda rng: mp_model(6, 12),
+                                   lambda rng: mixture_model(12, 30, 3),
+                                   lambda rng: random_model(8, 12, rng)],
+                         ids=["diagonal", "woodbury", "dense"])
+def test_no_functional_gives_no_projection(rng, build):
+    # without a dense class an empty stack failed in numpy's matmul
+    assert project_functionals(build(rng), [], ContourSpec(0.01, 40.0, 0.5, 8)) == []

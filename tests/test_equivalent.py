@@ -197,6 +197,37 @@ def test_support_scan_figure1_right_finishes(monkeypatch):
     assert abs(lo - 0.1512) < tol and abs(hi - 8.2567) < tol
 
 
+@pytest.mark.parametrize("density, at_mids, want", [
+    # a run from the grid's first point, its midpoint above the threshold
+    ([2, 2, 0, 0, 0, 0], {1.5: 2}, [(0.0, 1.5)]),
+    # a run to the last point, its midpoint below: halfway to the inside point
+    ([0, 0, 0, 0, 2, 2], {3.5: 0}, [(3.75, 5.0)]),
+    # a one-point interior run, one midpoint above and one below
+    ([0, 0, 2, 0, 0, 0], {1.5: 2, 2.5: 0}, [(1.5, 2.25)]),
+    # two runs one point apart
+    ([0, 2, 0, 2, 0, 0], {0.5: 0, 1.5: 2, 2.5: 2, 3.5: 0}, [(0.75, 1.5), (2.5, 3.25)]),
+    ([0] * 6, {}, []),
+    ([2] * 6, {}, [(0.0, 5.0)]),
+], ids=["first point", "last point", "one point", "two runs", "none above", "all above"])
+def test_support_scan_edges_from_crossings(density, at_mids, want, monkeypatch):
+    # threshold 1 on a hand-made grid at x = 0, ..., 5 and hand-made densities
+    # at the midpoints of its crossings, each solved once
+    grid = covspectra.equivalent.DensityGrid(np.arange(6.0), 1e-3, np.array(density, float))
+    solved = []
+
+    def path_g(model, zs, opts):
+        zs = np.ravel(zs)
+        assert np.all(zs.imag == 1e-3)
+        solved.extend(zs.real)
+        return np.array([1j * np.pi * at_mids[x] for x in zs.real])
+
+    monkeypatch.setattr(covspectra.equivalent, "density_grid", lambda *args: grid)
+    monkeypatch.setattr(covspectra.equivalent, "_path_g", path_g)
+    est = support_scan(mp_model(4, 8), y=1e-3, threshold=1.0)
+    assert est.intervals == want
+    assert sorted(solved) == sorted(at_mids)
+
+
 @pytest.mark.parametrize("kind", ["diagonal", "woodbury", "dense"])
 def test_grids_read_g_from_class_values(kind, rng, monkeypatch):
     # density_grid, support_scan's midpoints and compare's probes build no

@@ -31,6 +31,16 @@ def config(entry: dict, n: int = 2) -> dict:
     return {"p": 2, "n": n, "columns": [entry]}
 
 
+def rotated(**fields) -> dict:
+    """A config entry of n = 3 columns from a rotated family on p = 2."""
+    cov = {"kind": "rotated_family", "base": [2.0, 1.0], "orthogonal": {"seed": 1}}
+    return {"cov": {**cov, **fields}, "repeat": 3}
+
+
+IDENTITY = {"cov": {"kind": "scaled_identity", "sigma2": 1.0}, "repeat": 2}
+INTEGER = "cannot be interpreted as an integer"
+
+
 CASES = {
     "tol_ds zero": (ValueError, "tol_ds", lambda: SolverOptions(tol_ds=0)),
     "max_iter zero": (ValueError, "max_iter", lambda: SolverOptions(max_iter=0)),
@@ -74,6 +84,20 @@ CASES = {
     # constructed, then upper_nodes failed in numpy on a half count of 4.0
     "float node count": (ValueError, "nodes_per_side must be an integer",
                          lambda: ContourSpec(0, 1, 0.5, 8.5)),
+    # every row stopped after one map application and reported convergence
+    "tol_ds inf": (ValueError, "tol_ds", lambda: SolverOptions(tol_ds=float("inf"))),
+    # constructed, then the solve failed inside range()
+    "float max_iter": (ValueError, "max_iter", lambda: SolverOptions(max_iter=2.5)),
+    # the config loader truncated each of these to an integer
+    "float p": (ModelError, INTEGER, lambda: model_from_config({**config(IDENTITY), "p": 2.5})),
+    "string p": (ModelError, INTEGER, lambda: model_from_config({**config(IDENTITY), "p": "3"})),
+    "float repeat": (ModelError, INTEGER,
+                     lambda: model_from_config(config({**IDENTITY, "repeat": 2.7}))),
+    "float rotation_step": (ModelError, INTEGER,
+                            lambda: model_from_config(config(rotated(rotation_step=0.5), n=3))),
+    "float orthogonal seed": (
+        ModelError, INTEGER,
+        lambda: model_from_config(config(rotated(orthogonal={"seed": 1.9}), n=3))),
 }
 
 
@@ -92,3 +116,4 @@ def test_numpy_integers_stay_accepted():
     for got, want in zip(ContourSpec(0, 1, 0.5, np.int64(9)).upper_nodes(),
                          ContourSpec(0, 1, 0.5, 9).upper_nodes()):
         np.testing.assert_array_equal(got, want)
+    assert SolverOptions(max_iter=np.int64(5)).max_iter == 5
