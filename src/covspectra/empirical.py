@@ -105,13 +105,13 @@ class SampleBatch:
 
 def _map_trials(one: Callable[[int], _T], trials: int, jobs: int) -> list[_T]:
     """one(t) for every trial t, in trial order, so that parallelism cannot
-    change results."""
+    change results; at most min(jobs, trials, cpu count) threads."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=min(jobs, trials, os.cpu_count() or 1)) as pool:
             return list(pool.map(one, range(trials)))
     return [one(t) for t in range(trials)]
 

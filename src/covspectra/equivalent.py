@@ -113,6 +113,14 @@ def density_grid(
     return DensityGrid(xs=xs, y=float(y), density=dens, dirac_at_zero=dirac)
 
 
+def _scan_range(model: EnsembleModel) -> tuple[float, float]:
+    """support_scan's x0 and its bound b on the support, from one nu_hat and
+    one max_trace."""
+    nu, trace = model.nu_hat(), model.max_trace()
+    b = (np.sqrt(nu) + np.sqrt(trace / model.n)) ** 2
+    return 1.5 * max(8.0 / model.n * trace, 4.0 * nu), b
+
+
 def support_scan(
     model: EnsembleModel,
     y: float = 1e-3,
@@ -129,13 +137,45 @@ def support_scan(
     midpoint where the density there exceeds the threshold, and otherwise
     halfway from the midpoint to the crossing's inside grid point.  A run
     still above the threshold at the grid's first or last point ends there.
+
+    Only the grid points x <= b (1 + 1e-9) + sqrt(y / (pi threshold)) are
+    solved, b = (sqrt(nu_hat) + sqrt(max_i tr(Sigma_i) / n))^2; the others
+    read density 0.  The relative margin 1e-9 covers the rounding of nu_hat
+    and of the traces, a few p eps.  The limit spectrum mu, whose Stieltjes
+    transform is g, lies in [0, b]:
+
+    The fixed point reads the columns only through their second moments
+    Sigma_i, so the N-fold replica (N p rows, N n columns, column (i, k) of
+    second moment I_N (x) Sigma_i) has the same lambda and g.  Take its
+    columns centred Gaussian, X = sum_j A_j g_j with independent standard
+    g_j.  The paper's theorem (concentrated columns, ||Sigma_i|| bounded,
+    p/n fixed: true for every N) takes the spectrum of (1/(N n)) X X^T to
+    mu as N -> inf.  Bandeira, Boedihardjo & van Handel (Invent. Math.
+    2023), on the Hermitian dilation, bound E||X|| by ||X_free|| +
+    O(N^(1/4) log^(3/4) N), X_free = sum_j A_j (x) s_j with free
+    semicirculars s_j.  Each s_j is a creation plus an annihilation
+    operator on the full Fock space, so ||X_free|| <= ||E X^T X||^(1/2) +
+    ||E X X^T||^(1/2) = sqrt(N max_i tr(Sigma_i)) + sqrt(N n nu_hat)
+    (Lehner, Amer. J. Math. 1999, gives the exact norm).  With Gaussian
+    concentration of ||X||, the replica's largest eigenvalue is at most
+    b + o(1) almost surely, so mu has no mass beyond b.  At x = b + d > b,
+    Im g(x + iy)/pi = (1/pi) int y / ((x - t)^2 + y^2) dmu(t) <= y/(pi d^2),
+    at most the threshold once d >= sqrt(y / (pi threshold)), 0.564 at the
+    defaults.  Marchenko-Pastur (Sigma_i = I) gives b = (1 + sqrt(p/n))^2,
+    its right edge.
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
-    x0 = 1.5 * max(8.0 / model.n * model.max_trace(), 4.0 * model.nu_hat())
-    grid = density_grid(model, 1e-12, x0, 201, y, opts)
-    xs = grid.xs
-    above = grid.density > threshold
+    if not y > 0.0:
+        raise ValueError("y must be positive")
+    x0, b = _scan_range(model)
+    if not 1e-12 < x0 < np.inf:
+        raise ValueError(f"scan range [1e-12, {x0}] is empty or not finite")
+    xs = np.linspace(1e-12, x0, 201)
+    near = xs[xs <= b * (1.0 + 1e-9) + np.sqrt(y / (np.pi * threshold))]
+    density = np.zeros_like(xs)
+    density[:near.size] = _path_g(model, near + 1j * y, opts).imag / np.pi
+    above = density > threshold
     c = np.flatnonzero(above[1:] != above[:-1])  # between xs[c] and xs[c + 1]
     mid = 0.5 * (xs[c] + xs[c + 1])
     if c.size:

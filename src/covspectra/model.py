@@ -149,6 +149,8 @@ class Diagonal:
         d = np.asarray(self.entries, dtype=np.float64).ravel()
         if d.size == 0:
             raise ModelError("diagonal covariance needs at least one entry")
+        if not np.isfinite(d).all():
+            raise ModelError("diagonal covariance entries must be finite")
         if d.min() < 0.0:
             raise ModelError("diagonal covariance entries must be nonnegative")
         object.__setattr__(self, "entries", d)
@@ -183,11 +185,15 @@ class RotatedFamily:
         d = np.asarray(self.base, dtype=np.float64).ravel()
         if d.size == 0:
             raise ModelError("rotated family needs at least one base entry")
+        if not np.isfinite(d).all():
+            raise ModelError("rotated family base entries must be finite")
         if d.min() < 0.0:
             raise ModelError("rotated family base entries must be nonnegative")
         P = np.asarray(self.orthogonal, dtype=np.float64)
         if P.shape != (d.size, d.size):
             raise ModelError("rotated family orthogonal matrix has wrong shape")
+        if not np.isfinite(P).all():
+            raise ModelError("rotated family matrix is not orthogonal: its entries must be finite")
         I = np.eye(d.size)  # allclose(P P^T, I, atol=1e-10) at half its cost
         if not (np.abs(P @ P.T - I) <= 1e-10 + 1e-5 * I).all():
             raise ModelError("rotated family matrix is not orthogonal")

@@ -8,8 +8,10 @@ from covspectra import (
     EnsembleModel,
     RotatedFamily,
     ScaledIdentity,
+    density_grid,
     random_orthogonal,
 )
+from covspectra.equivalent import _path_g
 
 
 @pytest.fixture
@@ -110,6 +112,23 @@ def mixture_columns(p: int, n: int, k: int, seed: int = 7) -> list[Column]:
     """mixture_model's columns."""
     U = np.random.Generator(np.random.Philox(key=[seed, 0])).standard_normal((p, k))
     return [Column(ScaledIdentity(1.0), mean=U[:, i % k]) for i in range(n)]
+
+
+def full_grid_support(model: EnsembleModel, y: float = 1e-3, threshold: float = 1e-3,
+                      opts=None):
+    """support_scan's grid, x0 and crossing rule with no node skipped: every
+    one of the 201 points solved by density_grid.  The grid and the
+    intervals."""
+    x0 = 1.5 * max(8.0 / model.n * model.max_trace(), 4.0 * model.nu_hat())
+    grid = density_grid(model, 1e-12, x0, 201, y, opts)
+    xs, above = grid.xs, grid.density > threshold
+    c = np.flatnonzero(above[1:] != above[:-1])
+    mid = 0.5 * (xs[c] + xs[c + 1])
+    if c.size:
+        passes = _path_g(model, mid + 1j * y, opts).imag / np.pi > threshold
+        mid = np.where(passes, mid, 0.5 * (mid + np.where(above[c], xs[c], xs[c + 1])))
+    pts = np.r_[xs[:1][above[:1]], mid, xs[-1:][above[-1:]]]
+    return grid, [(float(lo), float(hi)) for lo, hi in zip(pts[::2], pts[1::2])]
 
 
 def mp_stieltjes(z: complex, c: float) -> complex:

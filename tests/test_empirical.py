@@ -82,6 +82,35 @@ def test_sample_batch_parallel_matches_serial():
     np.testing.assert_array_equal(serial.eigenvalue_sets, parallel.eigenvalue_sets)
 
 
+@pytest.mark.parametrize("cpus, trials, want", [(3, 4, 3), (3, 2, 2), (None, 4, 1)])
+def test_sample_batch_threads_capped(cpus, trials, want, monkeypatch):
+    # jobs = 10**6 asked the pool for a million threads, and validate --jobs J
+    # --trials T for min(J, T); the pool takes min(jobs, trials, cpu count)
+    # workers.  The fake pool maps serially, so no thread starts
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    m = mp_model(6, 12)
+    serial = sample_batch(m, trials=trials, seed=3)
+    monkeypatch.setattr(empirical, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(empirical.os, "cpu_count", lambda: cpus)
+    batch = sample_batch(m, trials=trials, seed=3, jobs=10**6)
+    assert workers == [want]
+    np.testing.assert_array_equal(batch.eigenvalue_sets, serial.eigenvalue_sets)
+
+
 def test_sample_batch_two_threads_bit_identical():
     # each call draws from its own generator, reset per column: two threads
     # drawing long trials at once, switched often, give the serial draws bit

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    full_grid_support,
     mixture_model,
     mp_model,
     mp_stieltjes,
@@ -146,30 +147,77 @@ def test_density_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(data[:, 1], grid.density, rtol=1e-15)
 
 
-def test_support_scan_mp():
+def scan_solving(model, monkeypatch, **kwargs):
+    """support_scan(model, **kwargs) and how many of its grid's nodes it
+    solved: the size of its first path, the grid's."""
+    sizes = []
+    path_g = covspectra.equivalent._path_g
+
+    def recorded(model, zs, opts):
+        sizes.append(np.size(zs))
+        return path_g(model, zs, opts)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(covspectra.equivalent, "_path_g", recorded)
+        est = support_scan(model, **kwargs)
+    return est, sizes[0]
+
+
+def assert_skipped_nodes_below_threshold(model, est, solved, y=1e-3, opts=None):
+    """The grid nodes the scan skipped, every node past the solved ones,
+    solved by density_grid with the rest of the full 201-point grid: none
+    passes the threshold, and the crossing rule on the full grid gives the
+    scan's intervals."""
+    grid, intervals = full_grid_support(model, y, est.threshold, opts)
+    assert solved < grid.xs.size
+    assert grid.density[solved:].max() <= est.threshold
+    assert est.intervals == intervals
+
+
+def test_support_scan_mp(monkeypatch):
     p, n = 60, 120
     m = mp_model(p, n)
-    est = support_scan(m, y=1e-3, threshold=1e-2)
+    est, solved = scan_solving(m, monkeypatch, y=1e-3, threshold=1e-2)
     lo, hi = (1 - np.sqrt(0.5)) ** 2, (1 + np.sqrt(0.5)) ** 2
     assert len(est.intervals) == 1
     a, b = est.intervals[0]
     assert a == pytest.approx(lo, abs=0.15)
     assert b == pytest.approx(hi, abs=0.15)
     assert est.upper_bound_x0 >= hi
+    # the bound on the support is the Marchenko-Pastur right edge
+    x0, b = covspectra.equivalent._scan_range(m)
+    assert x0 == est.upper_bound_x0 and abs(b - hi) <= 1e-12
+    assert_skipped_nodes_below_threshold(m, est, solved)
 
 
-def test_support_scan_detects_two_bulks():
+def test_support_scan_detects_two_bulks(monkeypatch):
     # shared diagonal covariance with eigenvalues {8 (x20), 1 (x60)} at
     # p = 80, n = 160 has a spectral gap between roughly 2.3 and 4
     p, n = 80, 160
     d = np.array([8.0] * 20 + [1.0] * 60)
     m = EnsembleModel(p, n, [Column(Diagonal(d))] * n)
-    est = support_scan(m, y=1e-3, threshold=1e-2)
+    est, solved = scan_solving(m, monkeypatch, y=1e-3, threshold=1e-2)
     assert len(est.intervals) == 2
     (a1, b1), (a2, b2) = est.intervals
     assert b1 < 2.6
     assert 3.5 < a2 < 4.2
     assert 13.0 < b2 < 15.0
+    assert_skipped_nodes_below_threshold(m, est, solved)
+
+
+@pytest.mark.parametrize("kind, y", [("figure1 left", 1e-3), ("figure1 left", 0.5),
+                                     ("woodbury", 1e-3)])
+def test_support_scan_skips_only_nodes_below_threshold(kind, y, monkeypatch):
+    # at the default threshold: the Figure-1-left model, and a mixture of
+    # mean vectors, whose kernels take the Woodbury path.  At y = 0.5 the
+    # smoothed density passes the threshold up to x = 18.1, past the bound
+    # b = 16.0 on the support and within the scan's distance margin of 12.6
+    m = {
+        "figure1 left": lambda: EnsembleModel(
+            80, 160, [Column(Diagonal(np.r_[[8.0] * 20, [1.0] * 60]))] * 160),
+        "woodbury": lambda: mixture_model(20, 40, 4),
+    }[kind]()
+    assert_skipped_nodes_below_threshold(m, *scan_solving(m, monkeypatch, y=y), y=y)
 
 
 def test_support_scan_figure1_right_finishes(monkeypatch):
@@ -188,13 +236,14 @@ def test_support_scan_figure1_right_finishes(monkeypatch):
     base = np.r_[[8.0] * 20, [1.0] * 60]
     P = random_orthogonal(80, seed=314)
     m = EnsembleModel(80, 160, [Column(RotatedFamily(base, P, i)) for i in range(160)])
-    est = support_scan(m)
+    est, solved = scan_solving(m, monkeypatch)
     assert sum(evals) < 5_000
     # one bulk; the edges of the density at y = 1e-3 on a 2001-point grid
     # solved at tol_ds = 1e-11, within the scan's stride plus that grid's
     (lo, hi), = est.intervals
     tol = 0.5 * est.upper_bound_x0 / 200 + 0.011
     assert abs(lo - 0.1512) < tol and abs(hi - 8.2567) < tol
+    assert_skipped_nodes_below_threshold(m, est, solved)
 
 
 @pytest.mark.parametrize("density, at_mids, want", [
@@ -210,21 +259,33 @@ def test_support_scan_figure1_right_finishes(monkeypatch):
     ([2] * 6, {}, [(0.0, 5.0)]),
 ], ids=["first point", "last point", "one point", "two runs", "none above", "all above"])
 def test_support_scan_edges_from_crossings(density, at_mids, want, monkeypatch):
-    # threshold 1 on a hand-made grid at x = 0, ..., 5 and hand-made densities
-    # at the midpoints of its crossings, each solved once
-    grid = covspectra.equivalent.DensityGrid(np.arange(6.0), 1e-3, np.array(density, float))
-    solved = []
+    # threshold 1 on hand-made densities at the positions t = 0, ..., 5 of
+    # the scan's grid: its points 0, ..., 4 read density[0..4] and every
+    # later point density[5], so t = 5 stands for the grid's last point.
+    # The densities at the midpoints of the crossings are hand-made too, each
+    # solved once.  At this model's scale the whole grid lies within the
+    # bound on the support, so every grid point is solved
+    model = EnsembleModel(4, 8, [Column(ScaledIdentity(0.005))] * 8)
+    pos, solved = {}, []
 
     def path_g(model, zs, opts):
         zs = np.ravel(zs)
         assert np.all(zs.imag == 1e-3)
-        solved.extend(zs.real)
-        return np.array([1j * np.pi * at_mids[x] for x in zs.real])
+        if not pos:  # the grid: the points the edge rule can name, by position
+            xs = zs.real
+            assert xs.size == 201
+            pos[xs[-1]] = 5.0
+            for i in range(5):
+                mid = 0.5 * (xs[i] + xs[i + 1])
+                pos.update({xs[i]: i, mid: i + 0.5,
+                            0.5 * (mid + xs[i]): i + 0.25, 0.5 * (mid + xs[i + 1]): i + 0.75})
+            return 1j * np.pi * np.array(density, float)[np.minimum(np.arange(201), 5)]
+        solved.extend(pos[x] for x in zs.real)
+        return np.array([1j * np.pi * at_mids[pos[x]] for x in zs.real])
 
-    monkeypatch.setattr(covspectra.equivalent, "density_grid", lambda *args: grid)
     monkeypatch.setattr(covspectra.equivalent, "_path_g", path_g)
-    est = support_scan(mp_model(4, 8), y=1e-3, threshold=1.0)
-    assert est.intervals == want
+    est = support_scan(model, y=1e-3, threshold=1.0)
+    assert [(pos[lo], pos[hi]) for lo, hi in est.intervals] == want
     assert sorted(solved) == sorted(at_mids)
 
 

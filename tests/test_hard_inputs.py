@@ -8,6 +8,8 @@ import collections
 import numpy as np
 import pytest
 
+from conftest import full_grid_support
+
 from covspectra import (
     Column,
     Dense,
@@ -133,7 +135,9 @@ def test_hard_inputs_through_the_other_entry_points():
     # error.  At max_iter 5000 the support scan raised NonConvergenceError on
     # 4 draws (8, 14, 16 and 19), each with its d_s residual stuck between
     # 5e-12 and 2e-11 at the scan's first node, x = 1e-12; every other call
-    # answered
+    # answered.  The scan skips the nodes past its bound on the support: each
+    # answer is the one of the crossing rule on the full grid, and each
+    # error the full grid's
     rng = np.random.default_rng(SEED)
     outcomes = collections.defaultdict(collections.Counter)
     for i in range(20):
@@ -145,12 +149,22 @@ def test_hard_inputs_through_the_other_entry_points():
             lam = solve_lambda(model, z, OPTS).lam
             return lambda_derivative(model, z, lam), r_tilde(model, z, lam)
 
+        def support_as_full_grid():
+            try:
+                est = support_scan(model, opts=OPTS)
+            except TYPED as exc:
+                with pytest.raises(type(exc)):
+                    full_grid_support(model, opts=OPTS)
+                raise
+            assert est.intervals == full_grid_support(model, opts=OPTS)[1], f"draw {i}"
+            return est
+
         calls = {
             "density_grid": (
                 lambda: density_grid(model, z.real - half, z.real + half, 20,
                                      max(z.imag, 1e-6), OPTS),
                 lambda g: _finite(g.density) and g.density.min() >= 0.0),
-            "support_scan": (lambda: support_scan(model, opts=OPTS), _support_ok),
+            "support_scan": (support_as_full_grid, _support_ok),
             "eigenvalue_count": (
                 lambda: eigenvalue_count(model, ContourSpec(0.5 * nu, 2.0 * nu + 1.0, 0.3, 8),
                                          OPTS),
@@ -168,6 +182,7 @@ def test_hard_inputs_through_the_other_entry_points():
             outcomes[name]["answer"] += 1
     for name, counts in outcomes.items():
         assert sum(counts.values()) == 20 and counts["answer"] >= 10, (name, counts)
+    assert outcomes["support_scan"]["answer"] == 16
 
 
 def random_qve(rng: np.random.Generator) -> QveProblem:

@@ -52,6 +52,11 @@ CASES = {
     "2-d diagonal": (ValueError, "1-d", lambda: UpperDiagonal(np.full((2, 2), 1j))),
     "empty diagonal": (ValueError, "nonempty", lambda: UpperDiagonal(np.array([], complex))),
     "threshold zero": (ValueError, "threshold", lambda: support_scan(small_model(), threshold=0)),
+    "scan y zero": (ValueError, "y must be positive", lambda: support_scan(small_model(), y=0)),
+    # density_grid's "x_lo must be < x_hi" when the scan called it
+    "scan of zero covariances": (
+        ValueError, "scan range",
+        lambda: support_scan(EnsembleModel(3, 4, [Column(Diagonal(np.zeros(3)))] * 4))),
     "grid lengths": (ValueError, "equal length",
                      lambda: DensityGrid(np.arange(3.0), 1e-3, np.zeros(2))),
     "trace shape": (ModelError, "dimension mismatch",
@@ -95,6 +100,18 @@ CASES = {
                      lambda: model_from_config(config({**IDENTITY, "repeat": 2.7}))),
     "float rotation_step": (ModelError, INTEGER,
                             lambda: model_from_config(config(rotated(rotation_step=0.5), n=3))),
+    # accepted: a NaN entry passed the d.min() < 0 test, and an inf base
+    # reached the model's packed product, which warned twice before the
+    # model refused it
+    "diagonal nan": (ModelError, "finite", lambda: Diagonal(np.array([1.0, np.nan]))),
+    "diagonal inf": (ModelError, "finite", lambda: Diagonal(np.array([np.inf, 1.0]))),
+    "rotated nan base": (ModelError, "finite",
+                         lambda: RotatedFamily(np.array([np.nan, 1.0]), np.eye(2))),
+    "rotated inf base": (ModelError, "finite",
+                         lambda: RotatedFamily(np.array([1.0, np.inf]), np.eye(2))),
+    # reported as "not orthogonal"
+    "rotated nan P": (ModelError, "finite",
+                      lambda: RotatedFamily(np.ones(2), np.array([[1.0, np.nan], [0.0, 1.0]]))),
     "float orthogonal seed": (
         ModelError, INTEGER,
         lambda: model_from_config(config(rotated(orthogonal={"seed": 1.9}), n=3))),
