@@ -84,6 +84,18 @@ class ModelError(ValueError):
     """Fatal model configuration problem (parse error, non-PSD covariance...)."""
 
 
+def _real(x, field: str, error: type[ValueError] = ModelError) -> NDArray[np.float64]:
+    """x as a float64 array.  Complex x is taken as its real part where every
+    imaginary part is zero and is otherwise an error naming the field, where
+    numpy's cast would drop the imaginary parts with only a warning."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        if x.imag.any():
+            raise error(f"{field} must be real: an imaginary part is nonzero")
+        x = x.real
+    return x.astype(np.float64, copy=False)
+
+
 def _inv(F: NDArray) -> NDArray:
     """The inverses of the factors F, entry by entry for diagonal values (m, U)
     and matrix by matrix for a stack (m, s, s): where numpy raises or an inverse
@@ -116,12 +128,13 @@ def random_orthogonal(p: int, seed: int) -> NDArray[np.float64]:
 class Dense:
     """Arbitrary real symmetric PSD covariance.  A nearly symmetric matrix is
     stored as its symmetric part, decomposed once for the PSD check, the
-    smallest eigenvalue and every draw."""
+    smallest eigenvalue and every draw.  A complex matrix is taken as its real
+    part if every imaginary part is zero, and is otherwise a ModelError."""
 
     matrix: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.float64)
+        m = _real(self.matrix, "dense covariance")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ModelError("dense covariance must be a square matrix")
         if not np.isfinite(m).all():
@@ -141,12 +154,14 @@ class Dense:
 
 @dataclass(frozen=True, eq=False)
 class Diagonal:
-    """Diagonal covariance with nonnegative entries."""
+    """Diagonal covariance with nonnegative entries; complex entries are taken
+    as their real parts if every imaginary part is zero, and are otherwise a
+    ModelError."""
 
     entries: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.entries, dtype=np.float64).ravel()
+        d = _real(self.entries, "diagonal covariance entries").ravel()
         if d.size == 0:
             raise ModelError("diagonal covariance needs at least one entry")
         if not np.isfinite(d).all():
@@ -175,21 +190,23 @@ class ScaledIdentity:
 
 @dataclass(frozen=True, eq=False)
 class RotatedFamily:
-    """(P^k)^T diag(d) P^k for a base diagonal d and an orthogonal P."""
+    """(P^k)^T diag(d) P^k for a base diagonal d and an orthogonal P.  Either
+    may be complex with zero imaginary parts, and is then taken as its real
+    part; a nonzero imaginary part is a ModelError."""
 
     base: NDArray[np.float64]
     orthogonal: NDArray[np.float64]
     rotations: int = 0
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.base, dtype=np.float64).ravel()
+        d = _real(self.base, "rotated family base").ravel()
         if d.size == 0:
             raise ModelError("rotated family needs at least one base entry")
         if not np.isfinite(d).all():
             raise ModelError("rotated family base entries must be finite")
         if d.min() < 0.0:
             raise ModelError("rotated family base entries must be nonnegative")
-        P = np.asarray(self.orthogonal, dtype=np.float64)
+        P = _real(self.orthogonal, "rotated family orthogonal matrix")
         if P.shape != (d.size, d.size):
             raise ModelError("rotated family orthogonal matrix has wrong shape")
         if not np.isfinite(P).all():
@@ -212,6 +229,8 @@ CovarianceSpec = Dense | Diagonal | ScaledIdentity | RotatedFamily
 @dataclass(frozen=True, eq=False)
 class Column:
     """One column of the ensemble: optional mean and centered covariance.
+    A complex mean is taken as its real part if every imaginary part is zero,
+    and is otherwise a ModelError when the model is built.
 
     Columns and the covariance kinds with array fields compare and hash by
     identity, as their arrays have no single truth value."""
@@ -298,6 +317,14 @@ class EnsembleModel:
         self._class_size = np.bincount(self.column_class).astype(np.float64)
         if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._offsets)):
             raise ModelError("covariances and means must be finite")
+        # sum_c n_c tr Sigma_c bounds every entry of the kernels' class-weighted
+        # sums; read from the diagonal rows, the packed diagonals and |v_c|^2
+        with np.errstate(over="ignore"):
+            traces = self._diag.sum(axis=1) + (self._offsets ** 2).sum(axis=1)
+            if self._dense_rows.size:
+                traces[self._dense_rows] += self._dense[:, self._full[:: p + 1]].sum(axis=1)
+            if not np.isfinite(self._class_size @ traces):
+                raise ModelError("second moments overflow: sum of tr Sigma_i is not finite")
         if not self._dense_rows.size:
             self._coordinate_classes()
         # one warning per column whose class breaks an assumption of the paper
@@ -327,7 +354,7 @@ class EnsembleModel:
         d = spec.dim()
         if d is not None and d != p:
             raise ModelError(f"column {i}: covariance dimension {d} != p={p}")
-        mu = None if col.mean is None else np.asarray(col.mean, dtype=np.float64).ravel()
+        mu = None if col.mean is None else _real(col.mean, f"column {i}: mean").ravel()
         if mu is not None and mu.size != p:
             raise ModelError(f"column {i}: mean has wrong length")
         dense = None

@@ -245,6 +245,20 @@ def test_rotated_family_rejects_bad_inputs():
     RotatedFamily(np.ones(3), P * np.sqrt(1 + 5e-6))
 
 
+@pytest.mark.parametrize("kind", ["diagonal", "rotated", "mean"])
+def test_second_moments_that_overflow_are_rejected(kind):
+    # tr Sigma_i about 1.2e308 (diagonal part, packed dense diagonal or
+    # |mu_i|^2): one column of it is finite and two overflow, whatever
+    # class storage holds the trace
+    P = random_orthogonal(3, seed=1)
+    column = {"diagonal": Column(Diagonal(np.full(3, 4e307))),
+              "rotated": Column(RotatedFamily(np.full(3, 4e307), P, 1)),
+              "mean": Column(ScaledIdentity(1.0), mean=np.full(3, 6.3e153))}[kind]
+    EnsembleModel(3, 1, [column])
+    with pytest.raises(ModelError, match="second moments overflow"):
+        EnsembleModel(3, 2, [column] * 2)
+
+
 def pack(S: np.ndarray) -> np.ndarray:
     """The upper triangle, row by row, of the symmetric part of S."""
     return ((S + S.T) / 2)[np.triu_indices(len(S))]

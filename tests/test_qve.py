@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -82,22 +83,85 @@ def test_infinite_s_rejected_before_iterating(monkeypatch):
         solve_qve(prob)
 
 
+def banded_problem(N: int, z: complex = 0.4 + 1e-2j) -> QveProblem:
+    """A band of width 21 in S, each row summing to at most 1, and a falling a."""
+    idx = np.arange(N)
+    S = (np.abs(np.subtract.outer(idx, idx)) <= 10) / 21.0
+    return QveProblem(z=z, a=np.linspace(-0.5, 0.5, N)[::-1], S=S)
+
+
+def reference_solve(prob: QveProblem, product) -> np.ndarray:
+    """The solve written out: solve_qve's start, anchor and domain test, with
+    the map's S (1/x) computed by product(S, 1/x)."""
+    z, a, S = prob.z, prob.a, prob.S
+    x, *_ = _contract(lambda x, _: (z + a - product(S, 1.0 / x[0]))[None],
+                      _row_sum_start(z, a, S)[None], SolverOptions(),
+                      lambda x, _: _in_upper(x, axis=1), anchor=(z + a)[None])
+    return -1.0 / x[0]
+
+
+def real_product(S, y):
+    # one real product of S with the columns Re y and Im y
+    return (S @ y.view(np.float64).reshape(-1, 2)).view(np.complex128)[:, 0]
+
+
+def complex_product(S, y):
+    # the product solve_qve made before, through a complex copy of S
+    return S.astype(np.complex128) @ y
+
+
 @pytest.mark.parametrize("banded", [True, False], ids=["banded", "semicircle"])
 def test_solve_matches_per_step_product_bit_for_bit(banded):
-    # S converted once per solve makes the same complex product each step
-    # that S @ (1/x) made from its own complex copy of S
+    # solve_qve makes the same real product each step as the reference, and
+    # stays within rounding of the complex product it made before: each
+    # entry of S (1/x) is a sum of N products, so the two differ by at most
+    # N eps of |S| |1/x|, and the contraction carries that to the answer
     if banded:
-        idx = np.arange(60)
-        S = (np.abs(np.subtract.outer(idx, idx)) <= 10) / 21.0
-        prob = QveProblem(z=0.4 + 1e-2j, a=np.linspace(-0.5, 0.5, 60)[::-1], S=S)
+        prob = banded_problem(60)
     else:
         prob = QveProblem(z=-1.2 + 1e-3j, a=np.zeros(1), S=np.ones((1, 1)))
-    # from the start and with the floor's anchor solve_qve takes
-    z, a, S = prob.z, prob.a, prob.S
-    x0 = _row_sum_start(z, a, S)[None]
-    x, *_ = _contract(lambda x, _: (z + a - S @ (1.0 / x[0]))[None], x0,
-                      SolverOptions(), lambda x, _: _in_upper(x, axis=1), anchor=(z + a)[None])
-    np.testing.assert_array_equal(solve_qve(prob), -1.0 / x[0])
+    m = solve_qve(prob)
+    np.testing.assert_array_equal(m, reference_solve(prob, real_product))
+    np.testing.assert_allclose(m, reference_solve(prob, complex_product),
+                               rtol=len(prob.a) * np.finfo(float).eps, atol=0)
+
+
+def test_scalar_semicircle_unchanged_bit_for_bit():
+    # at N = 1 the real product is the complex one's real arithmetic, s Re y
+    # and s Im y, so the 1x1 problems keep the complex product's answers
+    for x in np.linspace(-2.5, 2.5, 11):
+        prob = QveProblem(z=complex(x, 1e-3), a=np.zeros(1), S=np.ones((1, 1)))
+        np.testing.assert_array_equal(solve_qve(prob), reference_solve(prob, complex_product))
+
+
+def test_solve_forms_no_complex_copy_of_s():
+    # the loop's own arrays are O(N): the Anderson rings hold 2 * 5 * N
+    # complex entries and each step a few more vectors of N, far below one
+    # real copy of S, N^2 * 8 bytes; a complex copy of S alone is N^2 * 16
+    prob = banded_problem(400)
+    solve_qve(prob)  # numpy's and the solver's one-time allocations
+    tracemalloc.start()
+    try:
+        solve_qve(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N = len(prob.a)
+    assert peak < N * N * 8
+
+
+def test_strided_and_transposed_s_match_a_contiguous_copy():
+    # a strided or transposed S is copied once per solve into C order, still
+    # real, and answers as its contiguous copy does
+    big = banded_problem(800).S
+    rng = np.random.Generator(np.random.Philox(key=3))
+    skew = rng.uniform(0.0, 2.0 / 400, (400, 400))
+    for S in (big[::2, ::2], skew.T):
+        assert not S.flags.c_contiguous
+        for x in (-1.0, 0.3):
+            z, a = complex(x, 1e-3), np.linspace(-0.5, 0.5, 400)
+            want = solve_qve(QveProblem(z, a, np.ascontiguousarray(S)))
+            np.testing.assert_allclose(solve_qve(QveProblem(z, a, S)), want, rtol=1e-13, atol=0)
 
 
 def record_iterations(monkeypatch) -> list[int]:

@@ -10,6 +10,7 @@ from covspectra import (
     Dense,
     Diagonal,
     EnsembleModel,
+    QveProblem,
     RotatedFamily,
     ScaledIdentity,
     SolverOptions,
@@ -115,6 +116,30 @@ CASES = {
     "float orthogonal seed": (
         ModelError, INTEGER,
         lambda: model_from_config(config(rotated(orthogonal={"seed": 1.9}), n=3))),
+    # each stored its real part, with only numpy's ComplexWarning
+    "complex diagonal": (ModelError, "diagonal covariance entries must be real",
+                         lambda: Diagonal(np.array([1 + 1j, 2]))),
+    "complex dense": (ModelError, "dense covariance must be real",
+                      lambda: Dense(np.eye(2) * (1 + 1e-3j))),
+    "complex rotated base": (ModelError, "rotated family base must be real",
+                             lambda: RotatedFamily(np.array([1.0, 2j]), np.eye(2))),
+    "complex rotated P": (ModelError, "rotated family orthogonal matrix must be real",
+                          lambda: RotatedFamily(np.ones(2), np.eye(2) * (1 + 1j))),
+    "complex mean": (ModelError, "column 0: mean must be real",
+                     lambda: EnsembleModel(2, 1, [Column(ScaledIdentity(1.0),
+                                                         mean=np.array([1.0, 1j]))])),
+    "complex QVE a": (ValueError, "a must be real",
+                      lambda: QveProblem(1j, np.array([0.0, 1e-9j]), np.eye(2))),
+    # solved S = I
+    "complex QVE S": (ValueError, "S must be real",
+                      lambda: QveProblem(1j, np.zeros(2), np.eye(2) * (1 + 1j))),
+    # numpy's "zero-size array to reduction operation minimum"
+    "empty QVE": (ValueError, "at least one entry",
+                  lambda: QveProblem(1j, np.zeros(0), np.zeros((0, 0)))),
+    # warned of overflow in matmul and divide, then LinAlgError from nu_hat
+    "second moments overflow": (
+        ModelError, "second moments overflow",
+        lambda: support_scan(EnsembleModel(3, 4, [Column(Diagonal(np.full(3, 1e308)))] * 4))),
 }
 
 
@@ -123,6 +148,17 @@ def test_malformed_input_raises_its_typed_error(name):
     error, message, call = CASES[name]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_complex_input_with_zero_imaginary_parts_is_real():
+    # taken as its real part, with no ComplexWarning
+    np.testing.assert_array_equal(Diagonal(np.array([1 + 0j, 2])).entries, [1.0, 2.0])
+    P = RotatedFamily(np.ones(2) + 0j, np.eye(2) + 0j).orthogonal
+    assert P.dtype == np.float64
+    model = EnsembleModel(2, 1, [Column(Dense(np.eye(2) + 0j), mean=np.array([1.0, 0j]))])
+    assert model._offsets.dtype == np.float64
+    prob = QveProblem(1j, np.zeros(2, complex), np.eye(2) + 0j)
+    assert prob.a.dtype == prob.S.dtype == np.float64
 
 
 def test_numpy_integers_stay_accepted():
