@@ -103,6 +103,8 @@ def density_grid(
         raise ValueError("x_lo must be < x_hi")
     if not np.isfinite([x_lo, x_hi]).all():
         raise ValueError("x_lo and x_hi must be finite")
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError("count must be an integer")
     if count < 2:
         raise ValueError("count must be >= 2")
     if not y > 0.0:

@@ -30,10 +30,10 @@ path) iterate the k class values through one batched evaluation,
 Every map, resolvent and Psi goes through the model's class kernels, which
 take the class sums of the weights 1/L_i and batch them within the model's
 memory budget; ``lambda_derivative`` solves its k x k system on class values.
-A cold row starts from one map application at z*ones, or on a model with a
-dense class at the fixed point of the model's mean field, the one-class
-diagonal model of the average second moment's eigenvalues, solved by Newton
-steps at O(p) each.
+A cold row starts from one map application at z*ones, or on a model whose
+resolvent takes the p x p LU at the fixed point of the model's mean field, the
+one-class diagonal model of the average second moment's eigenvalues, solved
+by Newton steps at O(p) each.
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ def solve_lambda(
     """Solve the fixed-point equation at z (Im z > 0).
 
     Starts from one application of the map, which lands strictly inside the
-    domain, at the boundary point z*ones (on a model with a dense class, at
+    domain, at the boundary point z*ones (on a model of the p x p LU layout, at
     its mean field's fixed point: _mean_field_values), or from a warm start.
     Stops when consecutive iterates are closer than tol_ds in the d_s
     semi-metric, or than their roundoff floor.
@@ -318,8 +318,8 @@ def continuation_solve(
     interpolant through solved points around it.
 
     The path is solved coarse to fine.  Level 0 solves every s-th node and
-    the last one from cold starts (one map application at z*ones or, with a
-    dense class, at the mean field's fixed point), s the power of two at or
+    the last one from cold starts (one map application at z*ones or, on the
+    p x p LU layout, at the mean field's fixed point), s the power of two at or
     above (m - 1) / b: b = ceil(sqrt(m)) balances cold starts against
     levels, capped at one batch.  Each later level halves s and solves the
     nodes halfway between solved ones.  Such a node starts from the
@@ -436,13 +436,13 @@ def _stage(model: EnsembleModel, z: NDArray, x: NDArray, opts: SolverOptions,
 
 def _mean_field_values(model: EnsembleModel, z: NDArray, opts: SolverOptions) -> NDArray:
     """Where the cold rows at z (m, 1) take their first map application, as
-    (m, 1): on a model with a dense class the fixed point of its mean field
-    (EnsembleModel._mean_field), and z, the boundary point, elsewhere or
-    where that solve does not converge.  The mean field is one diagonal
-    class, so it takes Newton steps whatever opts.acceleration says: only
-    the start depends on them.  Without a dense class it would cost a p x p
-    eigensolve the model never otherwise pays."""
-    if not model._dense_rows.size:
+    (m, 1): where the model's resolvent takes the p x p LU (model._lu) the
+    fixed point of its mean field (EnsembleModel._mean_field), and z, the
+    boundary point, elsewhere or where that solve does not converge.  The
+    mean field is one diagonal class, so it takes Newton steps whatever
+    opts.acceleration says: only the start depends on them.  On the Woodbury
+    path it would cost a p x p eigensolve next to r x r inverses."""
+    if not model._lu:
         return z
     try:
         return _stage(model._mean_field, z, np.full_like(z, np.nan),

@@ -7,21 +7,21 @@ moment is ``Sigma_i = C_i + mu_i mu_i^T``.  Columns with the same mean and
 covariance form a class, and the model stores each of its k classes once, so
 the fixed-point solver's costs grow with k, not n.  Structured covariance
 kinds keep them low: O(p) traces instead of O(p^2) for diagonal families, and
-a model with no dense class never has a p x p matrix inverted, only an r x r
-one, r being the number of classes that carry a mean vector.
+a model with no dense class and 2r < p, r being the number of classes that
+carry a mean vector, never has a p x p matrix inverted, only an r x r one.
 The fixed-point map has one implementation, three class kernels that take
 the class sums of the weights, one row per node of a grid or a contour:
 ``mixtures`` stacks the (1/n) sum_c W_c Sigma_c, ``factor_inverses`` the
-resolvents (I_p - mixture)^-1, and ``class_traces`` the map's traces, where
-diagonal classes cost two real GEMMs, the Woodbury path one stacked r x r
-inverse with no p x p matrix, and dense classes one GEMM each way against
-their stack plus a stacked LU.  With no dense class the kernels read
-coordinate classes, the coordinates whose diagonal entries agree in every
-class, on which the resolvent's diagonal is constant: a row of the map costs
-arrays of one entry per coordinate class, never p-long ones.
-``functional_traces`` gives tr(A Q) for fixed real matrices A, the contour
-projections' functionals, by the same branches: with no dense class from
-r x r blocks Y^T A Y, never forming Q.
+resolvents (I_p - mixture)^-1, and ``class_traces`` the map's traces.  The
+model picks their layout once, as _lu: where a class is dense or 2r >= p, a
+stacked p x p LU, dense classes taking one GEMM each way against their stack;
+otherwise the Woodbury path, one stacked r x r inverse, with two real GEMMs
+for the diagonal classes.  That path reads coordinate classes, the coordinates
+whose diagonal entries agree in every class, on which the resolvent's
+diagonal is constant: a row of the map costs arrays of one entry per
+coordinate class, never p-long ones.  ``functional_traces`` gives tr(A Q) for
+fixed real matrices A, the contour projections' functionals, by the same
+branches: on the Woodbury path from r x r blocks Y^T A Y, never forming Q.
 ``class_pair_traces`` gives tr(Sigma_c Q Sigma_c' Q'), the stability matrix
 Psi on class values, and the map's traces from the same Q for Newton steps:
 on a diagonal model from one product of the diagonals of Q and Q' against
@@ -255,15 +255,15 @@ class EnsembleModel:
     symmetric matrix, traces fold their matrix onto it.  The kernels
     ``mixtures``, ``factor_inverses``, ``class_traces`` and
     ``functional_traces`` take class sums of the weights, shaped (m, k), as
-    ``_class_weights`` gives them for a weight per column.  With no dense
-    class the resolvent needs an r x r inverse instead of a p x p one, and
-    the model also stores its U coordinate classes (``_coordinate_classes``):
-    the (k, U) block of distinct diagonal entries, the class sizes n_u and
-    one r x r Gram block of the vectors per class.  The classes are the
-    model's only description of its columns: the per-column
-    methods ``realize_sigma``, ``mixture_matrix``, ``traces_against_all`` and
-    ``column_root_matvec`` are views of the class storage, and the columns
-    passed in are not kept.
+    ``_class_weights`` gives them for a weight per column.  Unless ``_lu``
+    (a dense class, or 2r >= p) the resolvent takes an r x r inverse, not a
+    p x p one, and the model stores its U coordinate classes
+    (``_coordinate_classes``): the (k, U) block of distinct diagonal entries,
+    the class sizes n_u and one r x r Gram block of the vectors per class.
+    The classes are the model's only description of its columns: the
+    per-column methods ``realize_sigma``, ``mixture_matrix``,
+    ``traces_against_all`` and ``column_root_matvec`` are views of the class
+    storage, and the columns passed in are not kept.
     """
 
     def __init__(
@@ -314,18 +314,19 @@ class EnsembleModel:
             self._full[self._up] = self._full[self._lo] = np.arange(i.size)
             self._dense = self._pack([self._class_dense[c] for c in self._dense_rows])
         self._V = np.ascontiguousarray(self._offsets[self._vec_rows].T)
+        self._lu = bool(self._dense_rows.size) or 2 * self._V.shape[1] >= p
         self._class_size = np.bincount(self.column_class).astype(np.float64)
         if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._offsets)):
             raise ModelError("covariances and means must be finite")
-        # sum_c n_c tr Sigma_c bounds every entry of the kernels' class-weighted
-        # sums; read from the diagonal rows, the packed diagonals and |v_c|^2
+        # sum_c n_c tr Sigma_c bounds every entry of the kernels' class-weighted sums;
+        # tr Sigma_c from the diagonal rows, packed diagonals and |v_c|^2, kept for max_trace
         with np.errstate(over="ignore"):
-            traces = self._diag.sum(axis=1) + (self._offsets ** 2).sum(axis=1)
+            self._traces = self._diag.sum(axis=1) + (self._offsets ** 2).sum(axis=1)
             if self._dense_rows.size:
-                traces[self._dense_rows] += self._dense[:, self._full[:: p + 1]].sum(axis=1)
-            if not np.isfinite(self._class_size @ traces):
+                self._traces[self._dense_rows] += self._dense[:, self._full[:: p + 1]].sum(axis=1)
+            if not np.isfinite(self._class_size @ self._traces):
                 raise ModelError("second moments overflow: sum of tr Sigma_i is not finite")
-        if not self._dense_rows.size:
+        if not self._lu:
             self._coordinate_classes()
         # one warning per column whose class breaks an assumption of the paper
         norms = np.linalg.norm(self._offsets, axis=1)[self.column_class]
@@ -379,7 +380,7 @@ class EnsembleModel:
         return c
 
     def _coordinate_classes(self) -> None:
-        """With no dense class: coordinates whose diagonal entries agree in
+        """On the Woodbury path: coordinates whose diagonal entries agree in
         every class form one coordinate class, coordinate j in class
         _coord[j], on which the resolvent's diagonal factor is constant.  Stores
         the (k, U) block _coord_diag of their distinct entries, their sizes
@@ -411,8 +412,8 @@ class EnsembleModel:
     def _rows_within_budget(self) -> int:
         """How many rows one batched class-kernel evaluation may take for its
         _NODE_TEMPORARIES complex arrays per row to stay within _CHAIN_BYTES:
-        arrays of p^2 entries with a dense class, else of U + r^2 + k."""
-        row = (self.p * self.p if self._dense_rows.size else
+        arrays of p^2 entries on the stacked LU (_lu), else of U + r^2 + k."""
+        row = (self.p * self.p if self._lu else
                self._coord_size.size + self._V.shape[1] ** 2 + self._class_size.size)
         return _per_batch(_NODE_TEMPORARIES * 16 * row)
 
@@ -457,11 +458,13 @@ class EnsembleModel:
 
     def factor_inverses(self, Wc: NDArray) -> NDArray[np.complex128]:
         """(I_p - mixtures(Wc)[row])^{-1} for every row of the class sums Wc
-        (m, k), by one stacked LU with a dense class and otherwise as
-        D^-1 + (Y W K^-1) Y^T from _woodbury (no W^-1, no p x p solve);
+        (m, k), by one stacked LU where _lu (a dense class, or 2r >= p: with
+        r >= p, G = V^T D^-1 V has rank below r, and near it K rounds far above
+        the factor, Yip 1986, where the LU costs no more than K), and otherwise
+        as D^-1 + (Y W K^-1) Y^T from _woodbury (no W^-1, no p x p solve);
         either way _inv judges the factors, a DomainError if one is singular."""
         p = self.p
-        if self._dense_rows.size:
+        if self._lu:
             F = self.mixtures(Wc)
             np.negative(F, out=F)
             F.reshape(-1, p * p)[:, :: p + 1] += 1.0
@@ -478,12 +481,12 @@ class EnsembleModel:
 
     def class_traces(self, Wc: NDArray) -> NDArray[np.complex128]:
         """tr(Sigma_c Q[row]) for every class c and every row of the class
-        sums Wc (m, k), Q being factor_inverses(Wc).  Without a dense class no
+        sums Wc (m, k), Q being factor_inverses(Wc).  On the Woodbury path no
         p-long array is formed: D^-1 is q_u on coordinate class u, and Q's
         diagonal there is q_u + q_u^2 v_j^T (W K^-1) v_j, so that
         tr(D_c Q) = sum_u d_cu (n_u q_u + q_u^2 tr(W K^-1 B_u)); and
         v_c^T Q v_c = n (K^-1 G)_cc with G = V^T D^-1 V."""
-        if self._dense_rows.size:
+        if self._lu:
             return self.class_traces_of(self.factor_inverses(Wc))
         q, M, KG = self._woodbury(Wc)
         x = q * self._coord_size
@@ -538,9 +541,9 @@ class EnsembleModel:
         """tr(A_a Q[row]) for every real matrix A_a of the (a, p, p) stack As
         and every row of the class sums Wc (m, k), Q being
         factor_inverses(Wc), as an (m, a) array.  Q is symmetric, so
-        tr(A Q) = sum(A * Q).  With a dense class that is one GEMM of the
-        resolvents against the flattened stack, _FUNCTIONAL_ROWS rows a pass
-        (fewer, within _CHAIN_BYTES).  Without one no p x p matrix is formed:
+        tr(A Q) = sum(A * Q).  Where _lu that is one GEMM of the resolvents
+        against the flattened stack, _FUNCTIONAL_ROWS rows a pass (fewer,
+        within _CHAIN_BYTES).  Otherwise no p x p matrix is formed:
         D^-1 is q_u on coordinate class u, P_u the projection on its
         coordinates, so tr(A D^-1) = sum_u q_u tr(P_u A), and Woodbury's
         correction sum((Y^T A Y) * (W K^-1)^T) is summed as
@@ -550,7 +553,7 @@ class EnsembleModel:
         every row reads them."""
         a, p, m = len(As), self.p, len(Wc)
         A = As.reshape(a, p * p)
-        if self._dense_rows.size:
+        if self._lu:
             b = min(_FUNCTIONAL_ROWS, self._rows_within_budget())
             return np.concatenate([
                 _times_real(self.factor_inverses(Wc[i:i + b]).reshape(-1, p * p), A.T)
@@ -577,7 +580,7 @@ class EnsembleModel:
         return t
 
     def _woodbury(self, Wc: NDArray) -> tuple[NDArray | None, ...]:
-        """Without a dense class each factor is D - V W V^T / n, D diagonal and
+        """Unless _lu each factor is D - V W V^T / n, D diagonal and
         W the class sums of the r vectors, and its inverse is
         D^-1 + Y W K^-1 Y^T for Y = D^-1 V, G = V^T Y and K = nI - G W: one
         stacked r x r inverse.  D^-1 is constant on coordinate classes, so
@@ -695,7 +698,7 @@ class EnsembleModel:
 
     def max_trace(self) -> float:
         """max_i tr(Sigma_i)."""
-        return float(self.class_traces_of(np.eye(self.p)[None]).real.max())
+        return float(self._traces.max())
 
 
 def _orbit(specs: Sequence[CovarianceSpec]) -> Iterator[NDArray[np.float64] | None]:

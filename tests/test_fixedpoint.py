@@ -970,13 +970,15 @@ def test_psi_matrix_diagonal_oracle(rng, monkeypatch):
 
 def test_psi_matrix_one_product_pair_per_class(monkeypatch):
     # Psi forms each class's second moment once, as mixtures(n e_c), and no
-    # other mixture: the mixture model has no dense class for a resolvent to mix.
+    # other mixture: the mixture model's r = 3 vector classes have 2r < p, so
+    # its resolvent takes the Woodbury path, with no mixture to factor.
     # A diagonal model forms none: its traces come from Q's diagonal alone
     rows = []
     mixtures = EnsembleModel.mixtures
     monkeypatch.setattr(EnsembleModel, "mixtures",
                         lambda self, Wc: rows.append(Wc) or mixtures(self, Wc))
-    for m in (mixture_model(6, 12, 3), mp_model(6, 12)):
+    for m in (mixture_model(7, 12, 3), mp_model(6, 12)):
+        assert not m._lu
         lam = solve_lambda(m, 1.0 + 0.5j).lam
         rows.clear()
         psi = psi_matrix(m, lam, lam)

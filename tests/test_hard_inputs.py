@@ -132,12 +132,14 @@ def test_hard_inputs_through_the_other_entry_points():
     # the first 20 draws of the sweep through a density grid around the
     # draw's x, the support scan, an eigenvalue count, and the derivative and
     # resolvent at its z: each call answers within range or raises a typed
-    # error.  At max_iter 5000 the support scan raised NonConvergenceError on
-    # 4 draws (8, 14, 16 and 19), each with its d_s residual stuck between
-    # 5e-12 and 2e-11 at the scan's first node, x = 1e-12; every other call
-    # answered.  The scan skips the nodes past its bound on the support: each
-    # answer is the one of the crossing rule on the full grid, and each
-    # error the full grid's
+    # error.  At max_iter 5000 every support scan answers.  Draws 8, 14, 16
+    # and 19 have no dense class and 2r >= p, so their resolvents take the
+    # p x p LU: through the r x r Woodbury system, whose G = V^T D^-1 V is
+    # rank-deficient or nearly so there, their d_s residuals stuck between
+    # 5e-12 and 2e-11 at the scan's first node, x = 1e-12, and the scan raised
+    # NonConvergenceError.  The scan skips the nodes past its bound on the
+    # support: each answer is the one of the crossing rule on the full grid,
+    # and each error the full grid's
     rng = np.random.default_rng(SEED)
     outcomes = collections.defaultdict(collections.Counter)
     for i in range(20):
@@ -182,7 +184,27 @@ def test_hard_inputs_through_the_other_entry_points():
             outcomes[name]["answer"] += 1
     for name, counts in outcomes.items():
         assert sum(counts.values()) == 20 and counts["answer"] >= 10, (name, counts)
-    assert outcomes["support_scan"]["answer"] == 16
+    assert outcomes["support_scan"]["answer"] == 20
+
+
+def test_support_scan_sweep():
+    # the first 60 draws of the sweep through support_scan at max_iter 5000,
+    # each an answer within range or a typed error.  All 60 answer: the 9 of
+    # them with no dense class and 2r >= p (8, 14, 16, 19, 32, 34, 36, 39 and
+    # 44) stalled above their roundoff floor at the scan's first node while
+    # their resolvents took the r x r Woodbury system
+    rng = np.random.default_rng(SEED)
+    outcomes = collections.Counter()
+    for i in range(60):
+        model, _ = hard_draw(rng)
+        try:
+            est = support_scan(model, opts=OPTS)
+        except TYPED as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        assert _support_ok(est), f"draw {i}"
+        outcomes["answer"] += 1
+    assert outcomes == {"answer": 60}
 
 
 def random_qve(rng: np.random.Generator) -> QveProblem:

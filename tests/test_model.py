@@ -681,26 +681,32 @@ def test_specs_compare_by_identity():
     assert len(set(specs + twins)) == 8
 
 
-@pytest.mark.parametrize("vectors", [False, True], ids=["diagonal", "woodbury"])
+@pytest.mark.parametrize("layout", ["diagonal", "woodbury", "lu"])
 @pytest.mark.parametrize("U", [1, 2, 6])
-def test_coordinate_class_kernels_oracle(rng, U, vectors):
+def test_coordinate_class_kernels_oracle(rng, U, layout):
     # the kernels on U coordinate classes against the explicit resolvent of
     # the realised Sigma_i: one (scaled identities), two (a permuted two-level
-    # diagonal, as Figure-1 left) and p = 6 (random entries)
-    p = 6
+    # diagonal, as Figure-1 left) and six (random levels).  The r = 4 or 6
+    # vector classes have 2r < p = 13, so the kernels take the Woodbury path;
+    # at p = 6 the same classes have 2r >= p, and with no dense class they take
+    # the stacked p x p LU
+    p = 6 if layout == "lu" else 13
     if U == 1:
         covs = [ScaledIdentity(1.0), ScaledIdentity(2.5)]
     elif U == 2:
-        base = rng.permutation(np.r_[[4.0] * 2, [1.0] * 4])
+        base = rng.permutation(np.r_[[4.0] * 2, [1.0] * (p - 2)])
         covs = [Diagonal(base), ScaledIdentity(2.0), Diagonal(0.5 + base / 4)]
     else:
-        covs = [Diagonal(rng.uniform(0.2, 3.0, p)), ScaledIdentity(1.5)]
-    means = [None] + ([rng.standard_normal(p) / 2 for _ in range(2)] if vectors else [])
+        covs = [Diagonal(rng.uniform(0.2, 3.0, 6)[np.arange(p) % 6]), ScaledIdentity(1.5)]
+    vectors = 0 if layout == "diagonal" else 2
+    means = [None] + [rng.standard_normal(p) / 2 for _ in range(vectors)]
     cols = [Column(c, mean=mu) for c in covs for mu in means] * 2
     m = EnsembleModel(p, len(cols), cols)
-    assert m._coord_size.size == U and m._coord_size.sum() == p
-    np.testing.assert_array_equal(m._coord_diag[:, m._coord], m._diag)
-    assert m.is_diagonal != vectors
+    assert m._lu == (layout == "lu") and not m._dense_rows.size
+    if not m._lu:
+        assert m._coord_size.size == U and m._coord_size.sum() == p
+        np.testing.assert_array_equal(m._coord_diag[:, m._coord], m._diag)
+    assert m.is_diagonal == (layout == "diagonal")
     k = m._class_size.size
     W = rng.uniform(0.05, 0.6, (5, k)) * np.exp(1j * rng.uniform(-2.5, -0.1, (5, k)))
     Wc = W * m._class_size

@@ -65,6 +65,36 @@ def test_budget_name_is_found():
     assert BUDGET_NAMES & _names(source) == {"_CHAIN_BYTES", "_FUNCTIONAL_ROWS"}
 
 
+# the resolvent's layout, the p x p LU or Woodbury, is decided once, as the
+# model's _lu: only model.py reads the dense stack's rows, and each kernel
+# that depends on the layout branches on _lu, never on the dense rows
+LAYOUT_KERNELS = ("_rows_within_budget", "class_traces", "factor_inverses", "functional_traces")
+
+
+def _branch_names(source: str) -> dict[str, set[str]]:
+    """For each function of the module, every name its if statements and
+    conditional expressions test, as _names reads them."""
+    return {fn.name: set().union(*(_names(ast.unparse(node.test)) for node in ast.walk(fn)
+                                   if isinstance(node, (ast.If, ast.IfExp))))
+            for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)}
+
+
+def test_layout_is_decided_once_in_the_model():
+    readers = [path.name for path in sorted(SRC.glob("*.py"))
+               if "_dense_rows" in _names(path.read_text())]
+    assert readers == ["model.py"]
+    branches = _branch_names((SRC / "model.py").read_text())
+    assert {name: sorted({"_lu", "_dense_rows"} & branches[name]) for name in LAYOUT_KERNELS} \
+        == dict.fromkeys(LAYOUT_KERNELS, ["_lu"])
+
+
+def test_layout_branch_is_found():
+    source = ("def f(self):\n    if self._dense_rows.size:\n        return 1\n"
+              "def g(self):\n    return 1 if self._lu else 2\n")
+    assert _branch_names(source) == {"f": {"self", "_dense_rows", "size"},
+                                     "g": {"self", "_lu"}}
+
+
 def _budget_calls_with_arguments(source: str) -> tuple[int, list[str]]:
     """How many _rows_within_budget calls the module makes, and, as source
     text, each one that passes an argument: the model sizes a batch from its

@@ -16,6 +16,7 @@ from covspectra import (
     SolverOptions,
     UpperDiagonal,
     continuation_solve,
+    density_grid,
     support_scan,
 )
 from covspectra.empirical import sample_batch, sample_matrix
@@ -140,6 +141,9 @@ CASES = {
     "second moments overflow": (
         ModelError, "second moments overflow",
         lambda: support_scan(EnsembleModel(3, 4, [Column(Diagonal(np.full(3, 1e308)))] * 4))),
+    # failed inside np.linspace: "'float' object cannot be interpreted as an integer"
+    "float grid count": (ValueError, "count must be an integer",
+                         lambda: density_grid(small_model(), 0, 4, 2.5, 1e-3)),
 }
 
 
@@ -170,3 +174,5 @@ def test_numpy_integers_stay_accepted():
                          ContourSpec(0, 1, 0.5, 9).upper_nodes()):
         np.testing.assert_array_equal(got, want)
     assert SolverOptions(max_iter=np.int64(5)).max_iter == 5
+    np.testing.assert_array_equal(density_grid(m, 0, 4, np.int64(5), 1e-3).density,
+                                  density_grid(m, 0, 4, 5, 1e-3).density)
