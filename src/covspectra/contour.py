@@ -6,7 +6,7 @@ equivalent by a Cauchy integral over a closed rectangle around the targeted
 part of the spectrum.  Only the upper half of the rectangle is solved; the
 lower half follows from conjugate symmetry of the resolvent.  All nodes'
 functionals come from one call of the model's ``functional_traces``, which
-batches the nodes within the model's memory budget.
+batches the nodes within the model's memory budget; the count reads g alone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .equivalent import SupportEstimate, _write_csv
+from .equivalent import SupportEstimate, _path_g, _write_csv
 from .fixedpoint import FixedPointResult, SolverOptions, continuation_solve
 from .model import EnsembleModel
 
@@ -152,8 +152,10 @@ def project_functional(
 def eigenvalue_count(
     model: EnsembleModel, contour: ContourSpec, opts: SolverOptions | None = None
 ) -> float:
-    """Predicted number of eigenvalues of (1/n) X X^T inside the contour."""
-    return project_functional(model, np.eye(model.p), contour, opts).value
+    """Predicted number of eigenvalues of (1/n) X X^T inside the contour, tr(Pi I_p):
+    by tr R(z) = p g(z), -p Im(sum_z w g(z))/pi over the upper nodes."""
+    nodes, weights = contour.upper_nodes()
+    return float(-model.p * (weights @ _path_g(model, nodes, opts)).imag / np.pi)
 
 
 def write_projection_csv(

@@ -124,10 +124,12 @@ def sample_batch(model: EnsembleModel, trials: int, seed: int, jobs: int = 1) ->
 
 
 def empirical_stieltjes(eigs: NDArray[np.float64], z: complex) -> complex:
-    """(1/p) sum_k 1/(lambda_k - z); a ValueError for a non-finite z."""
+    """(1/p) sum_k 1/(lambda_k - z); a ValueError for a non-finite z or no eigs."""
     if not np.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
     eigs = np.asarray(eigs, dtype=np.float64)
+    if not eigs.size:
+        raise ValueError("empirical_stieltjes needs at least one eigenvalue")
     if np.min(np.abs(eigs - z)) < 1e-12:
         raise ValueError("z is too close to an eigenvalue")
     return complex(np.mean(1.0 / (eigs - z)))

@@ -8,7 +8,8 @@ covariance form a class, and the model stores each of its k classes once, so
 the fixed-point solver's costs grow with k, not n.  Structured covariance
 kinds keep them low: O(p) traces instead of O(p^2) for diagonal families, and
 a model with no dense class and 2r < p, r being the number of classes that
-carry a mean vector, never has a p x p matrix inverted, only an r x r one.
+carry a mean vector, inverts r x r matrices, never p x p ones, and its
+solves' traces, nu_hat and max_trace form no p x p array.
 The fixed-point map has one implementation, three class kernels that take
 the class sums of the weights, one row per node of a grid or a contour:
 ``mixtures`` stacks the (1/n) sum_c W_c Sigma_c, ``factor_inverses`` the
@@ -108,6 +109,14 @@ def _inv(F: NDArray) -> NDArray:
     if not np.isfinite(inv).all():
         raise DomainError("singular resolvent factor: its inverse is not finite")
     return inv
+
+
+def _index(value, field: str) -> int:
+    """operator.index(value), as the config loader takes counts, or a ModelError."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ModelError(f"{field} must be an integer: {exc}") from None
 
 
 def _per_batch(nbytes: int) -> int:
@@ -214,6 +223,7 @@ class RotatedFamily:
         I = np.eye(d.size)  # allclose(P P^T, I, atol=1e-10) at half its cost
         if not (np.abs(P @ P.T - I) <= 1e-10 + 1e-5 * I).all():
             raise ModelError("rotated family matrix is not orthogonal")
+        object.__setattr__(self, "rotations", _index(self.rotations, "rotation count"))
         if self.rotations < 0:
             raise ModelError("rotation count must be nonnegative")
         object.__setattr__(self, "base", d)
@@ -274,12 +284,12 @@ class EnsembleModel:
         *,
         mean_norm_bound: float = 10.0,
     ) -> None:
+        p, n = _index(p, "p"), _index(n, "n")
         if p < 1 or n < 1:
             raise ModelError("p and n must be positive")
         if len(columns) != n:
             raise ModelError(f"expected {n} columns, got {len(columns)}")
-        self.p = int(p)
-        self.n = int(n)
+        self.p, self.n = p, n
         self.warnings: list[str] = []
 
         # keyed by content, but dense specs by identity: hashing their
@@ -678,23 +688,44 @@ class EnsembleModel:
     # -- derived scalars ---------------------------------------------------
 
     @functools.cached_property
-    def _mean_spectrum(self) -> NDArray[np.float64]:
-        """The eigenvalues of the average second moment (1/n) sum_i Sigma_i."""
-        avg = self.mixtures(self._class_size[None])[0].real
-        return np.linalg.eigvalsh((avg + avg.T) / 2)
-
-    @functools.cached_property
     def _mean_field(self) -> EnsembleModel:
         """The model's mean field: n columns of one Diagonal covariance whose
-        entries are the eigenvalues of (1/n) sum_i Sigma_i, clipped at 0.  It
-        is exact when every column has the same Sigma_i, and as a one-class
-        diagonal model its fixed point costs O(p) per Newton step."""
-        spec = Column(Diagonal(np.clip(self._mean_spectrum, 0.0, None)))
+        entries are the eigenvalues of (1/n) sum_i Sigma_i (its one p x p
+        eigensolve), clipped at 0.  It is exact when every column has the same
+        Sigma_i; as one diagonal class its fixed point costs O(p) per step."""
+        avg = self.mixtures(self._class_size[None])[0].real
+        spec = Column(Diagonal(np.clip(np.linalg.eigvalsh((avg + avg.T) / 2), 0.0, None)))
         return EnsembleModel(self.p, self.n, [spec] * self.n)
 
     def nu_hat(self) -> float:
-        """Deterministic proxy ||(1/n) sum Sigma_i|| (spectral norm)."""
-        return float(self._mean_spectrum.max())
+        """||(1/n) sum Sigma_i||, the mean field's where _lu.  Otherwise the average
+        is D + S S^T, D = sum_c (n_c/n) diag(d_c) = d_u on coordinate class u and
+        S = V diag(n_c/n)^(1/2): max_u d_u, or max_u d_u + tau for the largest tau
+        solving the secular equation lambda_max(sum_u C_u / (g_u + tau)) = 1,
+        g_u = max d - d_u and C_u = S^T P_u S (Golub 1973).  1/lambda_max rises
+        and is concave in tau, so Newton's steps rise to the root from below: from
+        the largest Rayleigh quotient d_u + C_u[a, a], so that no C_u / (g_u + tau)
+        exceeds r, and from no nearer the top than the rounding of max_u d_u."""
+        if self._lu:
+            return self._mean_field.nu_hat()
+        d = (self._class_size / self.n) @ self._coord_diag
+        s = np.sqrt(self._class_size[self._vec_rows] / self.n)
+        r, ss, g = s.size, np.outer(s, s).ravel(), d.max() - d
+        diagonals = self._coord_gram[:, :: r + 1] * s * s  # of the C_u
+        if not diagonals.any():
+            return float(d.max())
+        tau = (diagonals.max(axis=1) - g).max()
+        if tau:
+            tau = max(tau, np.finfo(float).eps * (d.max() + diagonals.sum()))
+        while True:  # at tau = 0 the C_u of no gap are zero: no term
+            x = np.divide(1.0, g + tau, out=np.zeros_like(g), where=g + tau > 0)
+            lam, vec = np.linalg.eigh((x @ self._coord_gram * ss).reshape(r, r))
+            q = np.bincount(self._coord, (self._V @ (s * vec[:, -1])) ** 2, g.size)  # v^T C_u v
+            # the derivative as sum x (x q): x^2 alone under- or overflows
+            step = lam[-1] * (lam[-1] - 1.0) / (x @ (x * q)) if lam[-1] > 1.0 else 0.0
+            if not tau + step > tau:
+                return float(d.max() + tau)
+            tau += step
 
     def max_trace(self) -> float:
         """max_i tr(Sigma_i)."""
@@ -753,7 +784,7 @@ def _parse_cov(spec: dict, p: int) -> CovarianceSpec:
         return RotatedFamily(
             base=np.asarray(spec["base"], dtype=np.float64),
             orthogonal=P,
-            rotations=operator.index(spec.get("rotations", 0)),
+            rotations=spec.get("rotations", 0),
         )
     raise ModelError(f"unknown covariance kind: {kind!r}")
 

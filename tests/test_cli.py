@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -381,3 +382,108 @@ def test_model_validation_warning_logged(tmp_path, caplog):
     assert main(["solve", "--model", str(path), "--z", "1,1"]) == 0
     logged = [r.getMessage() for r in caplog.records if r.name == "covspectra"]
     assert len(logged) == 2 and all(m.startswith("model validation: column ") for m in logged)
+
+
+SWEEP_CONFIGS = [
+    {"p": 4, "n": 6, "columns": [{"cov": {"kind": "diagonal", "entries": [1.0, 1.0, 4.0, 2.0]},
+                                  "repeat": 6}]},
+    {"p": 3, "n": 4, "columns": [{"cov": {"kind": "rotated_family", "base": [1.0, 2.0, 0.5],
+                                          "orthogonal": {"seed": 3}, "rotations": 1,
+                                          "rotation_step": 1},
+                                  "mean": [0.5, 0.0, 1.0], "repeat": 4}]},
+    {"p": 2, "n": 3, "columns": [{"cov": {"kind": "dense", "matrix": [[2.0, 0.5], [0.5, 1.0]]}},
+                                 {"cov": {"kind": "scaled_identity", "sigma2": 1.0},
+                                  "mean": [1.0, -1.0], "repeat": 2}]},
+]
+SWEEP_QVE = {"z": [0.5, 1.0], "a": [0.0, 0.1], "S": [[1.0, 0.5], [0.5, 1.0]]}
+# no huge p, n, repeat, count or trials and no tiny bin width: each allocates
+# without bound, so they stay out of the sweep
+SWEEP_VALUES = [None, True, "x", [], {}, -1, 0, 1.5, float("inf"), float("nan"), [[1.0, 2.0]]]
+SWEEP_ARGS = ["", "x", "nan", "inf", "-1", "0", "1.5", "2", "1,2", "0,1,0.5,8"]
+_DELETED = object()
+
+
+def _field_paths(doc, path=()):
+    """Every path into doc: each key of an object, and the first entry of a
+    list (the other entries are alike)."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _field_paths(value, path + (key,))
+    elif isinstance(doc, list) and doc:
+        yield from _field_paths(doc[0], path + (0,))
+
+
+def _mutated(doc, path, value):
+    """doc with the field at path replaced by value, or removed."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is _DELETED:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def _check_outputs(out):
+    """Every CSV (after its optional '# ' comment line, rows as long as its
+    header) and JSON file under out parses."""
+    for path in out.rglob("*"):
+        if path.suffix == ".json":
+            json.loads(path.read_text())
+        elif path.suffix == ".csv":
+            lines = path.read_text().splitlines()
+            rows = list(csv.reader(lines[1:] if lines and lines[0].startswith("# ") else lines))
+            assert rows and all(len(row) == len(rows[0]) for row in rows), path
+
+
+def test_cli_sweep(tmp_path, monkeypatch, capsys):
+    # single-field mutations of three small model configs and a QVE problem,
+    # and of the argument vectors of all five subcommands, a seeded sample of
+    # each, every run in its own directory: each exits 0, 1 or 2 with no
+    # traceback, and every CSV and JSON it writes, stdout included, parses
+    rng = np.random.default_rng(0)
+    commands = {
+        "solve": ["--z", "1,0.5"],
+        "density": ["--out", "out", "--xlo", "0.1", "--xhi", "6", "--count", "8", "--y", "0.01"],
+        "project": ["--out", "out", "--functional", "identity", "--contour", "0.01,10,0.5,8"],
+        "validate": ["--out", "out", "--seed", "1", "--trials", "1", "--y", "0.01",
+                     "--functional", "ones", "--contour", "0.01,10,0.5,8", "--interval", "0,10"],
+    }
+    runs = []  # (model config, QVE problem, argument vector)
+    for doc in [*SWEEP_CONFIGS, SWEEP_QVE]:
+        for path in _field_paths(doc):
+            for value in SWEEP_VALUES + ([_DELETED] if path else []):
+                bad = _mutated(doc, path, value)
+                if doc is SWEEP_QVE:
+                    runs.append((SWEEP_CONFIGS[0], bad, ["qve", "q.json"]))
+                else:
+                    name = str(rng.choice(list(commands)))
+                    runs.append((bad, SWEEP_QVE, [name, "--model", "m.json", *commands[name]]))
+    runs = [runs[j] for j in rng.choice(len(runs), 150, replace=False)]
+    argvs = [[name, "--model", "m.json", *args] for name, args in commands.items()]
+    for argv in argvs + [["qve", "q.json"]]:
+        argv += ["--max-iter", "200"]
+        for j in range(1, len(argv)):
+            for value in rng.choice(SWEEP_ARGS, 2, replace=False):
+                runs.append((SWEEP_CONFIGS[0], SWEEP_QVE, argv[:j] + [str(value)] + argv[j + 1:]))
+    failed = []
+    for k, (config, problem, argv) in enumerate(runs):
+        run = tmp_path / str(k)
+        run.mkdir()
+        monkeypatch.chdir(run)
+        (run / "m.json").write_text(json.dumps(config))
+        (run / "q.json").write_text(json.dumps(problem))
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        if rc not in (0, 1, 2) or "Traceback" in err:
+            failed.append((argv, config, problem, rc, err))
+        if rc == 0 and argv[0] in ("solve", "qve"):
+            json.loads(out)
+        _check_outputs(run)
+    assert failed == []

@@ -220,3 +220,17 @@ def test_projection_forms_no_resolvent_without_dense_class(monkeypatch):
 def test_no_functional_gives_no_projection(rng, build):
     # without a dense class an empty stack failed in numpy's matmul
     assert project_functionals(build(rng), [], ContourSpec(0.01, 40.0, 0.5, 8)) == []
+
+
+@pytest.mark.parametrize("build", [lambda rng: mp_model(6, 12),
+                                   lambda rng: mixture_model(12, 30, 3),
+                                   lambda rng: mixture_model(6, 30, 3),
+                                   lambda rng: random_model(8, 12, rng)],
+                         ids=["diagonal", "woodbury", "lu", "dense"])
+def test_eigenvalue_count_is_the_identity_projection(rng, build):
+    # the count from g alone, tr R = p g, against tr(Pi I_p) from the model's
+    # functional traces, on each layout of the resolvent
+    m = build(rng)
+    spec = ContourSpec(0.01, 40.0, 0.5, 16)
+    want = project_functionals(m, [np.eye(m.p)], spec)[0].value
+    assert abs(eigenvalue_count(m, spec) - want) <= 1e-11

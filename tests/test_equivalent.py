@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ import covspectra.model
 
 from covspectra import (
     Column,
+    ContourSpec,
     Diagonal,
     DomainError,
     EnsembleModel,
@@ -26,6 +29,7 @@ from covspectra import (
     compare,
     continuation_solve,
     density_grid,
+    eigenvalue_count,
     r_tilde,
     random_orthogonal,
     solve_lambda,
@@ -324,3 +328,25 @@ def test_grids_read_g_from_class_values(kind, rng, monkeypatch):
         want = np.array([stieltjes_g(model, z, r.lam)
                          for z, r in zip(zs, continuation_solve(model, zs))])
         assert np.abs(g - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_diagonal_model_forms_nothing_p_by_p():
+    # the first support_scan (nu_hat included) and an eigenvalue_count at
+    # p = 4000: a model with no dense class and 2r < p forms arrays of
+    # O(k p + m k) entries, k = 4 classes and m <= 201 nodes, besides the
+    # kernels' batches within _CHAIN_BYTES.  16 complex arrays of each size
+    # bound it, 8.5 MB, where one p x p float64 array is 128 MB
+    p, n, k, m = 4000, 8000, 4, 201
+    rng = np.random.default_rng(5)
+    cols = [Column(Diagonal(rng.choice([0.5, 1.0, 2.0, 4.0], p))) for _ in range(k)]
+    model = EnsembleModel(p, n, cols * (n // k))
+    bound = covspectra.model._CHAIN_BYTES + 16 * 16 * (k * p + m * k)
+    assert bound * 10 < 8 * p * p
+    tracemalloc.start()
+    try:
+        support_scan(model)
+        eigenvalue_count(model, ContourSpec(1.0, 10.0, 0.5, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound

@@ -774,3 +774,39 @@ def test_repeated_column_object_matches_equal_columns(rng, kind, monkeypatch):
                  (one.functional_traces(Wc, As), many.functional_traces(Wc, As)),
                  *zip(one.class_pair_traces(Wc), many.class_pair_traces(Wc))):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["r=0", "U=1", "U=p", "r=p/2-1", "no pole at top", "lu",
+                                  "vectors 1e-90", "vectors 1e90"])
+def test_nu_hat_oracle(rng, case):
+    # nu_hat against eigvalsh of the average second moment: where the
+    # resolvent takes Woodbury from the secular equation on U coordinate
+    # classes with r vector classes, where it takes the LU from the mean field.
+    # "no pole at top": the vectors are zero on the coordinate class of the
+    # largest average entry, so the root is sought from that entry itself.
+    # Vectors far from the diagonal's scale square to 1e-180 or 1e180
+    p = 12
+    U = {"U=1": 1, "U=p": p}.get(case, 3)
+    r = {"r=0": 0, "r=p/2-1": p // 2 - 1, "lu": 6}.get(case, 2)
+    coord = np.arange(p) % U
+    d = [rng.uniform(0.2, 3.0, U)[coord] for _ in range(2)]
+    scale = {"vectors 1e-90": 1e-90, "vectors 1e90": 1e90}.get(case, 1.0)
+    vectors = rng.standard_normal((r, p)) * scale
+    if case == "no pole at top":
+        average = (2 + r) * d[0] + d[1]  # n times the average diagonal
+        vectors[:, coord == coord[np.argmax(average)]] = 0.0
+    cols = ([Column(Diagonal(d[0])), Column(Diagonal(d[1]))]
+            + [Column(Diagonal(d[0]), mean=v) for v in vectors])
+    m = EnsembleModel(p, len(cols), cols, mean_norm_bound=np.inf)
+    assert m._lu == (case == "lu")
+    want = np.linalg.eigvalsh(m.mixtures(m._class_size[None])[0].real).max()
+    assert m.nu_hat() == pytest.approx(want, rel=1e-13, abs=0)
+    if case == "no pole at top":
+        assert m.nu_hat() > ((m._class_size / m.n) @ m._coord_diag).max()
+    if case == "lu":
+        assert m.nu_hat() == m._mean_field._diag.max()
+
+
+def test_nu_hat_of_one_diagonal_class_is_its_largest_entry(rng):
+    d = rng.uniform(0.2, 3.0, 7)
+    assert EnsembleModel(7, 3, [Column(Diagonal(d))] * 3).nu_hat() == d.max()

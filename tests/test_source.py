@@ -117,21 +117,24 @@ def test_budget_call_with_argument_is_found():
     assert _budget_calls_with_arguments(source) == (2, ["model._rows_within_budget(16 * k)"])
 
 
-def _inv_calls(source: str) -> list[str]:
-    """The enclosing function of each np.linalg.inv call, outermost first
-    ("" at module level)."""
+def _calls(source: str, *funcs: str) -> list[str]:
+    """The enclosing function of each call of one of funcs, outermost first
+    and qualified by its class ("" at module level)."""
     found = []
 
-    def visit(node: ast.AST, where: str) -> None:
+    def visit(node: ast.AST, where: str, cls: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, where or child.name)
+            if isinstance(child, ast.ClassDef) and not where:
+                visit(child, where, f"{cls}{child.name}.")
                 continue
-            if isinstance(child, ast.Call) and ast.unparse(child.func) == "np.linalg.inv":
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, where or cls + child.name, cls)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in funcs:
                 found.append(where)
-            visit(child, where)
+            visit(child, where, cls)
 
-    visit(ast.parse(source), "")
+    visit(ast.parse(source), "", "")
     return found
 
 
@@ -140,7 +143,7 @@ def test_one_inverse_converts_a_singular_factor():
     # sample matrices; every other inverse goes through model._inv, and only
     # _inv in model.py turns a singular resolvent factor into a DomainError
     calls = {path.name: found for path in sorted(SRC.glob("*.py"))
-             if (found := [f for f in _inv_calls(path.read_text())
+             if (found := [f for f in _calls(path.read_text(), "np.linalg.inv")
                            if f != "resolvent_identity_check"])}
     assert calls == {"model.py": ["_inv"]}
     said = [path.name for path in sorted(SRC.glob("*.py"))
@@ -150,8 +153,22 @@ def test_one_inverse_converts_a_singular_factor():
 
 def test_inverse_call_is_found():
     source = ("import numpy as np\nnp.linalg.inv(a)\n"
-              "def f(a):\n    def g():\n        return np.linalg.inv(a)\n    return g\n")
-    assert _inv_calls(source) == ["", "f"]
+              "def f(a):\n    def g():\n        return np.linalg.inv(a)\n    return g\n"
+              "class C:\n    def m(self):\n        return np.linalg.eigh(self)\n")
+    assert _calls(source, "np.linalg.inv") == ["", "f"]
+    assert _calls(source, "np.linalg.inv", "np.linalg.eigh") == ["", "f", "C.m"]
+
+
+def test_eigensolves_stay_where_the_layout_needs_them():
+    # the average second moment's p x p eigensolve belongs to the mean field
+    # alone: nu_hat solves an r x r secular equation where the resolvent takes
+    # Woodbury, and the eigenvalue count reads g, with no identity matrix
+    calls = {path.name: found for path in sorted(SRC.glob("*.py"))
+             if (found := _calls(path.read_text(), "np.linalg.eigh", "np.linalg.eigvalsh"))}
+    assert calls == {"empirical.py": ["_gram_eigh"],
+                     "model.py": ["Dense.__post_init__", "EnsembleModel._mean_field",
+                                  "EnsembleModel.nu_hat"]}
+    assert _calls((SRC / "contour.py").read_text(), "np.eye") == []
 
 
 def _domain_calls(source: str) -> tuple[int, list[str]]:

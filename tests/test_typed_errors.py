@@ -19,7 +19,7 @@ from covspectra import (
     density_grid,
     support_scan,
 )
-from covspectra.empirical import sample_batch, sample_matrix
+from covspectra.empirical import empirical_stieltjes, sample_batch, sample_matrix
 from covspectra.equivalent import DensityGrid
 from covspectra.model import ModelError, model_from_config
 from covspectra.semimetric import d_s
@@ -137,6 +137,17 @@ CASES = {
     # numpy's "zero-size array to reduction operation minimum"
     "empty QVE": (ValueError, "at least one entry",
                   lambda: QveProblem(1j, np.zeros(0), np.zeros((0, 0)))),
+    # failed inside numpy: "'float' object cannot be interpreted as an integer"
+    "float model p": (ModelError, "p must be an integer",
+                      lambda: EnsembleModel(2.5, 1, [Column(ScaledIdentity(1.0))])),
+    # failed inside numpy: "expected a sequence of integers"
+    "float model n": (ModelError, "n must be an integer",
+                      lambda: EnsembleModel(2, 1.0, [Column(ScaledIdentity(1.0))])),
+    # constructed, then the model build failed in matrix_power
+    "float rotations": (ModelError, "rotation count must be an integer",
+                        lambda: RotatedFamily(np.ones(2), np.eye(2), 1.5)),
+    # numpy's "zero-size array to reduction operation minimum"
+    "no eigenvalues": (ValueError, "at least one eigenvalue", lambda: empirical_stieltjes([], 1j)),
     # warned of overflow in matmul and divide, then LinAlgError from nu_hat
     "second moments overflow": (
         ModelError, "second moments overflow",
@@ -174,5 +185,7 @@ def test_numpy_integers_stay_accepted():
                          ContourSpec(0, 1, 0.5, 9).upper_nodes()):
         np.testing.assert_array_equal(got, want)
     assert SolverOptions(max_iter=np.int64(5)).max_iter == 5
+    assert EnsembleModel(np.int64(3), np.uint8(4), [Column(ScaledIdentity(1.0))] * 4).n == 4
+    assert RotatedFamily(np.ones(2), np.eye(2), np.int64(1)).rotations == 1
     np.testing.assert_array_equal(density_grid(m, 0, 4, np.int64(5), 1e-3).density,
                                   density_grid(m, 0, 4, 5, 1e-3).density)
