@@ -7,19 +7,19 @@ The map takes a diagonal L (with Im L > 0 and Im(L/z) > 0) to
 the semi-metric d_s, which gives existence and uniqueness of the fixed point
 and justifies the Picard iteration used here.  Plain iteration slows down
 drastically near the real axis, so an accelerated step is layered on top,
-guarded by the domain.  On a diagonal model of at most _NEWTON_CLASSES
-classes it is Newton's on the class values, with the Jacobian I - Psi from
-one product, taken only while the d_s residual falls (a Picard-safeguarded
-Newton step, Kelley, Iterative Methods for Linear and Nonlinear Equations,
-SIAM 1995).  Elsewhere it is Anderson's (Walker & Ni, SIAM J. Numer. Anal.
-2011), whose coefficients solve normal equations on a Gram matrix that rolls
-with the history, with a ridge so rank-deficient histories stay solvable
-(Scieur, d'Aspremont & Bach, NeurIPS 2016).  Either takes one small stacked
-solve per iteration, no QR or SVD.
+under one rule: a row takes it where it is in the domain and its d_s
+residual fell, and otherwise its Picard step, which contracts (Kelley,
+Iterative Methods for Linear and Nonlinear Equations, SIAM 1995).  On a
+diagonal model of at most _NEWTON_CLASSES classes the step is Newton's on
+the class values, with the Jacobian I - Psi from one product.  Elsewhere it
+is Anderson's (Walker & Ni, SIAM J. Numer. Anal. 2011), whose coefficients
+solve normal equations on a Gram matrix that rolls with the history, with a
+ridge so rank-deficient histories stay solvable (Scieur, d'Aspremont &
+Bach, NeurIPS 2016).  Either takes one small stacked solve per iteration.
 
 ``_contract`` is the one iteration loop of the package.  It iterates the rows
 of an (m, d) array, m independent contractions side by side, each with its
-own stop rule, domain guard and accelerated step; a row stops at tol_ds or
+own stop rule and guarded accelerated step; a row stops at tol_ds or
 at its roundoff floor, whichever is larger.  ``qve.solve_qve`` runs it on the
 quadratic vector equation, a d_s contraction of the same kind, with Anderson
 steps.  Column i enters the map only through Sigma_i, so its value is
@@ -183,12 +183,14 @@ def _contract(
     the exact part of each row's map, (m, 1) or (m, d); with a per-row
     accelerated step unless opts.acceleration is "none".
 
-    With newton, step(x, rows) returns (gx, Psi), Psi (m, d, d) the
-    derivative of the map at x, and the accelerated step is Newton's on
-    x = step(x): x + (I - Psi)^-1 (gx - x), from one stacked d x d solve for
-    all rows.  A row takes it only where its d_s residual fell below its
-    previous one, and otherwise its Picard step gx, which contracts (Kelley
-    1995).  Without newton the accelerated step is Anderson's (Walker & Ni
+    An iteration forms at most one candidate step for its rows, and one rule
+    judges it: a row takes the candidate only where it is in the domain and
+    the row's d_s residual fell below its previous one, and otherwise its
+    Picard step gx, which contracts (Kelley 1995).  With newton, step(x,
+    rows) returns (gx, Psi), Psi (m, d, d) the derivative of the map at x,
+    and the candidate is Newton's on x = step(x): x + (I - Psi)^-1 (gx - x),
+    from one stacked d x d solve for all rows (none if I - Psi is singular).
+    Otherwise, from the second iteration on, it is Anderson's (Walker & Ni
     2011): gx - dG gamma, gamma minimising |f - dF gamma| over the latest
     _ANDERSON_WINDOW differences dF of steps and dG of map values, kept in
     rings with the Gram matrices dF^H dF (one new column per iteration).
@@ -197,13 +199,11 @@ def _contract(
     every history is rank-deficient and the solve singular.
 
     step(x, rows) and in_domain(x, rows) get the rows still iterating and
-    their indices into x0; in_domain answers per row, and a row whose
-    accelerated step leaves the domain takes its Picard step.  All rows
-    start together, so they share one history depth; a converged row
-    leaves.  Returns per row (x, iterations, residual, ratio of the last two
+    their indices into x0; in_domain answers per row.  All rows start
+    together, so they share one history depth; a converged row leaves.
+    Returns per row (x, iterations, residual, ratio of the last two
     residuals).  Raises NonConvergenceError after max_iter steps, or at once
     on a non-finite residual, naming the lowest failing row's label."""
-    accelerate = opts.acceleration == "anderson"
     m, d = x0.shape
     out = np.empty_like(x0)
     iterations = np.empty(m, dtype=np.intp)
@@ -211,7 +211,7 @@ def _contract(
     ratios = np.empty(m)
     active = np.arange(m)
     # the rings of dG and of conj(dF), and the Gram matrices dF^H dF
-    w = _ANDERSON_WINDOW if accelerate and not newton else 0
+    w = _ANDERSON_WINDOW if opts.acceleration == "anderson" and not newton else 0
     dg, dfc = np.zeros((2, m, w, d), dtype=np.complex128)
     gram = np.zeros((m, w, w), dtype=np.complex128)
     g_prev = f_prev = x0
@@ -245,16 +245,14 @@ def _contract(
             psi = psi if psi is None else psi[keep]
             dg, dfc, gram, g_prev, f_prev = (a[keep] for a in (dg, dfc, gram, g_prev, f_prev))
 
-        x_next = gx
-        if newton and accelerate:
+        candidate = None
+        if newton:
             A = -psi
             A.reshape(len(A), -1)[:, :: d + 1] += 1.0
             try:
                 candidate = x + np.linalg.solve(A, f[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:  # a singular I - Psi: Picard steps
-                candidate = gx
-            take = (residual < prev) & in_domain(candidate, active)
-            x_next = np.where(take[:, None], candidate, gx)
+                pass
         elif w and k > 1:
             # slot s takes the newest differences; the first h are written
             s, h = (k - 2) % w, min(k - 1, w)
@@ -265,8 +263,10 @@ def _contract(
             gram[:, :h, s], gram[:, s, :h] = prod[:, :, 0], prod[:, :, 0].conj()
             gamma = _anderson_coefficients(gram[:, :h, :h], prod[:, :, 1:])
             candidate = gx - (gamma.transpose(0, 2, 1) @ dg[:, :h])[:, 0]
-            x_next = np.where(in_domain(candidate, active)[:, None], candidate, gx)
-        g_prev, f_prev, x = gx, f, x_next
+        g_prev, f_prev, x = gx, f, gx
+        if candidate is not None:
+            take = (residual < prev) & in_domain(candidate, active)
+            x = np.where(take[:, None], candidate, gx)
 
     raise failure(opts.max_iter, np.arange(active.size), residual)
 

@@ -698,7 +698,12 @@ class EnsembleModel:
         return EnsembleModel(self.p, self.n, [spec] * self.n)
 
     def nu_hat(self) -> float:
-        """||(1/n) sum Sigma_i||, the mean field's where _lu.  Otherwise the average
+        """||(1/n) sum Sigma_i||, computed once per model (_nu_hat)."""
+        return self._nu_hat
+
+    @functools.cached_property
+    def _nu_hat(self) -> float:
+        """nu_hat, the mean field's where _lu.  Otherwise the average
         is D + S S^T, D = sum_c (n_c/n) diag(d_c) = d_u on coordinate class u and
         S = V diag(n_c/n)^(1/2): max_u d_u, or max_u d_u + tau for the largest tau
         solving the secular equation lambda_max(sum_u C_u / (g_u + tau)) = 1,

@@ -23,6 +23,7 @@ from covspectra import (
     ScaledIdentity,
     SolverOptions,
     apply_Iz,
+    continuation_solve,
     contraction_factor,
     density_grid,
     eigenvalue_count,
@@ -33,7 +34,7 @@ from covspectra import (
     solve_qve,
     support_scan,
 )
-from covspectra import fixedpoint
+from covspectra import equivalent, fixedpoint
 from covspectra.model import ModelError
 from covspectra.semimetric import _ds
 
@@ -187,13 +188,16 @@ def test_hard_inputs_through_the_other_entry_points():
     assert outcomes["support_scan"]["answer"] == 20
 
 
-def test_support_scan_sweep():
+@pytest.mark.parametrize("seed", [SEED, 1])
+def test_support_scan_sweep(seed):
     # the first 60 draws of the sweep through support_scan at max_iter 5000,
-    # each an answer within range or a typed error.  All 60 answer: the 9 of
-    # them with no dense class and 2r >= p (8, 14, 16, 19, 32, 34, 36, 39 and
-    # 44) stalled above their roundoff floor at the scan's first node while
-    # their resolvents took the r x r Woodbury system
-    rng = np.random.default_rng(SEED)
+    # each an answer within range or a typed error.  All 60 answer.  On seed
+    # 0, the 9 of them with no dense class and 2r >= p (8, 14, 16, 19, 32,
+    # 34, 36, 39 and 44) stalled above their roundoff floor at the scan's
+    # first node while their resolvents took the r x r Woodbury system.  On
+    # seed 1, draw 11 stalled there while Anderson steps were taken whatever
+    # the residual did (test_first_scan_node_converges_in_any_batch)
+    rng = np.random.default_rng(seed)
     outcomes = collections.Counter()
     for i in range(60):
         model, _ = hard_draw(rng)
@@ -205,6 +209,48 @@ def test_support_scan_sweep():
         assert _support_ok(est), f"draw {i}"
         outcomes["answer"] += 1
     assert outcomes == {"answer": 60}
+
+
+def test_first_scan_node_converges_in_any_batch():
+    # seed 1's draw 11 (p = 18, n = 5, k = 5, r = 3 on 12 coordinate
+    # classes: Woodbury).  Its scan's first node z = 1e-12 + 1e-3i, solved
+    # cold with the first 1, 2, 4 and all 10 nodes of the scan's level 0 as
+    # one batch, took 313, 83, 83 and 83 iterations.  While an Anderson step
+    # was taken wherever it stayed in the domain, it took 98 alone, 6,239 in
+    # a batch of 4, and did not converge in 20,000 in batches of 2 and 10:
+    # the batch's shape changes the products' rounding, and the unguarded
+    # steps wandered with it.  The bound 1,000 is 3x the largest count
+    rng = np.random.default_rng(1)
+    for _ in range(12):
+        model, _ = hard_draw(rng)
+    assert (model.p, model.n, model._class_size.size, model._V.shape[1]) == (18, 5, 5, 3)
+    assert not model._lu
+    x0, b = equivalent._scan_range(model)
+    xs = np.linspace(1e-12, x0, 201)
+    near = xs[xs <= b * (1.0 + 1e-9) + np.sqrt(1e-3 / (np.pi * 1e-3))]
+    level0 = np.r_[near[:-1:8], near[-1]]  # every 8th and the last, as _solve_path
+    assert near.size == 66 and level0.size == 10 and level0[0] == 1e-12
+    for size in (1, 2, 4, 10):
+        x = np.full((size, 5), np.nan, dtype=complex)
+        _, its, *_ = fixedpoint._stage(model, level0[:size, None] + 1e-3j, x, OPTS)
+        assert its[0] <= 1000, size
+
+
+def test_continuation_path_stays_within_the_map_bound():
+    # seed 3's draw 86 (p = 8, n = 42, k = 19, 12 dense classes) on the
+    # 9-node path (0.5 .. 1.5) x + iy through its z = x + iy.  While an
+    # Anderson step was taken wherever it stayed in the domain, node 7,
+    # z = 1613 + 1.9e-6i, stopped under its floor and one more map
+    # application moved it 1.61 times map_move's bound; now no node of the
+    # first 150 draws of seeds 0-3 passes 0.99 of its bound
+    rng = np.random.default_rng(3)
+    for _ in range(87):
+        model, z = hard_draw(rng)
+    assert (model.p, model.n, model._class_size.size, model._dense_rows.size) == (8, 42, 19, 12)
+    zs = np.linspace(0.5, 1.5, 9) * z.real + 1j * z.imag
+    for i, res in enumerate(continuation_solve(model, zs, OPTS)):
+        move, bound = map_move(model, zs[i], res.class_values)
+        assert move <= bound, f"node {i}: moved {move / bound:.3g} of the bound"
 
 
 def random_qve(rng: np.random.Generator) -> QveProblem:

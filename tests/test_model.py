@@ -807,6 +807,21 @@ def test_nu_hat_oracle(rng, case):
         assert m.nu_hat() == m._mean_field._diag.max()
 
 
+def test_nu_hat_is_solved_once_per_model(rng, monkeypatch):
+    # on the Woodbury layout nu_hat solves a secular equation by r x r
+    # eigensolves; support_scan reads it on every scan, so a second call
+    # returns the first answer and solves nothing
+    p, coord = 12, np.arange(12) % 3
+    d = rng.uniform(0.2, 3.0, 3)[coord]
+    cols = [Column(Diagonal(d))] * 2 + [Column(Diagonal(d), mean=v)
+                                        for v in rng.standard_normal((2, p))]
+    m = EnsembleModel(p, len(cols), cols)
+    assert not m._lu
+    first = m.nu_hat()
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("np.linalg.eigh"))
+    assert m.nu_hat() is first
+
+
 def test_nu_hat_of_one_diagonal_class_is_its_largest_entry(rng):
     d = rng.uniform(0.2, 3.0, 7)
     assert EnsembleModel(7, 3, [Column(Diagonal(d))] * 3).nu_hat() == d.max()

@@ -167,7 +167,7 @@ def test_eigensolves_stay_where_the_layout_needs_them():
              if (found := _calls(path.read_text(), "np.linalg.eigh", "np.linalg.eigvalsh"))}
     assert calls == {"empirical.py": ["_gram_eigh"],
                      "model.py": ["Dense.__post_init__", "EnsembleModel._mean_field",
-                                  "EnsembleModel.nu_hat"]}
+                                  "EnsembleModel._nu_hat"]}
     assert _calls((SRC / "contour.py").read_text(), "np.eye") == []
 
 
@@ -192,3 +192,27 @@ def test_sliced_domain_call_is_found():
               "_in_domain(x, z, axis=1)\nsemimetric._in_domain(D.values[1:], z)\n")
     assert _domain_calls(source) == (3, ["_in_domain(v[:, live], z[r], axis=1)",
                                          "semimetric._in_domain(D.values[1:], z)"])
+
+
+def _acceptance_rules(source: str, func: str) -> tuple[int, int]:
+    """In func of the module, how many in_domain calls and how many
+    residual < prev comparisons it makes."""
+    body = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == func)
+    nodes = list(ast.walk(body))
+    return (sum(isinstance(n, ast.Call) and ast.unparse(n.func) == "in_domain" for n in nodes),
+            sum(isinstance(n, ast.Compare) and ast.unparse(n) == "residual < prev"
+                for n in nodes))
+
+
+def test_one_acceptance_rule_for_accelerated_steps():
+    # Newton's and Anderson's candidates differ only in how they are formed:
+    # one rule, the domain and a fallen residual, judges both
+    source = (SRC / "fixedpoint.py").read_text()
+    assert _acceptance_rules(source, "_contract") == (1, 1)
+
+
+def test_forked_acceptance_rule_is_found():
+    source = ("def f(x):\n    if a:\n        t = (residual < prev) & in_domain(c, r)\n"
+              "    else:\n        t = in_domain(c, r)\n    return residual < tol\n")
+    assert _acceptance_rules(source, "f") == (2, 1)
