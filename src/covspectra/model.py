@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 _PSD_TOL = 1e-10
+_ORTHO_TOL = 1e-10  # on |P P^T - I|, and on the relative trace drift of P^k
 _MIN_EIG_FLOOR = 1e-8  # warn below it: lower-bounded-covariance assumption
 # complex kernel arrays budgeted per row within _CHAIN_BYTES, a row being a
 # node of a batched evaluation or a class of a class_pair_traces chunk.  With
@@ -201,7 +203,14 @@ class ScaledIdentity:
 class RotatedFamily:
     """(P^k)^T diag(d) P^k for a base diagonal d and an orthogonal P.  Either
     may be complex with zero imaginary parts, and is then taken as its real
-    part; a nonzero imaginary part is a ModelError."""
+    part; a nonzero imaginary part is a ModelError.
+
+    P is checked once per array object: a P that passed _check_orthogonal is
+    recorded by identity, as long as it lives, and a later family on that
+    same object skips the check (its shape is still checked), so n families
+    on one P cost one P P^T product.  A P changed in place after a family was
+    built is therefore not checked again; families built earlier hold that
+    same array and see the change as well."""
 
     base: NDArray[np.float64]
     orthogonal: NDArray[np.float64]
@@ -218,11 +227,9 @@ class RotatedFamily:
         P = _real(self.orthogonal, "rotated family orthogonal matrix")
         if P.shape != (d.size, d.size):
             raise ModelError("rotated family orthogonal matrix has wrong shape")
-        if not np.isfinite(P).all():
-            raise ModelError("rotated family matrix is not orthogonal: its entries must be finite")
-        I = np.eye(d.size)  # allclose(P P^T, I, atol=1e-10) at half its cost
-        if not (np.abs(P @ P.T - I) <= 1e-10 + 1e-5 * I).all():
-            raise ModelError("rotated family matrix is not orthogonal")
+        if _ORTHOGONAL.get(id(P)) is not P:
+            _check_orthogonal(P)
+            _ORTHOGONAL[id(P)] = P
         object.__setattr__(self, "rotations", _index(self.rotations, "rotation count"))
         if self.rotations < 0:
             raise ModelError("rotation count must be nonnegative")
@@ -232,6 +239,20 @@ class RotatedFamily:
     def dim(self) -> int:
         return self.base.size
 
+
+def _check_orthogonal(P: NDArray[np.float64]) -> None:
+    """A ModelError unless the square P is finite and P P^T = I within
+    _ORTHO_TOL, plus 1e-5 on the diagonal: allclose(P P^T, I, atol=_ORTHO_TOL)
+    at half its cost."""
+    if not np.isfinite(P).all():
+        raise ModelError("rotated family matrix is not orthogonal: its entries must be finite")
+    I = np.eye(len(P))
+    if not (np.abs(P @ P.T - I) <= _ORTHO_TOL + 1e-5 * I).all():
+        raise ModelError("rotated family matrix is not orthogonal")
+
+
+# id(P) -> P for every P that passed _check_orthogonal and is still alive
+_ORTHOGONAL = weakref.WeakValueDictionary()
 
 CovarianceSpec = Dense | Diagonal | ScaledIdentity | RotatedFamily
 
@@ -322,18 +343,21 @@ class EnsembleModel:
             self._up, self._lo = i * p + j, j * p + i
             self._full = np.empty(p * p, dtype=np.intp)
             self._full[self._up] = self._full[self._lo] = np.arange(i.size)
-            self._dense = self._pack([self._class_dense[c] for c in self._dense_rows])
+            with np.errstate(over="ignore", invalid="ignore"):  # judged by _check_drift
+                self._dense = self._pack([self._class_dense[c] for c in self._dense_rows])
         self._V = np.ascontiguousarray(self._offsets[self._vec_rows].T)
         self._lu = bool(self._dense_rows.size) or 2 * self._V.shape[1] >= p
         self._class_size = np.bincount(self.column_class).astype(np.float64)
-        if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._offsets)):
-            raise ModelError("covariances and means must be finite")
         # sum_c n_c tr Sigma_c bounds every entry of the kernels' class-weighted sums;
         # tr Sigma_c from the diagonal rows, packed diagonals and |v_c|^2, kept for max_trace
         with np.errstate(over="ignore"):
             self._traces = self._diag.sum(axis=1) + (self._offsets ** 2).sum(axis=1)
             if self._dense_rows.size:
-                self._traces[self._dense_rows] += self._dense[:, self._full[:: p + 1]].sum(axis=1)
+                packed = self._dense[:, self._full[:: p + 1]].sum(axis=1)
+                self._check_drift(packed)
+                self._traces[self._dense_rows] += packed
+            if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._offsets)):
+                raise ModelError("covariances and means must be finite")
             if not np.isfinite(self._class_size @ self._traces):
                 raise ModelError("second moments overflow: sum of tr Sigma_i is not finite")
         if not self._lu:
@@ -388,6 +412,26 @@ class EnsembleModel:
                 parts.append((diag, dense, mu))
             classes[key] = c
         return c
+
+    def _check_drift(self, traces: NDArray[np.float64]) -> None:
+        """A ModelError naming the rotation count of the first rotated family
+        whose realised trace, of the dense stack's traces, is off tr diag(d) by
+        more than _ORTHO_TOL of it.  P^k rounds away from orthogonal as k
+        grows: on the Figure-1 P (p = 80) |P^k P^kT - I| reads 4.6e-8 at
+        k = 2^30, the trace is 1.3e-11 off at k = 10^6 and 2% off at 2^50,
+        and P^(2^70) overflows."""
+        specs = [self._class_dense[c] for c in self._dense_rows]
+        rows = [j for j, spec in enumerate(specs) if isinstance(spec, RotatedFamily)]
+        if not rows:
+            return
+        want = np.array([specs[j].base for j in rows]).sum(axis=1)
+        t = traces[rows]
+        bad = np.flatnonzero(~(np.abs(t - want) <= _ORTHO_TOL * want) & np.isfinite(want))
+        if bad.size:
+            j = bad[0]
+            raise ModelError(
+                f"rotation count {specs[rows[j]].rotations}: P^k has drifted from orthogonal, "
+                f"its covariance has trace {t[j]:.12g} against tr diag(d) = {want[j]:.12g}")
 
     def _coordinate_classes(self) -> None:
         """On the Woodbury path: coordinates whose diagonal entries agree in
@@ -649,41 +693,54 @@ class EnsembleModel:
     # -- sampling support --------------------------------------------------
 
     def column_root_matvec(self, i: int, g: NDArray[np.float64]) -> NDArray[np.float64]:
-        """C_i^{1/2} g for a vector g, or for each column of a (p, m) block."""
+        """C_i^{1/2} g for a vector g, or for each column of a (p, m) block: a
+        rotated family's (P^T)^k sqrt(d) g by _rotate, as columns_from_normals
+        takes it."""
         c = self.column_class[i]
-        return self._class_root(c, next(_orbit([self._class_dense[c]])), g)
+        spec, b = self._class_dense[c], g.reshape(self.p, -1)
+        if isinstance(spec, RotatedFamily):
+            k = np.full(b.shape[1], spec.rotations, dtype=object)
+            b = _rotate(spec.orthogonal, k, np.sqrt(spec.base)[:, None] * b)
+        else:
+            b = self._class_root(c, b)
+        return b.reshape(g.shape)
 
     def columns_from_normals(self, G: NDArray[np.float64]) -> NDArray[np.float64]:
         """mu_i + C_i^{1/2} G[:, i] for every column i of the (p, n) block G,
-        one product per class.  Diagonal classes match column_root_matvec bit
-        for bit.  A dense class takes its root on all its columns at once, a
-        rotated family the rotation R_k stepped along the orbit of its
-        predecessors, where column_root_matvec multiplies one column and
-        raises P to the k-th power: those differ from it in rounding."""
+        one product per class, but one _rotate per orthogonal matrix P: the
+        columns of every rotated family on P, scaled by the roots of their
+        bases, are rotated together, each by its own count.  Diagonal classes
+        match column_root_matvec bit for bit; a Dense class takes its root on
+        all its columns at once, and a rotated column its rotation among
+        other columns, which differ from column_root_matvec in rounding."""
         X = np.sqrt(self._diag.T)[:, self.column_class] * G
         if self._dense_rows.size:
             members = np.split(np.argsort(self.column_class, kind="stable"),
                                np.cumsum(self._class_size[:-1]).astype(np.intp))
-            rotations = _orbit([self._class_dense[c] for c in self._dense_rows])
-            for c, R in zip(self._dense_rows, rotations):
-                X[:, members[c]] = self._class_root(c, R, G[:, members[c]])
+            rotated: dict[int, tuple] = {}  # id(P) -> (P, its columns, their counts)
+            for c in self._dense_rows:
+                spec, cols = self._class_dense[c], members[c]
+                if isinstance(spec, Dense):
+                    X[:, cols] = self._class_root(c, G[:, cols])
+                    continue
+                X[:, cols] = np.sqrt(spec.base)[:, None] * G[:, cols]
+                _, js, ks = rotated.setdefault(id(spec.orthogonal), (spec.orthogonal, [], []))
+                js += cols.tolist()
+                ks += [spec.rotations] * cols.size
+            for P, js, ks in rotated.values():
+                X[:, js] = _rotate(P, np.array(ks, dtype=object), X[:, js])
         X += self._offsets.T[:, self.column_class]
         return X
 
-    def _class_root(self, c: int, R: NDArray | None, g: NDArray) -> NDArray[np.float64]:
-        """C_c^{1/2} g for a vector g or each column of a (p, m) block:
-        sqrt(d_c) * g for a diagonal class, V sqrt(w) V^T g for a Dense one
-        from its one eigh, R^T sqrt(d) g for a rotated family, R the rotation
-        that _orbit gives it."""
-        spec, b = self._class_dense[c], g.reshape(self.p, -1)
+    def _class_root(self, c: int, b: NDArray) -> NDArray[np.float64]:
+        """C_c^{1/2} b for each column of a (p, m) block b and a class c that
+        is not a rotated family: sqrt(d_c) * b for a diagonal class, and
+        V sqrt(w) V^T b for a Dense one, from its one eigh."""
+        spec = self._class_dense[c]
         if spec is None:
-            b = np.sqrt(self._diag[c])[:, None] * b
-        elif R is None:
-            w, v = spec._eigh
-            b = v @ (np.sqrt(np.clip(w, 0.0, None)) * (v.T @ b).T).T
-        else:
-            b = R.T @ (np.sqrt(spec.base)[:, None] * b)
-        return b.reshape(g.shape)
+            return np.sqrt(self._diag[c])[:, None] * b
+        w, v = spec._eigh
+        return v @ (np.sqrt(np.clip(w, 0.0, None)) * (v.T @ b).T).T
 
     # -- derived scalars ---------------------------------------------------
 
@@ -739,7 +796,8 @@ class EnsembleModel:
 
 def _orbit(specs: Sequence[CovarianceSpec]) -> Iterator[NDArray[np.float64] | None]:
     """P^k for each rotated family among specs, in order, None for any other
-    spec.  Families sharing one orthogonal matrix P step its orbit,
+    spec, for _pack alone: draws rotate by _rotate, which keeps no power.
+    Families sharing one orthogonal matrix P step its orbit,
     R_k = R_j P^(k-j) from the last power realised, and raise P to the k-th
     power only when k falls below it."""
     orbit: dict[int, tuple[int, NDArray]] = {}  # id(P) -> (j, P^j)
@@ -752,6 +810,24 @@ def _orbit(specs: Sequence[CovarianceSpec]) -> Iterator[NDArray[np.float64] | No
         R = np.linalg.matrix_power(P, k) if k < j else R @ np.linalg.matrix_power(P, k - j)
         orbit[id(P)] = k, R
         yield R
+
+
+def _rotate(P: NDArray[np.float64], k: NDArray, B: NDArray[np.float64]) -> NDArray[np.float64]:
+    """(P^T)^k[j] B[:, j] for each column j of the (p, m) block B, in place,
+    by binary powering (Knuth, TAOCP vol. 2, 4.6.3): T = (P^T)^(2^b) is one
+    GEMM on the columns whose count has bit b set, and T is squared between
+    bits, O(p^3 log max k) with no power kept.  Its rounding grows as O(k eps),
+    as the orbit's does.  The counts k are Python ints (dtype object): where
+    P^k is exact, as for a signed permutation, a count past int64 is valid."""
+    T = P.T
+    while True:
+        on = np.flatnonzero(k & 1)
+        if on.size:
+            B[:, on] = T @ B[:, on]
+        k = k >> 1
+        if not k.any():
+            return B
+        T = T @ T
 
 
 def _times_real(x: NDArray, A: NDArray[np.float64]) -> NDArray[np.complex128]:

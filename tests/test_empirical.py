@@ -367,3 +367,23 @@ def test_sample_matrix_matches_per_column_roots(rng):
     np.testing.assert_array_equal(X[:, is_exact], want[:, is_exact])
     np.testing.assert_allclose(X[:, ~is_exact], want[:, ~is_exact], rtol=0,
                                atol=1e-12 * np.abs(want).max())
+
+
+def test_sampled_rotations_match_per_column_roots(rng):
+    # rotation counts 0..1000, shuffled and repeated, over two orthogonal
+    # matrices and with some means: columns leave the bit loop at different
+    # bits, and each matches mu_i + column_root_matvec(i, g_i)
+    p = 8
+    Ps = random_orthogonal(p, 1), random_orthogonal(p, 2)
+    counts = rng.permutation(np.r_[0:1001, rng.integers(0, 1001, 100)])
+    means = [rng.standard_normal(p) / np.sqrt(p) if j % 5 == 0 else None
+             for j in range(counts.size)]
+    cols = [Column(RotatedFamily(rng.uniform(0.2, 3.0, p), Ps[j % 2], int(k)), mean=mu)
+            for j, (k, mu) in enumerate(zip(counts, means))]
+    m = EnsembleModel(p, len(cols), cols)
+    X = sample_matrix(m, seed=4, trial=1)
+    want = np.column_stack([
+        (np.zeros(p) if mu is None else mu)
+        + m.column_root_matvec(i, empirical._column_rng(4, 1, i).standard_normal(p))
+        for i, mu in enumerate(means)])
+    np.testing.assert_allclose(X, want, rtol=0, atol=1e-12 * np.abs(want).max())

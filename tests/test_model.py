@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -233,7 +234,12 @@ def test_rotated_family_realization(rng):
 
 
 def test_rotated_family_rejects_bad_inputs():
+    # P passes first: the check is recorded by identity, so its sheared and
+    # rescaled copies, new objects, are checked, and P's shape still is
     P = random_orthogonal(3, seed=5)
+    RotatedFamily(np.ones(3), P)
+    with pytest.raises(ModelError, match="wrong shape"):
+        RotatedFamily(np.ones(2), P)
     sheared = P.copy()
     sheared[0] += 1e-8 * P[1]  # off the diagonal of P P^T: atol 1e-10 alone
     for bad in (sheared, P * np.sqrt(1 + 2e-5), np.full((3, 3), np.nan)):
@@ -243,6 +249,68 @@ def test_rotated_family_rejects_bad_inputs():
         RotatedFamily(np.ones(3), P, -1)
     # allclose's own tolerance: atol 1e-10, plus rtol 1e-5 on the diagonal
     RotatedFamily(np.ones(3), P * np.sqrt(1 + 5e-6))
+
+
+def test_families_on_one_matrix_check_it_once(monkeypatch):
+    checked = []
+    check = model_module._check_orthogonal
+    monkeypatch.setattr(model_module, "_check_orthogonal", lambda P: checked.append(P) or check(P))
+    monkeypatch.setattr(model_module, "_ORTHOGONAL", model_module.weakref.WeakValueDictionary())
+    P, base = random_orthogonal(80, 314), np.r_[[8.0] * 20, [1.0] * 60]
+    m = EnsembleModel(80, 160, [Column(RotatedFamily(base, P, i)) for i in range(160)])
+    assert len(checked) == 1 and checked[0] is P and m._dense_rows.size == 159
+
+
+def test_checked_matrices_are_not_kept_alive(monkeypatch):
+    record = model_module.weakref.WeakValueDictionary()
+    monkeypatch.setattr(model_module, "_ORTHOGONAL", record)
+    P = random_orthogonal(4, seed=2)
+    spec = RotatedFamily(np.ones(4), P, 3)
+    assert list(record.values()) == [P]
+    del P, spec
+    gc.collect()
+    assert len(record) == 0
+
+
+def test_column_root_is_the_power_of_the_rotation(rng):
+    # (P^k)^T (sqrt(d) * g) for counts that leave the bit loop at different bits
+    p = 6
+    P = random_orthogonal(p, seed=4)
+    d, G = rng.uniform(0.2, 3.0, p), rng.standard_normal((p, 3))
+    counts = [1, 2, 7, 64, 255, 1000]
+    m = EnsembleModel(p, len(counts), [Column(RotatedFamily(d, P, k)) for k in counts])
+    for i, k in enumerate(counts):
+        want = np.linalg.matrix_power(P, k).T @ (np.sqrt(d)[:, None] * G)
+        got = m.column_root_matvec(i, G)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(m.column_root_matvec(i, G[:, 0]), want[:, 0], rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def test_exact_rotation_takes_any_count():
+    # a signed permutation's powers are exact, so no count drifts; 2^70 is
+    # past int64, and this P has order 4, so P^(2^70) = I
+    P = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    d = np.array([1.0, 2.0, 3.0])
+    m = EnsembleModel(3, 2, [Column(RotatedFamily(d, P, 2 ** 70)),
+                             Column(RotatedFamily(d, P, 2 ** 70 + 1))])
+    np.testing.assert_array_equal(m.realize_sigma(0), np.diag(d))
+    g = np.array([1.0, -2.0, 0.5])
+    np.testing.assert_array_equal(m.column_root_matvec(0, g), np.sqrt(d) * g)
+    np.testing.assert_array_equal(m.column_root_matvec(1, g), P.T @ (np.sqrt(d) * g))
+    X = sample_matrix(m, seed=3)
+    assert X.shape == (3, 2) and np.isfinite(X).all()
+
+
+def test_rotation_count_where_the_power_drifts_is_refused():
+    # at p = 80 the realised P^k drifts from orthogonal as k grows: a count
+    # of a million is accepted, 2^30 is not (tests/test_typed_errors.py has
+    # 2^50 and 2^70)
+    P, base = random_orthogonal(80, 314), np.r_[[8.0] * 20, [1.0] * 60]
+    m = EnsembleModel(80, 1, [Column(RotatedFamily(base, P, 10 ** 6))])
+    assert m.max_trace() == pytest.approx(220.0, rel=1e-10)
+    with pytest.raises(ModelError, match=f"rotation count {2 ** 30}: P\\^k has drifted"):
+        EnsembleModel(80, 1, [Column(RotatedFamily(base, P, 2 ** 30))])
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "rotated", "mean"])

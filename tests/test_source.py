@@ -171,6 +171,14 @@ def test_eigensolves_stay_where_the_layout_needs_them():
     assert _calls((SRC / "contour.py").read_text(), "np.eye") == []
 
 
+def test_rotation_powers_stay_in_the_packed_stack():
+    # P^k is realised once per family, when the dense stack is packed; a
+    # draw rotates by repeated squaring, so no orbit walk is per draw
+    calls = {path.name: sorted(set(found)) for path in sorted(SRC.glob("*.py"))
+             if (found := _calls(path.read_text(), "np.linalg.matrix_power", "_orbit"))}
+    assert calls == {"model.py": ["EnsembleModel._pack", "_orbit"]}
+
+
 def _domain_calls(source: str) -> tuple[int, list[str]]:
     """How many _in_domain calls the module makes, and, as source text, each
     one whose first argument takes a subscript, sorted: a slice would judge

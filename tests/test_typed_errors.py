@@ -17,6 +17,7 @@ from covspectra import (
     UpperDiagonal,
     continuation_solve,
     density_grid,
+    random_orthogonal,
     support_scan,
 )
 from covspectra.empirical import empirical_stieltjes, sample_batch, sample_matrix
@@ -37,6 +38,13 @@ def rotated(**fields) -> dict:
     """A config entry of n = 3 columns from a rotated family on p = 2."""
     cov = {"kind": "rotated_family", "base": [2.0, 1.0], "orthogonal": {"seed": 1}}
     return {"cov": {**cov, **fields}, "repeat": 3}
+
+
+def figure1_rotation(k: int) -> EnsembleModel:
+    """One column of the Figure-1 rotated family (p = 80, tr Sigma = 220)
+    rotated k times."""
+    base = np.r_[[8.0] * 20, [1.0] * 60]
+    return EnsembleModel(80, 1, [Column(RotatedFamily(base, random_orthogonal(80, 314), k))])
 
 
 IDENTITY = {"cov": {"kind": "scaled_identity", "sigma2": 1.0}, "repeat": 2}
@@ -146,6 +154,12 @@ CASES = {
     # constructed, then the model build failed in matrix_power
     "float rotations": (ModelError, "rotation count must be an integer",
                         lambda: RotatedFamily(np.ones(2), np.eye(2), 1.5)),
+    # built a model whose max_trace() read 223.93, with no warning
+    "rotation count drift": (ModelError, f"rotation count {2 ** 50}: P\\^k has drifted",
+                             lambda: figure1_rotation(2 ** 50)),
+    # warned of overflow in matmul, then "covariances and means must be finite"
+    "rotation count overflow": (ModelError, f"rotation count {2 ** 70}: P\\^k has drifted",
+                                lambda: figure1_rotation(2 ** 70)),
     # numpy's "zero-size array to reduction operation minimum"
     "no eigenvalues": (ValueError, "at least one eigenvalue", lambda: empirical_stieltjes([], 1j)),
     # warned of overflow in matmul and divide, then LinAlgError from nu_hat
