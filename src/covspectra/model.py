@@ -283,7 +283,9 @@ class EnsembleModel:
     the columns of the p x r matrix ``_V``.  The dense parts form the
     (k_d, p(p+1)/2) stack ``_dense``, one packed upper triangle of a symmetric
     part per row, read once per product: mixtures unpack it to an exactly
-    symmetric matrix, traces fold their matrix onto it.  The kernels
+    symmetric matrix, traces fold their matrix onto it.  A rotated family's
+    row costs O(|J| p^2), J the entries its base lifts above its minimum:
+    ``_pack`` forms it from those |J| rows of P^k alone.  The kernels
     ``mixtures``, ``factor_inverses``, ``class_traces`` and
     ``functional_traces`` take class sums of the weights, shaped (m, k), as
     ``_class_weights`` gives them for a weight per column.  Unless ``_lu``
@@ -440,7 +442,9 @@ class EnsembleModel:
         the (k, U) block _coord_diag of their distinct entries, their sizes
         _coord_size n_u, and the Gram blocks B_u = sum_{j in u} v_j v_j^T of
         the vectors, flattened to (U, r^2): one sort of the coordinates by
-        their entries, each class a run of it."""
+        their entries, each class a run of it, and one product V_u^T V_u per
+        run of the sorted rows of V, so the build forms no (p, r^2) array of
+        the terms v_j v_j^T."""
         p = self.p
         order = np.lexsort(self._diag)
         d = self._diag[:, order]
@@ -451,9 +455,12 @@ class EnsembleModel:
         self._coord[order] = runs
         self._coord_diag = d[:, first]
         self._coord_size = np.bincount(runs).astype(np.float64)
-        V = self._V[order]
-        self._coord_gram = np.add.reduceat(
-            np.einsum("ja,jb->jab", V, V).reshape(p, -1), np.flatnonzero(first), axis=0)
+        V, r = self._V[order], self._V.shape[1]
+        ends = np.r_[np.flatnonzero(first), p]
+        gram = np.empty((ends.size - 1, r, r))
+        for B, a, b in zip(gram, ends[:-1], ends[1:]):
+            np.matmul(V[a:b].T, V[a:b], out=B)
+        self._coord_gram = gram.reshape(len(gram), r * r)
 
     # -- core operations --------------------------------------------------
 
@@ -666,14 +673,28 @@ class EnsembleModel:
     # -- the packed dense stack --------------------------------------------
 
     def _pack(self, specs: list[CovarianceSpec]) -> NDArray[np.float64]:
-        """One row per dense spec: the upper triangle of its symmetric part,
-        rotated families realised from the rotations of _orbit."""
+        """One row per dense spec: the upper triangle of its symmetric part.
+        A Dense spec folds its matrix as (upper + lower) / 2.  A rotated
+        family is (P^k)^T diag(d) P^k = min(d) I + Y^T diag(e) Y, Y the rows J
+        of P^k that _orbit yields, J = {j : d_j > min d} and e = d_J - min d:
+        the upper triangle of one GEMM of inner dimension |J|, Y^T (e * Y), and
+        min(d) added on the packed diagonal, O(|J| p^2) per family with the
+        walk.  Scaling Y's rows by e, not both factors by sqrt(e), keeps an
+        exact rotation exact: where P^k is a signed permutation every term is
+        an entry of e times 0 or +-1, where sqrt(e) rounds (d = (1, 2, 3) read
+        3.0000000000000004 by Y^T Y on the rows scaled by sqrt(e))."""
         rows = np.empty((len(specs), self._up.size))
-        for row, spec, R in zip(rows, specs, _orbit(specs)):
-            S = spec.matrix if R is None else R.T @ (spec.base[:, None] * R)
-            f = S.ravel()
-            np.add(f.take(self._up), f.take(self._lo), out=row)
-        rows /= 2
+        diagonal = self._full[:: self.p + 1]
+        for row, spec, Y in zip(rows, specs, _orbit(specs)):
+            if Y is None:
+                f = spec.matrix.ravel()
+                np.add(f.take(self._up), f.take(self._lo), out=row)
+                row /= 2
+                continue
+            d = spec.base
+            lo = d.min()
+            (Y.T @ ((d[d > lo] - lo)[:, None] * Y)).ravel().take(self._up, out=row)
+            row[diagonal] += lo
         return rows
 
     def _dense_mixtures(self, X: NDArray) -> NDArray[np.complex128]:
@@ -795,21 +816,26 @@ class EnsembleModel:
 
 
 def _orbit(specs: Sequence[CovarianceSpec]) -> Iterator[NDArray[np.float64] | None]:
-    """P^k for each rotated family among specs, in order, None for any other
-    spec, for _pack alone: draws rotate by _rotate, which keeps no power.
-    Families sharing one orthogonal matrix P step its orbit,
-    R_k = R_j P^(k-j) from the last power realised, and raise P to the k-th
-    power only when k falls below it."""
-    orbit: dict[int, tuple[int, NDArray]] = {}  # id(P) -> (j, P^j)
+    """For each rotated family among specs, in order, the rows
+    Y = (P^k)[J] of its power that its base lifts above its minimum,
+    J = {j : d_j > min d}, an (|J|, p) block; None for any other spec.  It
+    serves _pack alone: draws rotate by _rotate, which keeps no power.
+    Families sharing one orthogonal matrix P and one J share a walk: the
+    block steps as Y_k = Y_j P^(k-j) from the last count j it reached, an
+    |J| x p by p x p product, and P is raised to the k-th power only when k
+    falls below j."""
+    orbit: dict[tuple, tuple[int, NDArray]] = {}  # (id(P), J) -> (j, Y_j)
     for spec in specs:
         if not isinstance(spec, RotatedFamily):
             yield None
             continue
-        P, k = spec.orthogonal, spec.rotations
-        j, R = orbit.get(id(P), (k + 1, None))  # no power yet: as if k fell
-        R = np.linalg.matrix_power(P, k) if k < j else R @ np.linalg.matrix_power(P, k - j)
-        orbit[id(P)] = k, R
-        yield R
+        P, k, d = spec.orthogonal, spec.rotations, spec.base
+        J = np.flatnonzero(d > d.min())
+        key = id(P), J.tobytes()
+        j, Y = orbit.get(key, (k + 1, None))  # no power yet: as if k fell
+        Y = np.linalg.matrix_power(P, k)[J] if k < j else Y @ np.linalg.matrix_power(P, k - j)
+        orbit[key] = k, Y
+        yield Y
 
 
 def _rotate(P: NDArray[np.float64], k: NDArray, B: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -870,13 +896,16 @@ def _parse_cov(spec: dict, p: int) -> CovarianceSpec:
     raise ModelError(f"unknown covariance kind: {kind!r}")
 
 
-def _parse_entry(entry: dict, p: int) -> list[Column]:
-    """The ``repeat`` columns of one configuration entry."""
+def _parse_entry(entry: dict, p: int, left: int) -> list[Column]:
+    """The ``repeat`` columns of one configuration entry, a ModelError before
+    any is built where repeat exceeds the left columns that n allows."""
     if not isinstance(entry, dict) or not isinstance(entry.get("cov"), dict):
         raise ModelError("must be an object with a 'cov' object")
     repeat = operator.index(entry.get("repeat", 1))
     if repeat < 1:
         raise ModelError("repeat must be >= 1")
+    if repeat > left:
+        raise ModelError(f"repeat {repeat} exceeds the {left} columns left of n")
     mu = None if entry.get("mean") is None else np.asarray(entry["mean"], dtype=np.float64)
     cov = _parse_cov(entry["cov"], p)
     step = operator.index(entry["cov"].get("rotation_step", 0))
@@ -900,7 +929,7 @@ def model_from_config(config: dict) -> EnsembleModel:
     columns: list[Column] = []
     for idx, entry in enumerate(entries):
         try:
-            columns += _parse_entry(entry, p)
+            columns += _parse_entry(entry, p, n - len(columns))
         except KeyError as exc:
             raise ModelError(f"column entry {idx}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:

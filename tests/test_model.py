@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,39 @@ def test_rotated_stack_rows_match_realize(rng):
     for row, c in zip(m._dense, m._dense_rows):
         np.testing.assert_allclose(row, pack(covariance_oracle(m._class_dense[c], p)),
                                    rtol=0, atol=1e-13)
+
+
+FIGURE1_BASE = np.r_[[8.0] * 20, [1.0] * 60]
+
+
+@pytest.mark.parametrize("bases", [
+    [FIGURE1_BASE],
+    [np.full(80, 2.5)],
+    [np.linspace(1.0, 4.0, 80)],
+    [np.r_[0.0, np.linspace(0.5, 3.0, 79)]],
+    [FIGURE1_BASE, np.linspace(1.0, 4.0, 80)],
+], ids=["figure 1", "all equal", "distinct", "zero minimum", "two bases on one P"])
+def test_rotated_rows_match_the_power_of_the_rotation(bases):
+    # counts out of order, so a walk steps forward and raises P again when a
+    # count falls; two bases on one P lift different rows and walk apart
+    P = random_orthogonal(80, 314)
+    specs = [RotatedFamily(base, P, k) for k in (5, 3, 1000, 6, 2) for base in bases]
+    m = EnsembleModel(80, len(specs), [Column(spec) for spec in specs])
+    assert m._dense_rows.size == len(specs)
+    for row, c in zip(m._dense, m._dense_rows):
+        spec = m._class_dense[c]
+        R = np.linalg.matrix_power(P, spec.rotations)
+        want = (R.T @ (spec.base[:, None] * R))[np.triu_indices(80)]
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        if np.ptp(spec.base) == 0:
+            np.testing.assert_array_equal(row, pack(spec.base.min() * np.eye(80)))
+
+
+def test_orbit_walks_the_lifted_rows():
+    # the Figure-1 base lifts 20 of its 80 entries above its minimum
+    P = random_orthogonal(80, 314)
+    (Y,) = model_module._orbit([RotatedFamily(FIGURE1_BASE, P, 3)])
+    assert Y.shape == (20, 80)
 
 
 def test_packed_kernel_matches_realized_oracle(rng):
@@ -811,6 +845,28 @@ def test_functional_traces_coordinate_class_chunks(rng, monkeypatch):
     got = m.functional_traces(W * m._class_size, As)
     want = [[np.trace(A @ Q) for A in As] for Q in m.factor_inverses(W * m._class_size)]
     np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def test_gram_blocks_are_built_within_what_is_stored(rng):
+    # p = 400, U = 4 coordinate classes and r = 150 vectors: the blocks B_u
+    # take 0.72 MB, where forming every v_j v_j^T before summing them took a
+    # (p, r^2) temporary of 72 MB
+    p, n, r = 400, 800, 150
+    d = Diagonal(np.repeat([1.0, 2.0, 3.0, 4.0], p // 4))
+    means = 0.1 * rng.standard_normal((r, p))
+    cols = [Column(d, mean=means[i % r]) for i in range(n)]
+    tracemalloc.start()
+    try:
+        m = EnsembleModel(p, n, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not m._lu and m._coord_gram.shape == (4, r * r)
+    stored = sum(x.nbytes for x in vars(m).values() if isinstance(x, np.ndarray))
+    assert peak < 3 * stored
+    for u, B in enumerate(m._coord_gram.reshape(4, r, r)):
+        V = m._V[m._coord == u]
+        np.testing.assert_allclose(B, V.T @ V, rtol=1e-13, atol=1e-13 * np.abs(B).max())
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "woodbury", "dense"])

@@ -110,6 +110,14 @@ CASES = {
                      lambda: model_from_config(config({**IDENTITY, "repeat": 2.7}))),
     "float rotation_step": (ModelError, INTEGER,
                             lambda: model_from_config(config(rotated(rotation_step=0.5), n=3))),
+    # a MemoryError from expanding the entry into 10^12 columns
+    "repeat past n": (
+        ModelError, "column entry 0: repeat 1000000000000 exceeds the 2 columns left",
+        lambda: model_from_config(config({**IDENTITY, "repeat": 10 ** 12}))),
+    # built two million rotated families for 25 s, then "expands to 2000000 columns"
+    "rotated repeat past n": (
+        ModelError, "column entry 0: repeat 2000000 exceeds the 2 columns left",
+        lambda: model_from_config(config({**rotated(rotation_step=1), "repeat": 2 * 10 ** 6}))),
     # accepted: a NaN entry passed the d.min() < 0 test, and an inf base
     # reached the model's packed product, which warned twice before the
     # model refused it
