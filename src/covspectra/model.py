@@ -488,12 +488,16 @@ class EnsembleModel:
             return self._class_weights(w.real) + 1j * self._class_weights(w.imag)
         return np.bincount(self.column_class, w, self._diag.shape[0])
 
+    def _class_of(self, i: int) -> int:
+        """Column i's class; an IndexError unless 0 <= i < n."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"column index {i} out of range [0, {self.n})")
+        return self.column_class[i]
+
     def realize_sigma(self, i: int) -> NDArray[np.float64]:
         """Dense Sigma_i = C_i + mu_i mu_i^T, read from column i's class as
         mixtures(n e_c)."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"column index {i} out of range [0, {self.n})")
-        e = np.eye(1, self._diag.shape[0], self.column_class[i])
+        e = np.eye(1, self._diag.shape[0], self._class_of(i))
         return self.mixtures(self.n * e)[0].real
 
     def mixture_matrix(self, w: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -714,54 +718,40 @@ class EnsembleModel:
     # -- sampling support --------------------------------------------------
 
     def column_root_matvec(self, i: int, g: NDArray[np.float64]) -> NDArray[np.float64]:
-        """C_i^{1/2} g for a vector g, or for each column of a (p, m) block: a
-        rotated family's (P^T)^k sqrt(d) g by _rotate, as columns_from_normals
-        takes it."""
-        c = self.column_class[i]
-        spec, b = self._class_dense[c], g.reshape(self.p, -1)
-        if isinstance(spec, RotatedFamily):
-            k = np.full(b.shape[1], spec.rotations, dtype=object)
-            b = _rotate(spec.orthogonal, k, np.sqrt(spec.base)[:, None] * b)
-        else:
-            b = self._class_root(c, b)
-        return b.reshape(g.shape)
+        """C_i^{1/2} g for a vector g, or for each column of a (p, m) block, by
+        _roots, which draws take too; a ModelError unless g has p rows."""
+        c = self._class_of(i)
+        if g.shape[:1] != (self.p,):
+            raise ModelError(f"matrix dimension mismatch: g has shape {g.shape}, p = {self.p}")
+        return self._roots(np.full(g.size // self.p, c), g.reshape(self.p, -1)).reshape(g.shape)
 
     def columns_from_normals(self, G: NDArray[np.float64]) -> NDArray[np.float64]:
-        """mu_i + C_i^{1/2} G[:, i] for every column i of the (p, n) block G,
-        one product per class, but one _rotate per orthogonal matrix P: the
-        columns of every rotated family on P, scaled by the roots of their
-        bases, are rotated together, each by its own count.  Diagonal classes
-        match column_root_matvec bit for bit; a Dense class takes its root on
-        all its columns at once, and a rotated column its rotation among
-        other columns, which differ from column_root_matvec in rounding."""
-        X = np.sqrt(self._diag.T)[:, self.column_class] * G
-        if self._dense_rows.size:
-            members = np.split(np.argsort(self.column_class, kind="stable"),
-                               np.cumsum(self._class_size[:-1]).astype(np.intp))
-            rotated: dict[int, tuple] = {}  # id(P) -> (P, its columns, their counts)
-            for c in self._dense_rows:
-                spec, cols = self._class_dense[c], members[c]
-                if isinstance(spec, Dense):
-                    X[:, cols] = self._class_root(c, G[:, cols])
-                    continue
+        """mu_i + C_i^{1/2} G[:, i] for every column i of the (p, n) block G:
+        _roots on the column classes, the routine column_root_matvec takes."""
+        return self._roots(self.column_class, G) + self._offsets.T[:, self.column_class]
+
+    def _roots(self, classes: NDArray[np.intp], G: NDArray[np.float64]) -> NDArray[np.float64]:
+        """C_c^{1/2} G[:, j] for each column j of the (p, m) block G, c = classes[j]:
+        sqrt(d_c) on every column, then, columns grouped by one stable sort,
+        one product V sqrt(w) V^T per Dense class and one _rotate per orthogonal
+        P, over the root-scaled columns of every rotated family on P."""
+        X = np.sqrt(self._diag.T)[:, classes] * G
+        counts = np.bincount(classes, minlength=len(self._diag))
+        order, ends = np.argsort(classes, kind="stable"), np.cumsum(counts)
+        rotated: dict[int, tuple] = {}  # id(P) -> (P, its columns, their counts)
+        for c in self._dense_rows[counts[self._dense_rows] > 0]:
+            spec, cols = self._class_dense[c], order[ends[c] - counts[c]:ends[c]]
+            if isinstance(spec, Dense):
+                w, v = spec._eigh
+                X[:, cols] = v @ (np.sqrt(np.clip(w, 0.0, None)) * (v.T @ G[:, cols]).T).T
+            else:
                 X[:, cols] = np.sqrt(spec.base)[:, None] * G[:, cols]
                 _, js, ks = rotated.setdefault(id(spec.orthogonal), (spec.orthogonal, [], []))
                 js += cols.tolist()
                 ks += [spec.rotations] * cols.size
-            for P, js, ks in rotated.values():
-                X[:, js] = _rotate(P, np.array(ks, dtype=object), X[:, js])
-        X += self._offsets.T[:, self.column_class]
+        for P, js, ks in rotated.values():
+            X[:, js] = _rotate(P, np.array(ks, dtype=object), X[:, js])
         return X
-
-    def _class_root(self, c: int, b: NDArray) -> NDArray[np.float64]:
-        """C_c^{1/2} b for each column of a (p, m) block b and a class c that
-        is not a rotated family: sqrt(d_c) * b for a diagonal class, and
-        V sqrt(w) V^T b for a Dense one, from its one eigh."""
-        spec = self._class_dense[c]
-        if spec is None:
-            return np.sqrt(self._diag[c])[:, None] * b
-        w, v = spec._eigh
-        return v @ (np.sqrt(np.clip(w, 0.0, None)) * (v.T @ b).T).T
 
     # -- derived scalars ---------------------------------------------------
 

@@ -224,3 +224,27 @@ def test_forked_acceptance_rule_is_found():
     source = ("def f(x):\n    if a:\n        t = (residual < prev) & in_domain(c, r)\n"
               "    else:\n        t = in_domain(c, r)\n    return residual < tol\n")
     assert _acceptance_rules(source, "f") == (2, 1)
+
+
+def _isinstance_calls(source: str, func: str) -> int:
+    """How many isinstance calls func of the module makes."""
+    body = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == func)
+    return sum(isinstance(n, ast.Call) and ast.unparse(n.func) == "isinstance"
+               for n in ast.walk(body))
+
+
+def test_each_root_is_written_once():
+    # draws and column_root_matvec take one class-wise root, _roots: it alone
+    # rotates, and the per-column view does not branch on the covariance kind
+    source = (SRC / "model.py").read_text()
+    assert _calls(source, "_rotate") == ["EnsembleModel._roots"]
+    assert _isinstance_calls(source, "column_root_matvec") == 0
+
+
+def test_forked_root_is_found():
+    source = ("class M:\n    def view(self, i, g):\n        if isinstance(s, R):\n"
+              "            return _rotate(P, k, g)\n        return self._roots(i, g)\n"
+              "    def _roots(self, c, G):\n        return _rotate(P, k, G)\n")
+    assert _calls(source, "_rotate") == ["M.view", "M._roots"]
+    assert _isinstance_calls(source, "view") == 1

@@ -177,6 +177,16 @@ CASES = {
     # failed inside np.linspace: "'float' object cannot be interpreted as an integer"
     "float grid count": (ValueError, "count must be an integer",
                          lambda: density_grid(small_model(), 0, 4, 2.5, 1e-3)),
+    # returned the root of the last column, as numpy reads a negative index
+    "negative root column": (IndexError, r"column index -1 out of range \[0, 4\)",
+                             lambda: small_model().column_root_matvec(-1, np.ones(3))),
+    "negative sigma column": (IndexError, r"column index -1 out of range \[0, 4\)",
+                              lambda: small_model().realize_sigma(-1)),
+    # read g as a (3, 2) block and returned the 6-vector [0, 1, 4, 6, 12, 15]
+    "root of a wrong-length g": (
+        ModelError, r"matrix dimension mismatch: g has shape \(6,\), p = 3",
+        lambda: EnsembleModel(3, 1, [Column(Diagonal(np.arange(1.0, 4.0) ** 2))])
+        .column_root_matvec(0, np.arange(6.0))),
 }
 
 
