@@ -283,9 +283,9 @@ class EnsembleModel:
     the columns of the p x r matrix ``_V``.  The dense parts form the
     (k_d, p(p+1)/2) stack ``_dense``, one packed upper triangle of a symmetric
     part per row, read once per product: mixtures unpack it to an exactly
-    symmetric matrix, traces fold their matrix onto it.  A rotated family's
-    row costs O(|J| p^2), J the entries its base lifts above its minimum:
-    ``_pack`` forms it from those |J| rows of P^k alone.  The kernels
+    symmetric matrix, traces fold their matrix onto it.  ``_pack`` alone
+    reads a dense class's kind in the build; a rotated family's row costs
+    O(|J| p^2), J the entries its base lifts above its minimum.  The kernels
     ``mixtures``, ``factor_inverses``, ``class_traces`` and
     ``functional_traces`` take class sums of the weights, shaped (m, k), as
     ``_class_weights`` gives them for a weight per column.  Unless ``_lu``
@@ -338,6 +338,7 @@ class EnsembleModel:
         self._dense_rows = np.flatnonzero([dense is not None for dense in self._class_dense])
         self._vec_rows = np.flatnonzero([mu is not None for *_, mu in parts])
         self._dense = np.empty((0, p * (p + 1) // 2))
+        min_eig = self._diag.min(axis=1)  # each class's smallest eigenvalue; _pack's if dense
         if self._dense_rows.size:
             # flat positions of the upper triangle and of its mirror image, and
             # the packed position of each of the p^2 entries
@@ -346,7 +347,8 @@ class EnsembleModel:
             self._full = np.empty(p * p, dtype=np.intp)
             self._full[self._up] = self._full[self._lo] = np.arange(i.size)
             with np.errstate(over="ignore", invalid="ignore"):  # judged by _check_drift
-                self._dense = self._pack([self._class_dense[c] for c in self._dense_rows])
+                self._dense, min_eig[self._dense_rows], want = self._pack(
+                    [self._class_dense[c] for c in self._dense_rows])
         self._V = np.ascontiguousarray(self._offsets[self._vec_rows].T)
         self._lu = bool(self._dense_rows.size) or 2 * self._V.shape[1] >= p
         self._class_size = np.bincount(self.column_class).astype(np.float64)
@@ -356,7 +358,7 @@ class EnsembleModel:
             self._traces = self._diag.sum(axis=1) + (self._offsets ** 2).sum(axis=1)
             if self._dense_rows.size:
                 packed = self._dense[:, self._full[:: p + 1]].sum(axis=1)
-                self._check_drift(packed)
+                self._check_drift(packed, want)
                 self._traces[self._dense_rows] += packed
             if not all(np.isfinite(x).all() for x in (self._diag, self._dense, self._offsets)):
                 raise ModelError("covariances and means must be finite")
@@ -366,10 +368,6 @@ class EnsembleModel:
             self._coordinate_classes()
         # one warning per column whose class breaks an assumption of the paper
         norms = np.linalg.norm(self._offsets, axis=1)[self.column_class]
-        min_eig = self._diag.min(axis=1)
-        for c in self._dense_rows:
-            spec = self._class_dense[c]
-            min_eig[c] = (spec.base if isinstance(spec, RotatedFamily) else spec._eigh[0]).min()
         low = (min_eig < _MIN_EIG_FLOOR)[self.column_class]
         for i in np.flatnonzero((norms > mean_norm_bound) | low):
             if norms[i] > mean_norm_bound:
@@ -415,25 +413,20 @@ class EnsembleModel:
             classes[key] = c
         return c
 
-    def _check_drift(self, traces: NDArray[np.float64]) -> None:
-        """A ModelError naming the rotation count of the first rotated family
-        whose realised trace, of the dense stack's traces, is off tr diag(d) by
-        more than _ORTHO_TOL of it.  P^k rounds away from orthogonal as k
-        grows: on the Figure-1 P (p = 80) |P^k P^kT - I| reads 4.6e-8 at
-        k = 2^30, the trace is 1.3e-11 off at k = 10^6 and 2% off at 2^50,
-        and P^(2^70) overflows."""
-        specs = [self._class_dense[c] for c in self._dense_rows]
-        rows = [j for j, spec in enumerate(specs) if isinstance(spec, RotatedFamily)]
-        if not rows:
-            return
-        want = np.array([specs[j].base for j in rows]).sum(axis=1)
-        t = traces[rows]
-        bad = np.flatnonzero(~(np.abs(t - want) <= _ORTHO_TOL * want) & np.isfinite(want))
+    def _check_drift(self, traces: NDArray[np.float64], want: NDArray[np.float64]) -> None:
+        """A ModelError naming the rotation count of the first dense row whose
+        trace, of the dense stack's traces, is off its finite target in want,
+        a rotated family's tr diag(d) as _pack gives it, by more than
+        _ORTHO_TOL of it.  P^k rounds away from orthogonal as k grows: on the
+        Figure-1 P (p = 80) |P^k P^kT - I| reads 4.6e-8 at k = 2^30, the trace
+        is 1.3e-11 off at k = 10^6 and 2% off at 2^50, and P^(2^70) overflows."""
+        bad = np.flatnonzero(~(np.abs(traces - want) <= _ORTHO_TOL * want) & np.isfinite(want))
         if bad.size:
             j = bad[0]
             raise ModelError(
-                f"rotation count {specs[rows[j]].rotations}: P^k has drifted from orthogonal, "
-                f"its covariance has trace {t[j]:.12g} against tr diag(d) = {want[j]:.12g}")
+                f"rotation count {self._class_dense[self._dense_rows[j]].rotations}: P^k has "
+                f"drifted from orthogonal, its covariance has trace {traces[j]:.12g} against "
+                f"tr diag(d) = {want[j]:.12g}")
 
     def _coordinate_classes(self) -> None:
         """On the Woodbury path: coordinates whose diagonal entries agree in
@@ -676,30 +669,34 @@ class EnsembleModel:
 
     # -- the packed dense stack --------------------------------------------
 
-    def _pack(self, specs: list[CovarianceSpec]) -> NDArray[np.float64]:
-        """One row per dense spec: the upper triangle of its symmetric part.
-        A Dense spec folds its matrix as (upper + lower) / 2.  A rotated
-        family is (P^k)^T diag(d) P^k = min(d) I + Y^T diag(e) Y, Y the rows J
-        of P^k that _orbit yields, J = {j : d_j > min d} and e = d_J - min d:
-        the upper triangle of one GEMM of inner dimension |J|, Y^T (e * Y), and
-        min(d) added on the packed diagonal, O(|J| p^2) per family with the
-        walk.  Scaling Y's rows by e, not both factors by sqrt(e), keeps an
-        exact rotation exact: where P^k is a signed permutation every term is
-        an entry of e times 0 or +-1, where sqrt(e) rounds (d = (1, 2, 3) read
+    def _pack(self, specs: list[CovarianceSpec]) -> tuple[NDArray[np.float64], ...]:
+        """For each dense spec: its packed row, the upper triangle of its
+        symmetric part; its smallest eigenvalue; and the trace _check_drift
+        holds the row to, tr diag(d) for a rotated family and NaN for a Dense,
+        whose stored matrix is exactly symmetric.  A rotated family is
+        (P^k)^T diag(d) P^k = min(d) I + Y^T diag(e) Y, Y the rows J of P^k
+        that _orbit yields, J = {j : d_j > min d} and e = d_J - min d: the
+        upper triangle of Y^T (e * Y), one GEMM of inner dimension |J|, plus
+        min(d) on the packed diagonal, O(|J| p^2) per family with the walk.
+        Scaling Y's rows by e, not both factors by sqrt(e), keeps an exact
+        rotation exact: where P^k is a signed permutation every term is an
+        entry of e times 0 or +-1, where sqrt(e) rounds (d = (1, 2, 3) read
         3.0000000000000004 by Y^T Y on the rows scaled by sqrt(e))."""
         rows = np.empty((len(specs), self._up.size))
+        floors, want = np.empty(len(specs)), np.full(len(specs), np.nan)
         diagonal = self._full[:: self.p + 1]
-        for row, spec, Y in zip(rows, specs, _orbit(specs)):
-            if Y is None:
-                f = spec.matrix.ravel()
-                np.add(f.take(self._up), f.take(self._lo), out=row)
-                row /= 2
+        walk = _orbit([spec for spec in specs if not isinstance(spec, Dense)])
+        for j, (row, spec) in enumerate(zip(rows, specs)):
+            if isinstance(spec, Dense):
+                spec.matrix.ravel().take(self._up, out=row)
+                floors[j] = spec._eigh[0].min()
                 continue
-            d = spec.base
-            lo = d.min()
+            d, Y = spec.base, next(walk)
+            lo = floors[j] = d.min()
+            want[j] = d.sum()
             (Y.T @ ((d[d > lo] - lo)[:, None] * Y)).ravel().take(self._up, out=row)
             row[diagonal] += lo
-        return rows
+        return rows, floors, want
 
     def _dense_mixtures(self, X: NDArray) -> NDArray[np.complex128]:
         """sum_c X[:, c] D_c over the dense parts D_c, as (m, p^2) flat and
@@ -727,7 +724,11 @@ class EnsembleModel:
 
     def columns_from_normals(self, G: NDArray[np.float64]) -> NDArray[np.float64]:
         """mu_i + C_i^{1/2} G[:, i] for every column i of the (p, n) block G:
-        _roots on the column classes, the routine column_root_matvec takes."""
+        _roots on the column classes, the routine column_root_matvec takes;
+        a ModelError unless G is (p, n)."""
+        if G.shape != (self.p, self.n):
+            raise ModelError(f"matrix dimension mismatch: G has shape {G.shape}, "
+                             f"expected (p, n) = {(self.p, self.n)}")
         return self._roots(self.column_class, G) + self._offsets.T[:, self.column_class]
 
     def _roots(self, classes: NDArray[np.intp], G: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -805,20 +806,16 @@ class EnsembleModel:
         return float(self._traces.max())
 
 
-def _orbit(specs: Sequence[CovarianceSpec]) -> Iterator[NDArray[np.float64] | None]:
-    """For each rotated family among specs, in order, the rows
-    Y = (P^k)[J] of its power that its base lifts above its minimum,
-    J = {j : d_j > min d}, an (|J|, p) block; None for any other spec.  It
-    serves _pack alone: draws rotate by _rotate, which keeps no power.
-    Families sharing one orthogonal matrix P and one J share a walk: the
-    block steps as Y_k = Y_j P^(k-j) from the last count j it reached, an
+def _orbit(families: Sequence[RotatedFamily]) -> Iterator[NDArray[np.float64]]:
+    """For each rotated family, in order, the rows Y = (P^k)[J] of its power
+    that its base lifts above its minimum, J = {j : d_j > min d}, an (|J|, p)
+    block.  It serves _pack alone: draws rotate by _rotate, which keeps no
+    power.  Families sharing one orthogonal matrix P and one J share a walk:
+    the block steps as Y_k = Y_j P^(k-j) from the last count j it reached, an
     |J| x p by p x p product, and P is raised to the k-th power only when k
     falls below j."""
     orbit: dict[tuple, tuple[int, NDArray]] = {}  # (id(P), J) -> (j, Y_j)
-    for spec in specs:
-        if not isinstance(spec, RotatedFamily):
-            yield None
-            continue
+    for spec in families:
         P, k, d = spec.orthogonal, spec.rotations, spec.base
         J = np.flatnonzero(d > d.min())
         key = id(P), J.tobytes()
@@ -924,6 +921,8 @@ def model_from_config(config: dict) -> EnsembleModel:
             raise ModelError(f"column entry {idx}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ModelError(f"column entry {idx}: {exc}") from exc
+        except MemoryError:  # as CPython's list-size check raises at n = 2^62, allocating nothing
+            raise ModelError(f"column entry {idx}: n = {n} columns do not fit in memory") from None
     if len(columns) != n:
         raise ModelError(f"config declares n={n} but expands to {len(columns)} columns")
     return EnsembleModel(p, n, columns)

@@ -1047,6 +1047,16 @@ def test_lambda_derivative_matches_n_by_n_solve(rng, build):
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
+def test_lambda_derivative_refuses_a_singular_system(monkeypatch):
+    # with Psi = I the k x k system I - Psi is zero: a ValueError, not numpy's
+    m = mp_model(3, 6)
+    lam = solve_lambda(m, 1 + 1j).lam
+    monkeypatch.setattr(fixedpoint, "_class_psi", lambda model, x, pair: np.eye(1)[None])
+    with pytest.raises(ValueError, match="I - Psi is singular") as info:
+        lambda_derivative(m, 1 + 1j, lam)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_lambda_derivative_matches_finite_difference(rng):
     m = random_model(5, 8, rng)
     z = 1.2 + 0.7j

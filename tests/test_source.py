@@ -120,6 +120,12 @@ def test_budget_call_with_argument_is_found():
 def _calls(source: str, *funcs: str) -> list[str]:
     """The enclosing function of each call of one of funcs, outermost first
     and qualified by its class ("" at module level)."""
+    return _call_sites(source, lambda call: ast.unparse(call.func) in funcs)
+
+
+def _call_sites(source: str, match) -> list[str]:
+    """The enclosing function, as _calls gives it, of each call that match
+    accepts."""
     found = []
 
     def visit(node: ast.AST, where: str, cls: str) -> None:
@@ -130,7 +136,7 @@ def _calls(source: str, *funcs: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, where or cls + child.name, cls)
                 continue
-            if isinstance(child, ast.Call) and ast.unparse(child.func) in funcs:
+            if isinstance(child, ast.Call) and match(child):
                 found.append(where)
             visit(child, where, cls)
 
@@ -248,3 +254,30 @@ def test_forked_root_is_found():
               "    def _roots(self, c, G):\n        return _rotate(P, k, G)\n")
     assert _calls(source, "_rotate") == ["M.view", "M._roots"]
     assert _isinstance_calls(source, "view") == 1
+
+
+COVARIANCE_KINDS = {"Dense", "Diagonal", "ScaledIdentity", "RotatedFamily"}
+
+
+def _kind_readers(source: str) -> list[str]:
+    """The enclosing functions, as _calls gives them and sorted, of the
+    isinstance calls whose class argument names a covariance kind."""
+    return sorted(set(_call_sites(source, lambda call: ast.unparse(call.func) == "isinstance"
+                                  and bool(COVARIANCE_KINDS & _names(ast.unparse(call.args[-1]))))))
+
+
+def test_covariance_kinds_are_read_where_classes_are_built():
+    # a new kind, or a kind reshaped, touches the class it forms, the packed
+    # row and floor it gives, and its root, and the loader's expansion of an
+    # entry: the build's other steps read what those return
+    readers = {path.name: found for path in sorted(SRC.glob("*.py"))
+               if (found := _kind_readers(path.read_text()))}
+    assert readers == {"model.py": ["EnsembleModel._classify", "EnsembleModel._pack",
+                                    "EnsembleModel._roots", "_parse_entry"]}
+
+
+def test_kind_read_elsewhere_is_found():
+    source = ("class M:\n    def _pack(self, s):\n        return isinstance(s, Dense)\n"
+              "    def floor(self, s):\n        return isinstance(s, (m.Diagonal, int))\n"
+              "def f(x):\n    return isinstance(x, dict)\n")
+    assert _kind_readers(source) == ["M._pack", "M.floor"]

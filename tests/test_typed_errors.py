@@ -114,6 +114,10 @@ CASES = {
     "repeat past n": (
         ModelError, "column entry 0: repeat 1000000000000 exceeds the 2 columns left",
         lambda: model_from_config(config({**IDENTITY, "repeat": 10 ** 12}))),
+    # a bare MemoryError from CPython's list-size check, which allocates nothing
+    "n past memory": (
+        ModelError, f"column entry 0: n = {2 ** 62} columns do not fit in memory",
+        lambda: model_from_config(config({**IDENTITY, "repeat": 2 ** 62}, n=2 ** 62))),
     # built two million rotated families for 25 s, then "expands to 2000000 columns"
     "rotated repeat past n": (
         ModelError, "column entry 0: repeat 2000000 exceeds the 2 columns left",
@@ -187,6 +191,15 @@ CASES = {
         ModelError, r"matrix dimension mismatch: g has shape \(6,\), p = 3",
         lambda: EnsembleModel(3, 1, [Column(Diagonal(np.arange(1.0, 4.0) ** 2))])
         .column_root_matvec(0, np.arange(6.0))),
+    # broadcast one normal vector to four identical columns
+    "draw of a short G": (
+        ModelError, r"matrix dimension mismatch: G has shape \(3, 1\), expected \(p, n\)",
+        lambda: small_model().columns_from_normals(np.arange(3.0)[:, None])),
+    # numpy's "index 1 is out of bounds"
+    "dense draw of a short G": (
+        ModelError, r"matrix dimension mismatch: G has shape \(3, 1\), expected \(p, n\)",
+        lambda: EnsembleModel(3, 4, [Column(Dense(np.eye(3)))] * 4)
+        .columns_from_normals(np.arange(3.0)[:, None])),
 }
 
 
